@@ -72,9 +72,9 @@ print("\ngate statistics:", derived.gate_stats)
 print("local work with gating:", int(derived.work_units.sum()),
       "of", int(raw.work_units.sum()), "ungated candidate evaluations")
 
-# the scalar path agrees with the vectorized one
+# the per-pair path applies the same gate-and-fuse rule as the batch one
 k = n_gen + 5
 (sid_a, ia), (sid_b, ib) = raw.pairs[k]
 single = infer_pair_with_config(corpus.template(sid_a, ia), corpus.template(sid_b, ib), cfg)
-print("\nscalar infer_pair equals vectorized pipeline on a sample pair:",
+print("\nper-pair infer_pair equals the batch pipeline on a sample pair:",
       single.s_final == derived.final[k])

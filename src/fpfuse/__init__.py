@@ -18,7 +18,7 @@ from .losses import (GroundTruthRecord, LossBreakdown, LossWeights,
                      PredictionRecord, mse, mse_gradient, reorder_ground_truth,
                      total_loss)
 from .matching import (LocalMatchConfig, LocalMatchResult, global_match,
-                       local_match, match_work)
+                       local_match)
 from .pipeline import (DoubleSigmoidParams, MatchResult, PipelineConfig,
                        ThresholdConfig, double_sigmoid, fit_double_sigmoid,
                        fuse, infer_pair, infer_pair_with_config,
@@ -45,7 +45,7 @@ __all__ = [
     "double_sigmoid", "eer", "enumerate_pairs", "evaluate_corpus",
     "fit_double_sigmoid", "frr_at_far", "fuse", "generate_corpus",
     "generate_identity", "generate_impression", "global_match", "infer_pair",
-    "infer_pair_with_config", "local_match", "make_normalizer", "match_work",
+    "infer_pair_with_config", "local_match", "make_normalizer",
     "minmax_norm", "minutia_cost", "minutiae_quality", "mse", "mse_gradient",
     "read_corpus", "read_template", "reorder_ground_truth", "roc_curve",
     "score_pairs", "solve_assignment", "tanh_norm", "total_loss", "validate",

@@ -45,7 +45,7 @@ def _load_config(path: Optional[str]) -> PipelineConfig:
         return PipelineConfig()
     try:
         return PipelineConfig.from_file(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise CliError(f"bad pipeline config {path}: {exc}") from exc
 
 
@@ -126,10 +126,13 @@ def _load_eval_inputs(args):
 def cmd_eval(args) -> int:
     corpus, protocol = _load_eval_inputs(args)
     cfg = _load_config(args.config)
-    refs = None
+    quality = None
     refs_dir = Path(args.refs) if args.refs else Path(args.corpus) / "refs"
-    if refs_dir.is_dir():
-        refs = read_corpus(refs_dir)
+    if args.refs or refs_dir.is_dir():
+        try:
+            quality = aggregate_minutiae_quality(corpus, read_corpus(refs_dir))
+        except (OSError, ValueError) as exc:
+            raise CliError(f"bad references {refs_dir}: {exc}") from exc
     try:
         genuine_pairs, impostor_pairs = enumerate_pairs(protocol, corpus)
     except ValueError as exc:
@@ -137,7 +140,6 @@ def cmd_eval(args) -> int:
     n_gen = len(genuine_pairs)
     raw = score_pairs(corpus, genuine_pairs + impostor_pairs, cfg.local, jobs=args.jobs)
     derived = apply_pipeline(raw, cfg)
-    quality = aggregate_minutiae_quality(corpus, refs) if refs is not None else None
     report = evaluate_scores(derived.final[:n_gen], derived.final[n_gen:],
                              derived.gate_stats, int(derived.work_units.sum()),
                              quality=quality)
@@ -154,8 +156,8 @@ def cmd_eval(args) -> int:
         Path(roc_path).write_text("\n".join(lines) + "\n")
     if args.scores_csv:
         lines = ["kind,score"]
-        lines += [f"genuine,{v!r}" for v in report.genuine_scores]
-        lines += [f"impostor,{v!r}" for v in report.impostor_scores]
+        lines += [f"genuine,{float(v)!r}" for v in report.genuine_scores]
+        lines += [f"impostor,{float(v)!r}" for v in report.impostor_scores]
         Path(args.scores_csv).write_text("\n".join(lines) + "\n")
     summary = {k: doc[k] for k in ("counts", "frr_at_far", "eer", "gate_stats", "work_units_total")}
     summary["minutiae_quality"] = doc["minutiae_quality"]

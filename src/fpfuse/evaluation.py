@@ -12,18 +12,15 @@ operating point realizable.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .assignment import CorrespondenceWeights, correspondence_cost_matrix, solve_assignment
+from .assignment import solve_assignment
 from .matching import LocalMatchConfig, global_match, local_match
-from .pipeline import (GATE_CONFIDENT_GENUINE, GATE_CONFIDENT_IMPOSTOR,
-                       GATE_LOCAL_EVALUATED, PipelineConfig,
-                       SKIP_GENUINE_LOCAL, SKIP_IMPOSTOR_LOCAL)
-from .templates import Corpus, Minutia, Template
+from .pipeline import GATE_LOCAL_EVALUATED, GATES, PipelineConfig, band_gate, gated_fuse
+from .templates import Corpus, Minutia
 
 PairKey = Tuple[Tuple[str, int], Tuple[str, int]]
 
@@ -205,7 +202,14 @@ def minutiae_quality(pred: Sequence[Minutia], gt: Sequence[Minutia],
 
 def aggregate_minutiae_quality(corpus: Corpus, references: Corpus,
                                dist_threshold_px: float = 20.0) -> MinutiaeQuality:
-    """Pool per-impression quality counts across a corpus."""
+    """Pool per-impression quality counts across a corpus.  ``references``
+    must hold the same subjects and impression counts, else ``ValueError``."""
+    shape = {sid: len(t) for sid, t in corpus.subjects.items()}
+    ref_shape = {sid: len(t) for sid, t in references.subjects.items()}
+    if ref_shape != shape:
+        raise ValueError(f"references hold {len(ref_shape)} subjects and "
+                         f"{references.template_count} impressions, the corpus {len(shape)} "
+                         f"and {corpus.template_count}; they must match subject by subject")
     paired = missed = spurious = 0
     weighted_err = 0.0
     for sid in corpus.subject_ids:
@@ -294,16 +298,15 @@ class PipelineScores:
     """Final scores and gate bookkeeping for one pipeline configuration."""
 
     final: np.ndarray
-    gates: np.ndarray            # int codes: 0 genuine-gate, 1 impostor-gate, 2 local
+    gates: np.ndarray            # int codes: indices into GATES
     work_units: np.ndarray
 
     @property
     def gate_stats(self) -> Dict[str, int]:
-        return {
-            GATE_CONFIDENT_GENUINE: int((self.gates == 0).sum()),
-            GATE_CONFIDENT_IMPOSTOR: int((self.gates == 1).sum()),
-            GATE_LOCAL_EVALUATED: int((self.gates == 2).sum()),
-        }
+        return {gate: int((self.gates == code).sum()) for code, gate in enumerate(GATES)}
+
+
+_LOCAL = GATES.index(GATE_LOCAL_EVALUATED)
 
 
 def apply_pipeline(scores: ChannelScores, cfg: PipelineConfig,
@@ -311,32 +314,30 @@ def apply_pipeline(scores: ChannelScores, cfg: PipelineConfig,
     """Derive a pipeline's final scores from precomputed raw channel scores.
 
     ``channel`` picks the fused pipeline or a single-channel baseline
-    ("global" or "local"); single-channel baselines ignore gating.
-    Numerically identical to running ``infer_pair`` per pair.
+    ("global" or "local"); single-channel baselines ignore gating.  The
+    fused pipeline maps the gate-and-fuse rule of ``infer_pair`` over the
+    pairs, so its scores are bit-identical to ``infer_pair``'s.
     """
     s_g = scores.s_g_raw
-    norm_g = cfg.global_normalizer()
-    norm_l = cfg.local_normalizer()
-    s_g_norm = np.clip(np.asarray(norm_g(s_g), dtype=np.float64), 0.0, 1.0)
-    s_l_norm = np.clip(np.asarray(norm_l(scores.s_l_raw), dtype=np.float64), 0.0, 1.0)
+    s_g_norm = np.asarray(cfg.global_normalizer()(s_g), dtype=np.float64)
+    s_l_norm = np.asarray(cfg.local_normalizer()(scores.s_l_raw), dtype=np.float64)
     if channel == "global":
-        return PipelineScores(final=s_g_norm, gates=np.full(s_g.size, 2, dtype=np.int64),
+        return PipelineScores(final=np.clip(s_g_norm, 0.0, 1.0),
+                              gates=np.full(s_g.size, _LOCAL, dtype=np.int64),
                               work_units=np.zeros(s_g.size, dtype=np.int64))
     if channel == "local":
-        return PipelineScores(final=s_l_norm, gates=np.full(s_g.size, 2, dtype=np.int64),
+        return PipelineScores(final=np.clip(s_l_norm, 0.0, 1.0),
+                              gates=np.full(s_g.size, _LOCAL, dtype=np.int64),
                               work_units=scores.work_units.copy())
     if channel != "fused":
         raise ValueError(f"unknown channel {channel!r}")
-    above = s_g > cfg.theta_t
-    below = s_g < cfg.theta_f
-    gates = np.where(above, 0, np.where(below, 1, 2)).astype(np.int64)
-    s_l_eff = np.where(above, SKIP_GENUINE_LOCAL, np.where(below, SKIP_IMPOSTOR_LOCAL, s_l_norm))
-    if cfg.fusion == "mean":
-        final = 0.5 * (s_g_norm + s_l_eff)
-    else:
-        final = np.maximum(s_g_norm, s_l_eff)
-    work = np.where(gates == 2, scores.work_units, 0)
-    return PipelineScores(final=final, gates=gates, work_units=work)
+    thr = cfg.thresholds
+    gates = [band_gate(s, thr) for s in s_g.tolist()]
+    final = [gated_fuse(gate, g, l, cfg.fusion)[2]
+             for gate, g, l in zip(gates, s_g_norm.tolist(), s_l_norm.tolist())]
+    codes = np.array([GATES.index(gate) for gate in gates], dtype=np.int64)
+    work = np.where(codes == _LOCAL, scores.work_units, 0)
+    return PipelineScores(final=np.array(final, dtype=np.float64), gates=codes, work_units=work)
 
 
 @dataclass(frozen=True)
@@ -408,12 +409,12 @@ def evaluate_corpus(corpus: Corpus, protocol: Protocol, cfg: PipelineConfig,
                     channel: str = "fused") -> EvalReport:
     """Score every protocol pair through the configured pipeline."""
     genuine_pairs, impostor_pairs = enumerate_pairs(protocol, corpus)
-    n_gen = len(genuine_pairs)
-    raw = score_pairs(corpus, genuine_pairs + impostor_pairs, cfg.local, jobs=jobs)
-    derived = apply_pipeline(raw, cfg, channel=channel)
     quality = None
     if references is not None:
         quality = aggregate_minutiae_quality(corpus, references)
+    n_gen = len(genuine_pairs)
+    raw = score_pairs(corpus, genuine_pairs + impostor_pairs, cfg.local, jobs=jobs)
+    derived = apply_pipeline(raw, cfg, channel=channel)
     return evaluate_scores(
         genuine=derived.final[:n_gen],
         impostor=derived.final[n_gen:],

@@ -11,15 +11,13 @@ training loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import List, Tuple
 
 import numpy as np
 
 from .assignment import (CorrespondenceWeights, correspondence_cost_matrix,
                          angular_distance, solve_assignment)
-
-N_INTERMEDIATE_LAYERS = 5
 
 
 @dataclass(frozen=True)
@@ -120,14 +118,7 @@ class LossBreakdown:
     total: float
 
     def to_dict(self) -> dict:
-        return {
-            "global_loss": self.global_loss,
-            "position_loss": self.position_loss,
-            "embedding_loss": self.embedding_loss,
-            "intermediate_position_loss": self.intermediate_position_loss,
-            "intermediate_embedding_loss": self.intermediate_embedding_loss,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def mse(a, b) -> float:

@@ -7,13 +7,16 @@ alignment seeded from the best candidate, and the survivors are assigned to
 maximize the sum of cosine similarities.  The raw local score is that sum,
 unbounded above; ``work_units`` counts candidate evaluations and is the
 matching-cost proxy.
+
+Whether a pair needs the local matcher at all is decided by the gate rule
+in :mod:`fpfuse.pipeline`, not here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +36,6 @@ class LocalMatchConfig:
     geo_tolerance_px: float = 20.0
     ori_tolerance_rad: float = 0.35
     max_minutiae_used: Optional[int] = None
-    seed_candidates: int = 1      # >1 tries that many top-cosine alignment seeds
-    symmetric: bool = False       # average match(a,b) and match(b,a)
 
     def __post_init__(self):
         if not -1.0 <= self.emb_sim_floor <= 1.0:
@@ -43,8 +44,6 @@ class LocalMatchConfig:
             raise ValueError("tolerances must be nonnegative")
         if self.max_minutiae_used is not None and self.max_minutiae_used <= 0:
             raise ValueError("max_minutiae_used must be positive or None")
-        if self.seed_candidates < 1:
-            raise ValueError("seed_candidates must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,42 +99,15 @@ def _best_pairing(cos: np.ndarray, survivors: np.ndarray):
     return score, tuple(sorted(pairs))
 
 
-def _match_one_direction(pos_a, ori_a, emb_a, pos_b, ori_b, emb_b, cfg: LocalMatchConfig):
-    na, nb = pos_a.shape[0], pos_b.shape[0]
-    work = na * nb
-    if work == 0:
-        return 0.0, (), work
-    cos = _cosine_matrix(emb_a, emb_b)
-    candidates = cos >= cfg.emb_sim_floor
-    if not candidates.any():
-        return 0.0, (), work
-    masked = np.where(candidates, cos, -np.inf)
-    order = np.argsort(-masked, axis=None, kind="stable")
-    n_seeds = min(cfg.seed_candidates, int(candidates.sum()))
-    best_score, best_pairs = -1.0, ()
-    for seed_flat in order[:n_seeds]:
-        i, j = np.unravel_index(int(seed_flat), cos.shape)
-        rot = float(ori_b[j] - ori_a[i])
-        c, s = math.cos(rot), math.sin(rot)
-        rot_mat = np.array([[c, -s], [s, c]])
-        projected = pos_a @ rot_mat.T + (pos_b[j] - rot_mat @ pos_a[i])
-        diff = projected[:, None, :] - pos_b[None, :, :]
-        geo_ok = (diff ** 2).sum(axis=2) <= cfg.geo_tolerance_px ** 2
-        ori_ok = angular_distance(ori_a[:, None] + rot, ori_b[None, :]) <= cfg.ori_tolerance_rad
-        score, pairs = _best_pairing(cos, candidates & geo_ok & ori_ok)
-        if score > best_score:
-            best_score, best_pairs = score, pairs
-    return max(best_score, 0.0), best_pairs, work
-
-
 def local_match(a: Template, b: Template, cfg: LocalMatchConfig = LocalMatchConfig()) -> LocalMatchResult:
     """Pair minutiae one-to-one and score the match by summed cosines.
 
     Steps: truncate each side to ``max_minutiae_used`` (template order),
     collect candidate pairs above the cosine floor, estimate one rigid
-    alignment from the highest-cosine candidate, drop candidates that are
-    geometrically inconsistent with it, then pick the one-to-one pairing
-    that maximizes the cosine sum.  Degenerate inputs score 0.
+    alignment from the highest-cosine candidate (the first in row-major
+    order on ties), drop candidates that are geometrically inconsistent with
+    it, then pick the one-to-one pairing that maximizes the cosine sum.
+    Degenerate inputs score 0.
     """
     if a.minutiae and b.minutiae and a.minutia_dim != b.minutia_dim:
         raise ValueError(f"minutia dimension mismatch: {a.minutia_dim} != {b.minutia_dim}")
@@ -145,14 +117,20 @@ def local_match(a: Template, b: Template, cfg: LocalMatchConfig = LocalMatchConf
     if k is not None:
         pos_a, ori_a, emb_a = pos_a[:k], ori_a[:k], emb_a[:k]
         pos_b, ori_b, emb_b = pos_b[:k], ori_b[:k], emb_b[:k]
-    score, pairs, work = _match_one_direction(pos_a, ori_a, emb_a, pos_b, ori_b, emb_b, cfg)
-    if cfg.symmetric:
-        back_score, _, back_work = _match_one_direction(pos_b, ori_b, emb_b, pos_a, ori_a, emb_a, cfg)
-        score = 0.5 * (score + back_score)
-        work += back_work
-    return LocalMatchResult(score=score, matched_pairs=pairs, work_units=work)
-
-
-def match_work(result: LocalMatchResult) -> int:
-    """Candidate evaluations performed by a local match (matching-cost proxy)."""
-    return result.work_units
+    work = pos_a.shape[0] * pos_b.shape[0]
+    if work == 0:
+        return LocalMatchResult(score=0.0, matched_pairs=(), work_units=work)
+    cos = _cosine_matrix(emb_a, emb_b)
+    candidates = cos >= cfg.emb_sim_floor
+    if not candidates.any():
+        return LocalMatchResult(score=0.0, matched_pairs=(), work_units=work)
+    i, j = np.unravel_index(int(np.argmax(np.where(candidates, cos, -np.inf))), cos.shape)
+    rot = float(ori_b[j] - ori_a[i])
+    c, s = math.cos(rot), math.sin(rot)
+    rot_mat = np.array([[c, -s], [s, c]])
+    projected = pos_a @ rot_mat.T + (pos_b[j] - rot_mat @ pos_a[i])
+    diff = projected[:, None, :] - pos_b[None, :, :]
+    geo_ok = (diff ** 2).sum(axis=2) <= cfg.geo_tolerance_px ** 2
+    ori_ok = angular_distance(ori_a[:, None] + rot, ori_b[None, :]) <= cfg.ori_tolerance_rad
+    score, pairs = _best_pairing(cos, candidates & geo_ok & ori_ok)
+    return LocalMatchResult(score=max(score, 0.0), matched_pairs=pairs, work_units=work)

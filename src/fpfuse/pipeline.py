@@ -6,15 +6,19 @@ scale before fusing.  Gating skips local matching entirely when the global
 score alone is decisive: above ``theta_t`` the pair is a confident genuine,
 below ``theta_f`` a confident impostor, and only scores inside the band pay
 for a local match.
+
+The gate-and-fuse rule lives here once, as scalar code (:func:`band_gate`,
+then :func:`gated_fuse`).  :func:`infer_pair` applies it to one pair and
+``evaluation.apply_pipeline`` maps it over a corpus, bit-identically.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -24,11 +28,12 @@ from .templates import Template
 GATE_CONFIDENT_GENUINE = "confident_genuine"
 GATE_CONFIDENT_IMPOSTOR = "confident_impostor"
 GATE_LOCAL_EVALUATED = "local_evaluated"
+# Batch results store a gate as its index in this tuple.
+GATES = (GATE_CONFIDENT_GENUINE, GATE_CONFIDENT_IMPOSTOR, GATE_LOCAL_EVALUATED)
 
 # Substituted local scores when gating skips the local matcher: saturate the
 # fused score toward the confident decision.
-SKIP_GENUINE_LOCAL = 1.0
-SKIP_IMPOSTOR_LOCAL = 0.0
+SKIP_LOCAL = {GATE_CONFIDENT_GENUINE: 1.0, GATE_CONFIDENT_IMPOSTOR: 0.0}
 
 WIDTH_FLOOR = 1e-6
 
@@ -130,9 +135,28 @@ class ThresholdConfig:
         # theta_t > 1 and theta_f < 0 keep every pair inside the band.
         return cls(theta_t=2.0, theta_f=-1.0)
 
-    @property
-    def gap(self) -> float:
-        return self.theta_t - self.theta_f
+
+def band_gate(s_g_raw: float, thr: ThresholdConfig) -> str:
+    """Gate of a raw global score: only ``local_evaluated`` pays for a local match."""
+    if s_g_raw > thr.theta_t:
+        return GATE_CONFIDENT_GENUINE
+    if s_g_raw < thr.theta_f:
+        return GATE_CONFIDENT_IMPOSTOR
+    return GATE_LOCAL_EVALUATED
+
+
+def gated_fuse(gate: str, s_g_norm: float, s_l_norm: Optional[float],
+               rule: str) -> Tuple[float, float, float]:
+    """Clamp the normalized channels to [0, 1] (unbounded normalizers cannot
+    push the final score out of range), substitute the local score of a
+    skipped pair, and fuse.  Returns ``(s_g_norm, s_l_effective, s_final)``.
+    """
+    s_g_norm = min(1.0, max(0.0, float(s_g_norm)))
+    if gate in SKIP_LOCAL:
+        s_l_effective = SKIP_LOCAL[gate]
+    else:
+        s_l_effective = min(1.0, max(0.0, float(s_l_norm)))
+    return s_g_norm, s_l_effective, fuse(s_g_norm, s_l_effective, rule)
 
 
 @dataclass(frozen=True)
@@ -148,15 +172,7 @@ class MatchResult:
     work_units: int
 
     def to_dict(self) -> dict:
-        return {
-            "s_g_raw": self.s_g_raw,
-            "s_l_raw": self.s_l_raw,
-            "s_g_norm": self.s_g_norm,
-            "s_l_effective": self.s_l_effective,
-            "s_final": self.s_final,
-            "gate": self.gate,
-            "work_units": self.work_units,
-        }
+        return asdict(self)
 
 
 def identity_norm(s):
@@ -169,53 +185,78 @@ def infer_pair(a: Template, b: Template,
                norm_l: Callable = identity_norm,
                rule: str = "mean",
                local_cfg: LocalMatchConfig = LocalMatchConfig()) -> MatchResult:
-    """Gated global+local comparison of two templates.
-
-    Normalized channel values are clamped to [0, 1] before fusion so that
-    unbounded normalizers cannot push the final score out of range.
-    """
+    """Gated global+local comparison of two templates."""
     s_g_raw = global_match(a, b)
-    if s_g_raw > thr.theta_t:
-        gate, s_l_raw, s_l_effective, work = GATE_CONFIDENT_GENUINE, None, SKIP_GENUINE_LOCAL, 0
-    elif s_g_raw < thr.theta_f:
-        gate, s_l_raw, s_l_effective, work = GATE_CONFIDENT_IMPOSTOR, None, SKIP_IMPOSTOR_LOCAL, 0
-    else:
+    gate = band_gate(s_g_raw, thr)
+    s_l_raw, s_l_norm, work = None, None, 0
+    if gate == GATE_LOCAL_EVALUATED:
         local = local_match(a, b, local_cfg)
-        gate, s_l_raw, work = GATE_LOCAL_EVALUATED, local.score, local.work_units
-        s_l_effective = min(1.0, max(0.0, float(norm_l(local.score))))
-    s_g_norm = min(1.0, max(0.0, float(norm_g(s_g_raw))))
-    s_final = fuse(s_g_norm, s_l_effective, rule)
-    return MatchResult(s_g_raw=s_g_raw, s_l_raw=s_l_raw, s_g_norm=s_g_norm,
-                       s_l_effective=s_l_effective, s_final=s_final,
+        s_l_raw, s_l_norm, work = local.score, norm_l(local.score), local.work_units
+    return MatchResult(s_g_raw, s_l_raw, *gated_fuse(gate, norm_g(s_g_raw), s_l_norm, rule),
                        gate=gate, work_units=work)
 
 
 # ---------------------------------------------------------------------------
 # Configurable normalizers and the pipeline config file
 
-NORM_KINDS = ("identity", "double_sigmoid", "minmax", "zscore", "tanh")
+# Normalizer kinds and the parameters each reads from its config entry.
+_NORM_PARAMS = {
+    "identity": (),
+    "double_sigmoid": ("center", "left_width", "right_width"),
+    "minmax": ("min", "max"),
+    "zscore": ("mean", "std"),
+    "tanh": ("mean", "std"),
+}
+NORM_KINDS = tuple(_NORM_PARAMS)
 
 
 def make_normalizer(kind: str, params: Optional[dict] = None) -> Callable:
-    """Build a score-normalizing callable from a config entry."""
-    params = params or {}
+    """Build a score-normalizing callable from a config entry.  Missing or
+    invalid parameters raise ``ValueError`` here, not at the first score."""
+    if kind not in NORM_KINDS:
+        raise ValueError(f"unknown normalizer kind {kind!r}; expected one of {NORM_KINDS}")
+    names = _NORM_PARAMS[kind]
+    try:
+        args = [float((params or {})[name]) for name in names]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{kind} normalizer needs numeric params {', '.join(names)}; "
+                         f"{exc!r}") from exc
     if kind == "identity":
         return identity_norm
     if kind == "double_sigmoid":
-        p = DoubleSigmoidParams(center=float(params["center"]),
-                                left_width=float(params["left_width"]),
-                                right_width=float(params["right_width"]))
-        return lambda s: double_sigmoid(s, p)
+        return partial(double_sigmoid, p=DoubleSigmoidParams(*args))
     if kind == "minmax":
-        lo, hi = float(params["min"]), float(params["max"])
-        return lambda s: minmax_norm(s, lo, hi)
-    if kind == "zscore":
-        mean, std = float(params["mean"]), float(params["std"])
-        return lambda s: zscore_norm(s, mean, std)
-    if kind == "tanh":
-        mean, std = float(params["mean"]), float(params["std"])
-        return lambda s: tanh_norm(s, mean, std)
-    raise ValueError(f"unknown normalizer kind {kind!r}; expected one of {NORM_KINDS}")
+        norm = partial(minmax_norm, observed_min=args[0], observed_max=args[1])
+    else:
+        norm = partial(zscore_norm if kind == "zscore" else tanh_norm, mean=args[0], std=args[1])
+    norm(0.0)  # these normalizers check their parameters on every call
+    return norm
+
+
+# Config-file keys per section: key -> (dataclass field, conversion).  Keys
+# left out of a file keep the dataclass defaults.
+_TOP_KEYS = {"theta_t": ("theta_t", float), "theta_f": ("theta_f", float),
+             "fusion": ("fusion", str)}
+_NORM_KEYS = {"kind": ("norm_kind", str), "params": ("norm_params", lambda v: dict(v or {})),
+              "apply_to_global": ("apply_norm_to_global", bool)}
+_LOCAL_KEYS = {"emb_sim_floor": ("emb_sim_floor", float),
+               "geo_tolerance_px": ("geo_tolerance_px", float),
+               "ori_tolerance_rad": ("ori_tolerance_rad", float),
+               "max_minutiae": ("max_minutiae_used", lambda v: None if v is None else int(v))}
+
+
+def _section_fields(doc, section: str, keys: dict) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{section} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
+                         f"expected {', '.join(keys)}")
+    return {keys[k][0]: keys[k][1](v) for k, v in doc.items()}
+
+
+def _section_doc(obj, keys: dict) -> dict:
+    return {k: getattr(obj, name) for k, (name, _) in keys.items()}
 
 
 @dataclass(frozen=True)
@@ -233,20 +274,19 @@ class PipelineConfig:
     def __post_init__(self):
         if self.fusion not in FUSION_RULES:
             raise ValueError(f"unknown fusion rule {self.fusion!r}")
-        if self.norm_kind not in NORM_KINDS:
-            raise ValueError(f"unknown normalizer kind {self.norm_kind!r}")
+        ThresholdConfig(self.theta_t, self.theta_f)
+        # Built once: norm_params is read at construction only.
+        object.__setattr__(self, "_norm", make_normalizer(self.norm_kind, self.norm_params))
 
     @property
     def thresholds(self) -> ThresholdConfig:
         return ThresholdConfig(theta_t=self.theta_t, theta_f=self.theta_f)
 
     def local_normalizer(self) -> Callable:
-        return make_normalizer(self.norm_kind, self.norm_params)
+        return self._norm
 
     def global_normalizer(self) -> Callable:
-        if self.apply_norm_to_global:
-            return make_normalizer(self.norm_kind, self.norm_params)
-        return identity_norm
+        return self._norm if self.apply_norm_to_global else identity_norm
 
     def with_thresholds(self, theta_t: float, theta_f: float) -> "PipelineConfig":
         return replace(self, theta_t=theta_t, theta_f=theta_f)
@@ -255,43 +295,21 @@ class PipelineConfig:
         return replace(self, local=replace(self.local, max_minutiae_used=k))
 
     def to_dict(self) -> dict:
-        return {
-            "theta_t": self.theta_t,
-            "theta_f": self.theta_f,
-            "fusion": self.fusion,
-            "norm": {
-                "kind": self.norm_kind,
-                "params": dict(self.norm_params),
-                "apply_to_global": self.apply_norm_to_global,
-            },
-            "local": {
-                "emb_sim_floor": self.local.emb_sim_floor,
-                "geo_tolerance_px": self.local.geo_tolerance_px,
-                "ori_tolerance_rad": self.local.ori_tolerance_rad,
-                "max_minutiae": self.local.max_minutiae_used,
-            },
-        }
+        doc = _section_doc(self, _TOP_KEYS)
+        doc["norm"] = dict(_section_doc(self, _NORM_KEYS), params=dict(self.norm_params))
+        doc["local"] = _section_doc(self.local, _LOCAL_KEYS)
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        norm = doc.get("norm", {}) or {}
-        local = doc.get("local", {}) or {}
-        local_cfg = LocalMatchConfig(
-            emb_sim_floor=float(local.get("emb_sim_floor", 0.3)),
-            geo_tolerance_px=float(local.get("geo_tolerance_px", 20.0)),
-            ori_tolerance_rad=float(local.get("ori_tolerance_rad", 0.35)),
-            max_minutiae_used=(None if local.get("max_minutiae") is None
-                               else int(local["max_minutiae"])),
-        )
-        return cls(
-            theta_t=float(doc.get("theta_t", 0.75)),
-            theta_f=float(doc.get("theta_f", 0.15)),
-            fusion=str(doc.get("fusion", "mean")),
-            norm_kind=str(norm.get("kind", "identity")),
-            norm_params=dict(norm.get("params", {}) or {}),
-            apply_norm_to_global=bool(norm.get("apply_to_global", False)),
-            local=local_cfg,
-        )
+        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {doc!r}")
+        top = dict(doc)
+        norm = _section_fields(top.pop("norm", None) or {}, "config norm", _NORM_KEYS)
+        local = _section_fields(top.pop("local", None) or {}, "config local", _LOCAL_KEYS)
+        return cls(**_section_fields(top, "config", _TOP_KEYS), **norm,
+                   local=LocalMatchConfig(**local))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":

@@ -179,23 +179,15 @@ def _apply_collisions(spec: SynthSpec, identities: List[Identity]):
     return out, sorted(collided_pairs)
 
 
-def generate_impression(identity: Identity, spec: SynthSpec, impression_index: int,
-                        distorted: bool = False) -> Template:
-    """One noisy observation of an identity; deterministic per (seed, subject, k)."""
-    subject = identity.subject_index
+def _impression_transform(identity: Identity, spec: SynthSpec, impression_index: int):
+    """Positions (L, 2) and orientations (L,) of the identity's minutiae
+    under the impression's rigid transform, before any noise."""
     h, w = spec.image_size
     cx, cy = w / 2.0, h / 2.0
-
-    scale = spec.distortion_jitter_scale if distorted else 1.0
-    pos_jitter = spec.position_jitter_px * scale
-    ori_jitter = spec.orientation_jitter_rad * scale
-    emb_jitter = spec.distortion_embedding_jitter if distorted else spec.embedding_jitter
-
-    rng = _rng(spec.seed, subject, impression_index, _F_TRANSFORM)
+    rng = _rng(spec.seed, identity.subject_index, impression_index, _F_TRANSFORM)
     rot = rng.uniform(-spec.rotation_range_rad, spec.rotation_range_rad)
     tx = rng.uniform(-spec.translation_range_px, spec.translation_range_px)
     ty = rng.uniform(-spec.translation_range_px, spec.translation_range_px)
-    n = identity.positions.shape[0]
     if rot == 0.0:  # exact path: avoids center/uncenter rounding at zero noise
         positions = identity.positions + (tx, ty)
     else:
@@ -203,7 +195,28 @@ def generate_impression(identity: Identity, spec: SynthSpec, impression_index: i
         rot_mat = np.array([[c, -s], [s, c]])
         centered = identity.positions - (cx, cy)
         positions = centered @ rot_mat.T + (cx + tx, cy + ty)
-    orientations = identity.orientations + rot
+    return positions, identity.orientations + rot
+
+
+def _in_frame(positions: np.ndarray, spec: SynthSpec) -> np.ndarray:
+    h, w = spec.image_size
+    return ((positions[:, 0] >= 0.0) & (positions[:, 0] <= w)
+            & (positions[:, 1] >= 0.0) & (positions[:, 1] <= h))
+
+
+def generate_impression(identity: Identity, spec: SynthSpec, impression_index: int,
+                        distorted: bool = False) -> Template:
+    """One noisy observation of an identity; deterministic per (seed, subject, k)."""
+    subject = identity.subject_index
+    h, w = spec.image_size
+
+    scale = spec.distortion_jitter_scale if distorted else 1.0
+    pos_jitter = spec.position_jitter_px * scale
+    ori_jitter = spec.orientation_jitter_rad * scale
+    emb_jitter = spec.distortion_embedding_jitter if distorted else spec.embedding_jitter
+
+    positions, orientations = _impression_transform(identity, spec, impression_index)
+    n = identity.positions.shape[0]
 
     rng = _rng(spec.seed, subject, impression_index, _F_DROP)
     if n:
@@ -230,13 +243,8 @@ def generate_impression(identity: Identity, spec: SynthSpec, impression_index: i
     global_embedding = _unit(identity.global_direction
                              + rng.normal(scale=global_jitter, size=spec.global_dim))
 
-    keep = ~dropped
-    if n:
-        in_frame = ((positions[:, 0] >= 0.0) & (positions[:, 0] <= w)
-                    & (positions[:, 1] >= 0.0) & (positions[:, 1] <= h))
-        keep &= in_frame
     minutiae = []
-    for i in np.flatnonzero(keep):
+    for i in np.flatnonzero(~dropped & _in_frame(positions, spec)):
         minutiae.append(Minutia(
             x=positions[i, 0], y=positions[i, 1],
             theta=canonicalize_angle(orientations[i]),
@@ -249,7 +257,7 @@ def generate_impression(identity: Identity, spec: SynthSpec, impression_index: i
         emb = _unit(rng.normal(size=spec.minutia_dim))
         minutiae.append(Minutia(
             x=rng.uniform(0.0, w), y=rng.uniform(0.0, h),
-            theta=rng.uniform(0.0, 2.0 * math.pi),
+            theta=canonicalize_angle(rng.uniform(0.0, 2.0 * math.pi)),
             embedding=emb,
         ))
 
@@ -263,32 +271,16 @@ def generate_impression(identity: Identity, spec: SynthSpec, impression_index: i
 
 def _reference_template(identity: Identity, spec: SynthSpec, impression_index: int) -> Template:
     """Noise-free transformed minutiae: what a perfect extractor would report."""
-    subject = identity.subject_index
-    h, w = spec.image_size
-    cx, cy = w / 2.0, h / 2.0
-    rng = _rng(spec.seed, subject, impression_index, _F_TRANSFORM)
-    rot = rng.uniform(-spec.rotation_range_rad, spec.rotation_range_rad)
-    tx = rng.uniform(-spec.translation_range_px, spec.translation_range_px)
-    ty = rng.uniform(-spec.translation_range_px, spec.translation_range_px)
-    if rot == 0.0:
-        positions = identity.positions + (tx, ty)
-    else:
-        c, s = math.cos(rot), math.sin(rot)
-        rot_mat = np.array([[c, -s], [s, c]])
-        centered = identity.positions - (cx, cy)
-        positions = centered @ rot_mat.T + (cx + tx, cy + ty)
-    orientations = identity.orientations + rot
-    minutiae = []
-    for i in range(positions.shape[0]):
-        x, y = positions[i]
-        if 0.0 <= x <= w and 0.0 <= y <= h:
-            minutiae.append(Minutia(x=x, y=y, theta=canonicalize_angle(orientations[i]),
-                                    embedding=identity.embeddings[i]))
+    positions, orientations = _impression_transform(identity, spec, impression_index)
+    minutiae = [Minutia(x=positions[i, 0], y=positions[i, 1],
+                        theta=canonicalize_angle(orientations[i]),
+                        embedding=identity.embeddings[i])
+                for i in np.flatnonzero(_in_frame(positions, spec))]
     return Template(
         global_embedding=identity.global_direction.astype(np.float32),
         minutiae=tuple(minutiae),
         image_size=spec.image_size,
-        source_id=f"ref/subject_{subject:03d}/impression_{impression_index}",
+        source_id=f"ref/subject_{identity.subject_index:03d}/impression_{impression_index}",
     )
 
 

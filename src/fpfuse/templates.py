@@ -8,6 +8,12 @@ immutable after construction and safe to share across threads.
 Two wire formats are provided: a little-endian binary format (magic
 ``FPT1``, float32 payload, bit-exact round trips) and a JSON mirror.
 Corpora live on disk as ``subject_<id>/impression_<k>.fpt`` directories.
+
+Reader contract: :func:`read_template` returns a template that passes
+:func:`validate`, or raises :class:`DecodeError`.  Both formats share one
+ingest step that renormalizes slightly drifted embeddings, wraps
+orientations, and rejects any other violation, NaN or out-of-frame
+coordinates included.
 """
 
 from __future__ import annotations
@@ -44,11 +50,15 @@ class DecodeError(ValueError):
 
 
 def canonicalize_angle(theta: float) -> float:
-    """Map an angle in radians onto [0, 2*pi)."""
-    wrapped = math.fmod(float(theta), TWO_PI)
+    """Map an angle in radians onto [0, 2*pi), also after float32 rounding.
+    Non-finite angles are returned unchanged, for :func:`validate` to flag."""
+    theta = float(theta)
+    if not math.isfinite(theta):
+        return theta
+    wrapped = math.fmod(theta, TWO_PI)
     if wrapped < 0.0:
         wrapped += TWO_PI
-    if wrapped >= TWO_PI:
+    if _f32(wrapped) >= TWO_PI:  # float32 rounds values just below 2*pi up to it
         wrapped = 0.0
     return wrapped
 
@@ -85,10 +95,7 @@ class Minutia:
 
     def canonical(self) -> "Minutia":
         """Copy with theta wrapped onto [0, 2*pi)."""
-        wrapped = canonicalize_angle(self.theta)
-        if _f32(wrapped) >= TWO_PI:
-            wrapped = 0.0
-        return Minutia(self.x, self.y, wrapped, self.embedding)
+        return Minutia(self.x, self.y, canonicalize_angle(self.theta), self.embedding)
 
 
 @dataclass(frozen=True)
@@ -125,6 +132,12 @@ class Template:
         return pos, ori, emb
 
 
+def _norm(vec: np.ndarray) -> float:
+    # np.linalg.norm of a vector is sqrt(v.dot(v)); this skips its dispatch.
+    v = vec.astype(np.float64)
+    return math.sqrt(v.dot(v))
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed invariant; data, not an exception."""
@@ -141,11 +154,10 @@ class Violation:
 def validate(t: Template) -> List[Violation]:
     """Check every template invariant; an empty list means the template is valid."""
     violations: List[Violation] = []
-    g = np.asarray(t.global_embedding, dtype=np.float64)
-    if g.size == 0:
+    if t.global_embedding.size == 0:
         violations.append(Violation("global_embedding", "non-empty"))
     else:
-        norm = float(np.linalg.norm(g))
+        norm = _norm(t.global_embedding)
         if not math.isfinite(norm) or abs(norm - 1.0) > NORM_VALID_TOL:
             violations.append(
                 Violation("global_embedding", "norm", f"norm {norm:.6g} not within {NORM_VALID_TOL:g} of 1")
@@ -171,7 +183,7 @@ def validate(t: Template) -> List[Violation]:
                 Violation(name + ".embedding", "dimension", f"{m.embedding.shape[0]} != {d_m}")
             )
         else:
-            norm = float(np.linalg.norm(np.asarray(m.embedding, dtype=np.float64)))
+            norm = _norm(m.embedding)
             if not math.isfinite(norm) or abs(norm - 1.0) > NORM_VALID_TOL:
                 violations.append(
                     Violation(name + ".embedding", "norm", f"norm {norm:.6g} not within {NORM_VALID_TOL:g} of 1")
@@ -224,12 +236,27 @@ def _take(data: bytes, offset: int, count: int, what: str) -> Tuple[bytes, int]:
 
 def _ingest_unit(vec: np.ndarray, what: str) -> np.ndarray:
     """Renormalize slightly drifted unit vectors; reject anything worse."""
-    norm = float(np.linalg.norm(np.asarray(vec, dtype=np.float64)))
+    norm = _norm(vec)
     if abs(norm - 1.0) <= NORM_VALID_TOL:
         return vec
     if abs(norm - 1.0) <= NORM_INGEST_TOL and norm > 0.0:
         return (np.asarray(vec, dtype=np.float64) / norm).astype(np.float32)
     raise DecodeError(f"{what} norm {norm:.6g} deviates beyond {NORM_INGEST_TOL:g} from 1")
+
+
+def _ingest(global_embedding: np.ndarray, fields: Sequence[tuple], image_size: Tuple[int, int],
+            source_id: str) -> Template:
+    """Shared tail of both readers; ``fields`` holds ``(x, y, theta, embedding)``
+    per minutia.  The result passes ``validate`` or ``DecodeError`` is raised."""
+    minutiae = tuple(
+        Minutia(x, y, canonicalize_angle(theta), _ingest_unit(emb, f"minutiae[{i}].embedding"))
+        for i, (x, y, theta, emb) in enumerate(fields))
+    t = Template(_ingest_unit(global_embedding, "global_embedding"), minutiae, image_size,
+                 source_id)
+    violations = validate(t)
+    if violations:
+        raise DecodeError("invalid template: " + "; ".join(str(v) for v in violations))
+    return t
 
 
 def _read_binary(data: bytes) -> Template:
@@ -242,22 +269,15 @@ def _read_binary(data: bytes) -> Template:
         raise DecodeError(f"unsupported version {version}", 4)
     raw, offset = _take(data, offset, src_len, "source_id")
     source_id = raw.decode("utf-8")
-    raw, offset = _take(data, offset, 4 * d_g, "global embedding")
-    global_embedding = _ingest_unit(np.frombuffer(raw, dtype="<f4"), "global_embedding")
-    minutiae = []
+    global_embedding, offset = _take(data, offset, 4 * d_g, "global embedding")
+    fields = []
     rec = 12 + 4 * d_m
     for i in range(n_minutiae):
         raw, offset = _take(data, offset, rec, f"minutia {i}")
-        x, y, theta = struct.unpack("<fff", raw[:12])
-        emb = _ingest_unit(np.frombuffer(raw[12:], dtype="<f4"), f"minutiae[{i}].embedding")
-        if not 0.0 <= theta < TWO_PI:
-            theta = canonicalize_angle(theta)
-            if _f32(theta) >= TWO_PI:
-                theta = 0.0
-        minutiae.append(Minutia(x, y, theta, emb))
+        fields.append(struct.unpack("<fff", raw[:12]) + (np.frombuffer(raw[12:], dtype="<f4"),))
     if offset != len(data):
         raise DecodeError(f"{len(data) - offset} trailing bytes after template", offset)
-    return Template(global_embedding, tuple(minutiae), (h, w), source_id)
+    return _ingest(np.frombuffer(global_embedding, dtype="<f4"), fields, (h, w), source_id)
 
 
 def _write_json(t: Template) -> bytes:
@@ -279,18 +299,11 @@ def _read_json(data: bytes) -> Template:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DecodeError(f"template is neither FPT1 binary nor JSON: {exc}", 0) from exc
     try:
-        global_embedding = _ingest_unit(
-            np.asarray(doc["global"], dtype=np.float32), "global_embedding")
-        minutiae = []
-        for i, rec in enumerate(doc["minutiae"]):
-            theta = float(rec["theta"])
-            if not 0.0 <= theta < TWO_PI:
-                theta = canonicalize_angle(theta)
-            emb = _ingest_unit(np.asarray(rec["emb"], dtype=np.float32), f"minutiae[{i}].embedding")
-            minutiae.append(Minutia(float(rec["x"]), float(rec["y"]), theta, emb))
+        fields = [(float(rec["x"]), float(rec["y"]), float(rec["theta"]),
+                   np.asarray(rec["emb"], dtype=np.float32)) for rec in doc["minutiae"]]
         h, w = doc["image_size"]
-        return Template(global_embedding, tuple(minutiae), (int(h), int(w)),
-                        str(doc.get("source_id", "")))
+        return _ingest(np.asarray(doc["global"], dtype=np.float32), fields, (int(h), int(w)),
+                       str(doc.get("source_id", "")))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, DecodeError):
             raise

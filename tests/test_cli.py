@@ -156,6 +156,55 @@ def test_eval_jobs_byte_identical(synth_dir, tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_eval_scores_csv_is_numeric(synth_dir, tmp_path):
+    path = tmp_path / "scores.csv"
+    assert main(["eval", "--corpus", str(synth_dir), "--scores-csv", str(path)]) == 0
+    header, *lines = path.read_text().splitlines()
+    assert header == "kind,score"
+    assert len(lines) == 4 * 3 + 6
+    for line in lines:
+        kind, score = line.split(",")
+        assert kind in ("genuine", "impostor")
+        assert 0.0 <= float(score) <= 1.0
+
+
+def _synth(tmp_path, name, subjects, impressions, seed=42):
+    spec_path = tmp_path / f"{name}.json"
+    spec_path.write_text(json.dumps({"seed": seed, "subjects": subjects,
+                                     "impressions": impressions}))
+    out = tmp_path / name
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out), "--no-refs"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("refs_shape", [None, (3, 3), (5, 3), (4, 2)])
+def test_eval_bad_refs_exits_2(synth_dir, tmp_path, capsys, refs_shape):
+    if refs_shape is None:
+        refs = tmp_path / "empty"
+        refs.mkdir()
+    else:
+        refs = _synth(tmp_path, "refs", *refs_shape)
+    capsys.readouterr()
+    assert main(["eval", "--corpus", str(synth_dir), "--refs", str(refs)]) == 2
+    assert "references" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"norm": {"kind": "double_sigmoid", "params": {}}},
+    {"local": {"seed_candidates": 3}},
+    {"theta_t": None},
+])
+def test_bad_config_exits_2(synth_dir, tmp_path, capsys, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    template = str(synth_dir / "subject_000" / "impression_0.fpt")
+    for argv in (["eval", "--corpus", str(synth_dir)],
+                 ["match", "--a", template, "--b", template]):
+        capsys.readouterr()
+        assert main(argv + ["--config", str(config)]) == 2
+        assert "bad pipeline config" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpfuse import (Corpus, Minutia, PipelineConfig, Protocol, SynthSpec,
-                    enumerate_pairs, eer, evaluate_corpus, frr_at_far,
+                    aggregate_minutiae_quality, enumerate_pairs, eer, evaluate_corpus, frr_at_far,
                     generate_corpus, minutiae_quality, roc_curve)
 
 from conftest import random_minutia, unit
@@ -232,3 +232,14 @@ def test_evaluate_corpus_jobs_invariant(small_bundle):
     assert np.array_equal(seq.genuine_scores, par.genuine_scores)
     assert np.array_equal(seq.impostor_scores, par.impostor_scores)
     assert seq.to_dict() == par.to_dict()
+
+
+def test_minutiae_quality_rejects_mismatched_references(small_bundle):
+    corpus, refs = small_bundle.corpus, small_bundle.references
+    fewer = Corpus({sid: refs.subjects[sid][:-1] for sid in refs.subject_ids})
+    other = Corpus({f"x{sid}": refs.subjects[sid] for sid in refs.subject_ids})
+    for bad in (fewer, other):
+        with pytest.raises(ValueError, match="references"):
+            aggregate_minutiae_quality(corpus, bad)
+        with pytest.raises(ValueError, match="references"):
+            evaluate_corpus(corpus, Protocol(6, 3), PipelineConfig(), references=bad)

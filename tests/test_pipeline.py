@@ -254,3 +254,33 @@ def test_infer_with_config_matches_manual(small_bundle):
     r2 = infer_pair(a, b, cfg.thresholds, identity_norm, cfg.local_normalizer(),
                     cfg.fusion, cfg.local)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("doc", [
+    {"local": {"seed_candidates": 3}},
+    {"local": {"symmetric": True}},
+    {"norm": {"kind": "identity", "scale": 2.0}},
+    {"thresholds": [0.7, 0.2]},
+    {"local": [1, 2]},
+    [],
+])
+def test_pipeline_config_rejects_unknown_keys(doc):
+    with pytest.raises(ValueError):
+        PipelineConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("double_sigmoid", {}),
+    ("double_sigmoid", {"center": 1.0, "left_width": 1.0}),
+    ("minmax", {"min": 1.0, "max": 1.0}),
+    ("zscore", {"mean": 0.0, "std": 0.0}),
+    ("tanh", {"mean": "a", "std": 1.0}),
+])
+def test_pipeline_config_checks_normalizer_params(kind, params):
+    with pytest.raises(ValueError, match=kind):
+        PipelineConfig(norm_kind=kind, norm_params=params)
+
+
+def test_pipeline_config_checks_band():
+    with pytest.raises(ValueError):
+        PipelineConfig(theta_t=0.2, theta_f=0.5)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -194,3 +195,37 @@ def test_property_round_trip_random_templates():
         for a, b in zip(back.minutiae, t.minutiae):
             assert (a.x, a.y, a.theta) == (b.x, b.y, b.theta)
             assert np.array_equal(a.embedding, b.embedding)
+
+
+def test_json_theta_just_below_zero_stays_valid():
+    t = basis_template(minutiae=[Minutia(x=5.0, y=5.0, theta=0.5, embedding=[1.0, 0.0])])
+    doc = json.loads(write_template(t, format="json"))
+    doc["minutiae"][0]["theta"] = -1e-9
+    back = read_template(json.dumps(doc).encode())
+    assert back.minutiae[0].theta == 0.0
+    assert validate(back) == []
+
+
+def test_canonical_guards_float32_two_pi():
+    # both round to float32 2*pi, which lies outside [0, 2*pi)
+    assert canonicalize_angle(-1e-9) == 0.0
+    assert canonicalize_angle(TWO_PI - 1e-9) == 0.0
+    assert Minutia(1.0, 1.0, -1e-9, [1.0, 0.0]).canonical().theta == 0.0
+    assert math.isnan(canonicalize_angle(math.nan))
+
+
+@pytest.mark.parametrize("x, y, theta", [(math.nan, 5.0, 0.5), (5.0, math.inf, 0.5),
+                                         (500.0, 5.0, 0.5), (5.0, -1.0, 0.5),
+                                         (5.0, 5.0, math.inf)])
+def test_readers_reject_non_finite_and_out_of_frame(x, y, theta):
+    t = basis_template(minutiae=[Minutia(x=x, y=y, theta=theta, embedding=[1.0, 0.0])])
+    for fmt in ("binary", "json"):
+        with pytest.raises(DecodeError, match="minutiae\\[0\\]"):
+            read_template(write_template(t, format=fmt))
+
+
+def test_readers_reject_mixed_minutia_dimensions():
+    t = basis_template(minutiae=[Minutia(1.0, 1.0, 0.5, [1.0, 0.0]),
+                                 Minutia(2.0, 2.0, 0.5, [1.0, 0.0, 0.0])])
+    with pytest.raises(DecodeError, match="dimension"):
+        read_template(write_template(t, format="json"))
