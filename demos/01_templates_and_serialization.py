@@ -2,47 +2,48 @@
 
 import numpy as np
 
-from fpfuse import (Minutia, Template, read_template, validate,
+from fpfuse import (Template, canonicalize_angle, read_template, validate,
                     write_template)
 
 rng = np.random.default_rng(0)
 
 
-def unit(v):
-    return v / np.linalg.norm(v)
+def unit_rows(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-minutiae = [
-    Minutia(x=120.5, y=88.0, theta=1.05, embedding=unit(rng.normal(size=64))),
-    Minutia(x=201.0, y=140.2, theta=5.60, embedding=unit(rng.normal(size=64))),
-    Minutia(x=60.3, y=301.7, theta=0.22, embedding=unit(rng.normal(size=64))),
-]
+# one row per minutia: pixel position, orientation in radians, local embedding
 template = Template(
-    global_embedding=unit(rng.normal(size=192)),
-    minutiae=tuple(minutiae),
+    global_embedding=unit_rows(rng.normal(size=192)),
+    positions=np.array([[120.5, 88.0], [201.0, 140.2], [60.3, 301.7]]),
+    theta=np.array([1.05, 5.60, 0.22]),
+    embeddings=unit_rows(rng.normal(size=(3, 64))),
     image_size=(384, 384),
     source_id="demo/impression_0",
 )
 
 print("violations on a well-formed template:", validate(template))
+print("stored as float32 rows:", template.positions.dtype, template.positions.shape,
+      template.theta.shape, template.embeddings.shape)
 
 # a deliberately broken variant: orientation outside [0, 2*pi)
 broken = Template(
     global_embedding=template.global_embedding,
-    minutiae=(Minutia(x=10.0, y=10.0, theta=7.0, embedding=unit(rng.normal(size=64))),),
+    positions=np.array([[10.0, 10.0]]),
+    theta=np.array([7.0]),
+    embeddings=unit_rows(rng.normal(size=(1, 64))),
     image_size=(384, 384),
 )
 for violation in validate(broken):
     print("violation:", violation)
-print("canonicalized theta:", broken.minutiae[0].canonical().theta)
+print("canonicalized theta:", canonicalize_angle(broken.theta))
 
 blob = write_template(template)            # binary, float32, bit-exact
 print(f"\nbinary payload: {len(blob)} bytes, magic={blob[:4]!r}")
 back = read_template(blob)
 print("binary round trip bit-exact:",
       np.array_equal(back.global_embedding, template.global_embedding)
-      and all((a.x, a.y, a.theta) == (b.x, b.y, b.theta)
-              for a, b in zip(back.minutiae, template.minutiae)))
+      and np.array_equal(back.records, template.records))
 
 text = write_template(template, format="json")
 print(f"json payload: {len(text)} bytes")

@@ -9,7 +9,7 @@ seeded synthetic corpus generator used by the test and demo suites.
 
 from .assignment import (Assignment, CorrespondenceWeights, CostMatrix,
                          InfeasibleAssignmentError, angular_distance,
-                         correspond_minutiae, minutia_cost, solve_assignment)
+                         correspondence_cost_matrix, solve_assignment)
 from .evaluation import (ChannelScores, EvalReport, MinutiaeQuality, Protocol,
                          RocPoint, aggregate_minutiae_quality, apply_pipeline,
                          eer, enumerate_pairs, evaluate_corpus, frr_at_far,
@@ -26,7 +26,7 @@ from .pipeline import (DoubleSigmoidParams, MatchResult, PipelineConfig,
 from .synth import (CorpusBundle, Identity, InjectionManifest, SynthSpec,
                     generate_corpus, generate_identity, generate_impression,
                     write_bundle)
-from .templates import (Corpus, DecodeError, Minutia, Template, Violation,
+from .templates import (Corpus, DecodeError, Template, Violation,
                         canonicalize_angle, read_corpus, read_template,
                         validate, write_corpus, write_template)
 
@@ -38,15 +38,15 @@ __all__ = [
     "DoubleSigmoidParams", "EvalReport", "GroundTruthRecord", "Identity",
     "InfeasibleAssignmentError", "InjectionManifest", "LocalMatchConfig",
     "LocalMatchResult", "LossBreakdown", "LossWeights", "MatchResult",
-    "Minutia", "MinutiaeQuality", "PipelineConfig", "PredictionRecord",
+    "MinutiaeQuality", "PipelineConfig", "PredictionRecord",
     "Protocol", "RocPoint", "SynthSpec", "Template", "ThresholdConfig",
     "Violation", "aggregate_minutiae_quality", "angular_distance",
-    "apply_pipeline", "canonicalize_angle", "correspond_minutiae",
+    "apply_pipeline", "canonicalize_angle", "correspondence_cost_matrix",
     "double_sigmoid", "eer", "enumerate_pairs", "evaluate_corpus",
     "fit_double_sigmoid", "frr_at_far", "fuse", "generate_corpus",
     "generate_identity", "generate_impression", "global_match", "infer_pair",
     "infer_pair_with_config", "local_match", "make_normalizer",
-    "minmax_norm", "minutia_cost", "minutiae_quality", "mse", "mse_gradient",
+    "minmax_norm", "minutiae_quality", "mse", "mse_gradient",
     "read_corpus", "read_template", "reorder_ground_truth", "roc_curve",
     "score_pairs", "solve_assignment", "tanh_norm", "total_loss", "validate",
     "write_bundle", "write_corpus", "write_template", "zscore_norm",

@@ -6,9 +6,9 @@ maximal pairing the solve fails.  Among equally cheap optima the
 lexicographically smallest row-sorted pair sequence is returned, so results
 are reproducible across runs and platforms.
 
-Correspondence between two minutiae sets scores each candidate pair with a
-weighted sum of the positional L2 distance, the circular orientation
-distance and the embedding L2 distance.
+:func:`correspondence_cost_matrix` scores every candidate pair between two
+minutiae sets, given as arrays, with a weighted sum of the positional L2
+distance, the circular orientation distance and the embedding L2 distance.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .templates import Minutia, TWO_PI
+from .templates import TWO_PI
 
 
 class InfeasibleAssignmentError(ValueError):
@@ -187,21 +187,33 @@ def _kuhn_augment(adj, start_row, row_of_col, col_of_row, banned_rows, banned_co
     return False
 
 
-def _canonical_pairs(cost: np.ndarray, tol: float) -> List[Tuple[int, int]]:
+def _canonical_pairs(cost: np.ndarray, tol: float, col_of_row: np.ndarray,
+                     row_of_col: np.ndarray, u: np.ndarray, v: np.ndarray) -> List[Tuple[int, int]]:
     """Lexicographically smallest optimal maximal pairing.
 
-    Pads to a square matrix with zero-cost dummy rows/columns (a dummy
-    column stands for "row unmatched"), solves once for optimal potentials,
-    then greedily fixes each real row to its smallest usable column inside
-    the tight subgraph.  On a square matrix every perfect matching made of
-    tight edges is optimal, so feasibility checks reduce to bipartite
-    matching.
+    Starts from an optimal solution of ``cost``: its matching (-1 marks an
+    unmatched row or column) and potentials, with ``v <= 0`` on columns and
+    0 on unmatched rows and columns as :func:`_augmenting_path_solve` leaves
+    them.  Pads to a square matrix with zero-cost dummy rows/columns (a dummy
+    column stands for "row unmatched") of potential 0; the rows and columns
+    left free then pair up along zero reduced costs, so the padded solution
+    is optimal without a second solve.  Then greedily fixes each real row to
+    its smallest usable column inside the tight subgraph.  On a square
+    matrix every perfect matching made of tight edges is optimal, so
+    feasibility checks reduce to bipartite matching.
     """
     n, m = cost.shape
     s = max(n, m)
     sq = np.zeros((s, s))
     sq[:n, :m] = cost
-    col_of_row, row_of_col, u, v = _augmenting_path_solve(sq)
+    u = np.concatenate([u, np.zeros(s - n)])
+    v = np.concatenate([v, np.zeros(s - m)])
+    col_of_row = np.concatenate([col_of_row, np.full(s - n, -1, dtype=np.int64)])
+    row_of_col = np.concatenate([row_of_col, np.full(s - m, -1, dtype=np.int64)])
+    free_rows = np.flatnonzero(col_of_row < 0)
+    free_cols = np.flatnonzero(row_of_col < 0)
+    col_of_row[free_rows] = free_cols
+    row_of_col[free_cols] = free_rows
     with np.errstate(invalid="ignore"):
         red = sq - u[:, None] - v[None, :]
     tight = np.nan_to_num(red, nan=np.inf, posinf=np.inf) <= tol
@@ -260,37 +272,22 @@ def solve_assignment(c: CostMatrix | np.ndarray | Sequence[Sequence[float]]) -> 
     finite = cost[np.isfinite(cost)]
     tol = _TIE_TOL_SCALE * (1.0 + (float(np.abs(finite).max()) if finite.size else 0.0))
     if n <= m:
-        col_of_row, _, u, v = _augmenting_path_solve(cost)
+        col_of_row, row_of_col, u, v = _augmenting_path_solve(cost)
         pairs = [(i, int(col_of_row[i])) for i in range(n)]
         unique = _is_unique_optimum(cost.copy(), col_of_row, u, v, tol)
     else:
-        row_of_col, _, u, v = _augmenting_path_solve(cost.T)
+        # Solve the transpose; its row potentials belong to our columns.
+        row_of_col, col_of_row, v, u = _augmenting_path_solve(cost.T)
         pairs = sorted((int(row_of_col[j]), j) for j in range(m))
-        unique = _is_unique_optimum(cost.T.copy(), row_of_col, u, v, tol)
+        unique = _is_unique_optimum(cost.T.copy(), row_of_col, v, u, tol)
     if not unique:
-        pairs = _canonical_pairs(cost, tol)
+        pairs = _canonical_pairs(cost, tol, col_of_row, row_of_col, u, v)
     total = math.fsum(cost[i, j] for i, j in pairs)
     return Assignment(tuple(pairs), total)
 
 
 # ---------------------------------------------------------------------------
 # Minutiae correspondence
-
-def minutia_cost(p: Minutia, g: Minutia, w: CorrespondenceWeights = CorrespondenceWeights(),
-                 circular_orientation: bool = True) -> float:
-    """Weighted dissimilarity of two minutiae (location, orientation, embedding)."""
-    if p.embedding.shape[0] != g.embedding.shape[0]:
-        raise ValueError(
-            f"embedding dimension mismatch: {p.embedding.shape[0]} != {g.embedding.shape[0]}")
-    loc = math.hypot(p.x - g.x, p.y - g.y)
-    if circular_orientation:
-        ori = angular_distance(p.theta, g.theta)
-    else:
-        ori = abs(float(p.theta) - float(g.theta))
-    emb = float(np.linalg.norm(np.asarray(p.embedding, dtype=np.float64)
-                               - np.asarray(g.embedding, dtype=np.float64)))
-    return w.w_loc * loc + w.w_ori * ori + w.w_emb * emb
-
 
 def correspondence_cost_matrix(pred_pos, pred_ori, pred_emb, gt_pos, gt_ori, gt_emb,
                                w: CorrespondenceWeights = CorrespondenceWeights(),
@@ -315,21 +312,3 @@ def correspondence_cost_matrix(pred_pos, pred_ori, pred_emb, gt_pos, gt_ori, gt_
     emb = np.sqrt((ediff ** 2).sum(axis=2))
     return w.w_loc * loc + w.w_ori * ori + w.w_emb * emb
 
-
-def correspond_minutiae(pred: Sequence[Minutia], gt: Sequence[Minutia],
-                        w: CorrespondenceWeights = CorrespondenceWeights(),
-                        circular_orientation: bool = True) -> Assignment:
-    """Optimal one-to-one correspondence between two minutiae sets."""
-    if not pred or not gt:
-        return Assignment((), 0.0)
-    if pred[0].embedding.shape[0] != gt[0].embedding.shape[0]:
-        raise ValueError("embedding dimension mismatch between the two sets")
-    pred_pos = np.array([(m.x, m.y) for m in pred])
-    gt_pos = np.array([(m.x, m.y) for m in gt])
-    pred_ori = np.array([m.theta for m in pred])
-    gt_ori = np.array([m.theta for m in gt])
-    pred_emb = np.stack([m.embedding for m in pred])
-    gt_emb = np.stack([m.embedding for m in gt])
-    cost = correspondence_cost_matrix(pred_pos, pred_ori, pred_emb,
-                                      gt_pos, gt_ori, gt_emb, w, circular_orientation)
-    return solve_assignment(cost)

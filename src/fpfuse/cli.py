@@ -244,17 +244,24 @@ def cmd_bench(args) -> int:
 _DISABLED = (ThresholdConfig.disabled().theta_t, ThresholdConfig.disabled().theta_f)
 
 
+def _json_object(text: str, what: str) -> dict:
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise CliError(f"{what} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def cmd_losses(args) -> int:
     try:
-        pred = PredictionRecord.from_dict(json.loads(Path(args.pred).read_text()))
-        gt = GroundTruthRecord.from_dict(json.loads(Path(args.gt).read_text()))
-    except (OSError, KeyError, ValueError) as exc:
+        pred = PredictionRecord.from_dict(_json_object(Path(args.pred).read_text(), "--pred"))
+        gt = GroundTruthRecord.from_dict(_json_object(Path(args.gt).read_text(), "--gt"))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot read loss records: {exc}") from exc
     weights = LossWeights()
     if args.weights:
         try:
             text = Path(args.weights).read_text() if Path(args.weights).is_file() else args.weights
-            weights = LossWeights.from_dict(json.loads(text))
+            weights = LossWeights.from_dict(_json_object(text, "--weights"))
         except (OSError, TypeError, ValueError) as exc:
             raise CliError(f"bad loss weights: {exc}") from exc
     try:

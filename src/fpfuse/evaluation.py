@@ -20,7 +20,7 @@ import numpy as np
 from .assignment import solve_assignment
 from .matching import LocalMatchConfig, global_match, local_match
 from .pipeline import GATE_LOCAL_EVALUATED, GATES, PipelineConfig, band_gate, gated_fuse
-from .templates import Corpus, Minutia
+from .templates import Corpus
 
 PairKey = Tuple[Tuple[str, int], Tuple[str, int]]
 
@@ -172,29 +172,31 @@ class MinutiaeQuality:
     avg_positional_error_px: float
 
 
-def minutiae_quality(pred: Sequence[Minutia], gt: Sequence[Minutia],
+def minutiae_quality(pred_positions, gt_positions,
                      dist_threshold_px: float = 20.0) -> MinutiaeQuality:
-    """Detection quality of a predicted minutiae set against a reference.
+    """Detection quality of predicted minutiae against a reference, given
+    their (n, 2) position arrays.
 
     Pairs by optimal location-only correspondence, accepts pairs within the
     distance threshold, and scores ``(paired - missed - spurious) / |gt|``.
     An empty reference yields a goodness index of 0.
     """
+    pred = np.asarray(pred_positions, dtype=np.float64).reshape(-1, 2)
+    gt = np.asarray(gt_positions, dtype=np.float64).reshape(-1, 2)
+    n_pred, n_gt = pred.shape[0], gt.shape[0]
     paired = 0
     errors: List[float] = []
-    if pred and gt:
-        pred_pos = np.array([(m.x, m.y) for m in pred], dtype=np.float64)
-        gt_pos = np.array([(m.x, m.y) for m in gt], dtype=np.float64)
-        diff = pred_pos[:, None, :] - gt_pos[None, :, :]
+    if n_pred and n_gt:
+        diff = pred[:, None, :] - gt[None, :, :]
         cost = np.sqrt((diff ** 2).sum(axis=2))
         for r, c in solve_assignment(cost).pairs:
             d = float(cost[r, c])
             if d <= dist_threshold_px:
                 paired += 1
                 errors.append(d)
-    missed = len(gt) - paired
-    spurious = len(pred) - paired
-    gi = (paired - missed - spurious) / len(gt) if gt else 0.0
+    missed = n_gt - paired
+    spurious = n_pred - paired
+    gi = (paired - missed - spurious) / n_gt if n_gt else 0.0
     avg_err = float(np.mean(errors)) if errors else 0.0
     return MinutiaeQuality(paired=paired, missed=missed, spurious=spurious,
                            goodness_index=gi, avg_positional_error_px=avg_err)
@@ -214,7 +216,7 @@ def aggregate_minutiae_quality(corpus: Corpus, references: Corpus,
     weighted_err = 0.0
     for sid in corpus.subject_ids:
         for k, t in enumerate(corpus.subjects[sid]):
-            q = minutiae_quality(t.minutiae, references.subjects[sid][k].minutiae,
+            q = minutiae_quality(t.positions, references.subjects[sid][k].positions,
                                  dist_threshold_px)
             paired += q.paired
             missed += q.missed

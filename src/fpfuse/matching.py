@@ -109,7 +109,7 @@ def local_match(a: Template, b: Template, cfg: LocalMatchConfig = LocalMatchConf
     it, then pick the one-to-one pairing that maximizes the cosine sum.
     Degenerate inputs score 0.
     """
-    if a.minutiae and b.minutiae and a.minutia_dim != b.minutia_dim:
+    if a.theta.size and b.theta.size and a.minutia_dim != b.minutia_dim:
         raise ValueError(f"minutia dimension mismatch: {a.minutia_dim} != {b.minutia_dim}")
     pos_a, ori_a, emb_a = a.minutiae_arrays()
     pos_b, ori_b, emb_b = b.minutiae_arrays()

@@ -22,8 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .templates import (Corpus, Minutia, Template, canonicalize_angle,
-                        write_corpus)
+from .templates import Corpus, Template, canonicalize_angle, write_corpus
 
 # Field tags for RNG stream keys.
 _F_GLOBAL = 0
@@ -243,27 +242,23 @@ def generate_impression(identity: Identity, spec: SynthSpec, impression_index: i
     global_embedding = _unit(identity.global_direction
                              + rng.normal(scale=global_jitter, size=spec.global_dim))
 
-    minutiae = []
-    for i in np.flatnonzero(~dropped & _in_frame(positions, spec)):
-        minutiae.append(Minutia(
-            x=positions[i, 0], y=positions[i, 1],
-            theta=canonicalize_angle(orientations[i]),
-            embedding=_unit(embeddings[i]),
-        ))
+    keep = ~dropped & _in_frame(positions, spec)
+    kept_embeddings = embeddings[keep]
+    kept_embeddings /= np.linalg.norm(kept_embeddings, axis=1, keepdims=True)
 
     rng = _rng(spec.seed, subject, impression_index, _F_SPURIOUS)
     n_spurious = int(rng.poisson(spec.spurious_rate)) if spec.spurious_rate > 0 else 0
-    for _ in range(n_spurious):
-        emb = _unit(rng.normal(size=spec.minutia_dim))
-        minutiae.append(Minutia(
-            x=rng.uniform(0.0, w), y=rng.uniform(0.0, h),
-            theta=canonicalize_angle(rng.uniform(0.0, 2.0 * math.pi)),
-            embedding=emb,
-        ))
+    spurious = np.empty((n_spurious, 3))  # x, y, theta
+    spurious_embeddings = np.empty((n_spurious, spec.minutia_dim))
+    for k in range(n_spurious):  # draw order per minutia: embedding, x, y, theta
+        spurious_embeddings[k] = _unit(rng.normal(size=spec.minutia_dim))
+        spurious[k] = rng.uniform(0.0, w), rng.uniform(0.0, h), rng.uniform(0.0, 2.0 * math.pi)
 
     return Template(
-        global_embedding=global_embedding.astype(np.float32),
-        minutiae=tuple(minutiae),
+        global_embedding=global_embedding,
+        positions=np.concatenate([positions[keep], spurious[:, :2]]),
+        theta=canonicalize_angle(np.concatenate([orientations[keep], spurious[:, 2]])),
+        embeddings=np.concatenate([kept_embeddings, spurious_embeddings]),
         image_size=spec.image_size,
         source_id=f"subject_{subject:03d}/impression_{impression_index}",
     )
@@ -272,13 +267,12 @@ def generate_impression(identity: Identity, spec: SynthSpec, impression_index: i
 def _reference_template(identity: Identity, spec: SynthSpec, impression_index: int) -> Template:
     """Noise-free transformed minutiae: what a perfect extractor would report."""
     positions, orientations = _impression_transform(identity, spec, impression_index)
-    minutiae = [Minutia(x=positions[i, 0], y=positions[i, 1],
-                        theta=canonicalize_angle(orientations[i]),
-                        embedding=identity.embeddings[i])
-                for i in np.flatnonzero(_in_frame(positions, spec))]
+    keep = _in_frame(positions, spec)
     return Template(
-        global_embedding=identity.global_direction.astype(np.float32),
-        minutiae=tuple(minutiae),
+        global_embedding=identity.global_direction,
+        positions=positions[keep],
+        theta=canonicalize_angle(orientations[keep]),
+        embeddings=identity.embeddings[keep],
         image_size=spec.image_size,
         source_id=f"ref/subject_{identity.subject_index:03d}/impression_{impression_index}",
     )

@@ -1,9 +1,15 @@
 """Fingerprint template domain types, validation and serialization.
 
 A template is one impression's stored representation: a unit-norm global
-embedding plus a set of minutiae, each carrying pixel coordinates, an
-orientation in radians and a unit-norm local embedding.  Templates are
-immutable after construction and safe to share across threads.
+embedding plus a set of minutiae.  The minutiae are read-only float32
+arrays with one row per minutia: ``positions`` (n, 2) in pixels (x, y),
+``theta`` (n,) in radians and ``embeddings`` (n, d_m), the unit-norm local
+embeddings.  The three are views of one record array, ``records``, whose
+layout is the FPT1 minutia record (x, y, theta, then the d_m embedding
+values, all little-endian float32), so the binary reader decodes the
+record block with one ``np.frombuffer`` and the writer encodes it with one
+``tobytes``.  Templates are immutable after construction and safe to
+share across threads.
 
 Two wire formats are provided: a little-endian binary format (magic
 ``FPT1``, float32 payload, bit-exact round trips) and a JSON mirror.
@@ -21,9 +27,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -49,69 +55,68 @@ class DecodeError(ValueError):
         self.offset = offset
 
 
-def canonicalize_angle(theta: float) -> float:
-    """Map an angle in radians onto [0, 2*pi), also after float32 rounding.
-    Non-finite angles are returned unchanged, for :func:`validate` to flag."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        return theta
-    wrapped = math.fmod(theta, TWO_PI)
-    if wrapped < 0.0:
-        wrapped += TWO_PI
-    if _f32(wrapped) >= TWO_PI:  # float32 rounds values just below 2*pi up to it
-        wrapped = 0.0
-    return wrapped
+def canonicalize_angle(theta):
+    """Map angles in radians onto [0, 2*pi), also after float32 rounding.
+
+    Takes a scalar (returns a float) or an array (returns a float64 array).
+    Non-finite angles are returned unchanged, for :func:`validate` to flag.
+    """
+    t = np.asarray(theta, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        wrapped = np.fmod(t, TWO_PI)
+    wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
+    # float32 rounds values just below 2*pi up to it
+    wrapped = np.where(wrapped.astype(np.float32) >= np.float64(TWO_PI), 0.0, wrapped)
+    wrapped = np.where(np.isfinite(t), wrapped, t)
+    return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
-def _f32(value: float) -> float:
-    # All serialized fields are float32; coercing at construction keeps
-    # write/read round trips bit-exact.
-    return float(np.float32(value))
-
-
-def _f32_vector(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float32)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class Minutia:
-    """One minutia: pixel location, orientation and local embedding."""
-
-    x: float
-    y: float
-    theta: float
-    embedding: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _f32(self.x))
-        object.__setattr__(self, "y", _f32(self.y))
-        object.__setattr__(self, "theta", _f32(self.theta))
-        object.__setattr__(self, "embedding", _f32_vector(self.embedding))
-
-    def canonical(self) -> "Minutia":
-        """Copy with theta wrapped onto [0, 2*pi)."""
-        return Minutia(self.x, self.y, canonicalize_angle(self.theta), self.embedding)
+def _record_dtype(d_m: int) -> np.dtype:
+    """One FPT1 minutia record: x, y, theta, then the local embedding."""
+    return np.dtype([("xyt", "<f4", 3), ("emb", "<f4", d_m)])
 
 
 @dataclass(frozen=True)
 class Template:
-    """One impression: unit global embedding plus its minutiae."""
+    """One impression: unit global embedding plus its minutiae as row arrays.
 
-    global_embedding: np.ndarray
-    minutiae: Tuple[Minutia, ...]
+    All arrays are stored as read-only float32; ``positions``, ``theta`` and
+    ``embeddings`` become views of ``records``.  Construction checks shapes
+    (``ValueError`` on a mismatch) but not values: :func:`validate` does.
+    A template without minutiae has ``embeddings`` of shape (0, 0).
+    """
+
+    global_embedding: np.ndarray          # (d_g,)
+    positions: np.ndarray                 # (n, 2) pixels, x then y
+    theta: np.ndarray                     # (n,) radians
+    embeddings: np.ndarray                # (n, d_m)
     image_size: Tuple[int, int]
     source_id: str = ""
+    records: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "global_embedding", _f32_vector(self.global_embedding))
-        object.__setattr__(self, "minutiae", tuple(self.minutiae))
+        g = np.array(self.global_embedding, dtype=np.float32)
+        pos = np.asarray(self.positions, dtype=np.float32)
+        theta = np.asarray(self.theta, dtype=np.float32)
+        emb = np.asarray(self.embeddings, dtype=np.float32)
+        if g.ndim != 1:
+            raise ValueError(f"global embedding must be 1-D, got shape {g.shape}")
+        n = theta.shape[0] if theta.ndim == 1 else -1
+        if pos.shape != (n, 2) or emb.ndim != 2 or emb.shape[0] != n:
+            raise ValueError(f"minutiae arrays must have shapes (n, 2), (n,) and (n, d_m), "
+                             f"got {pos.shape}, {theta.shape} and {emb.shape}")
+        records = np.empty(n, dtype=_record_dtype(emb.shape[1] if n else 0))
+        records["xyt"][:, :2] = pos
+        records["xyt"][:, 2] = theta
+        if n:
+            records["emb"] = emb
+        g.flags.writeable = False
+        records.flags.writeable = False
         h, w = self.image_size
-        object.__setattr__(self, "image_size", (int(h), int(w)))
+        for name, value in (("global_embedding", g), ("positions", records["xyt"][:, :2]),
+                            ("theta", records["xyt"][:, 2]), ("embeddings", records["emb"]),
+                            ("image_size", (int(h), int(w))), ("records", records)):
+            object.__setattr__(self, name, value)
 
     @property
     def global_dim(self) -> int:
@@ -119,23 +124,18 @@ class Template:
 
     @property
     def minutia_dim(self) -> int:
-        return int(self.minutiae[0].embedding.shape[0]) if self.minutiae else 0
+        return int(self.embeddings.shape[1])
 
     def minutiae_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positions (n, 2), orientations (n,), embeddings (n, d) as float64."""
-        n = len(self.minutiae)
-        if n == 0:
-            return (np.zeros((0, 2)), np.zeros(0), np.zeros((0, 0)))
-        pos = np.array([(m.x, m.y) for m in self.minutiae], dtype=np.float64)
-        ori = np.array([m.theta for m in self.minutiae], dtype=np.float64)
-        emb = np.stack([m.embedding for m in self.minutiae]).astype(np.float64)
-        return pos, ori, emb
+        """Float64 copies of positions (n, 2), theta (n,) and embeddings (n, d_m)."""
+        return (self.positions.astype(np.float64), self.theta.astype(np.float64),
+                self.embeddings.astype(np.float64))
 
 
-def _norm(vec: np.ndarray) -> float:
-    # np.linalg.norm of a vector is sqrt(v.dot(v)); this skips its dispatch.
-    v = vec.astype(np.float64)
-    return math.sqrt(v.dot(v))
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, computed in float64."""
+    r = rows.astype(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", r, r))
 
 
 @dataclass(frozen=True)
@@ -153,42 +153,36 @@ class Violation:
 
 def validate(t: Template) -> List[Violation]:
     """Check every template invariant; an empty list means the template is valid."""
+    return _violations(t, _norms(t.global_embedding[None, :])[0], _norms(t.embeddings))
+
+
+def _violations(t: Template, global_norm: float, norms: np.ndarray) -> List[Violation]:
+    """:func:`validate` given the norms of the global and the local embeddings."""
     violations: List[Violation] = []
     if t.global_embedding.size == 0:
         violations.append(Violation("global_embedding", "non-empty"))
-    else:
-        norm = _norm(t.global_embedding)
-        if not math.isfinite(norm) or abs(norm - 1.0) > NORM_VALID_TOL:
-            violations.append(
-                Violation("global_embedding", "norm", f"norm {norm:.6g} not within {NORM_VALID_TOL:g} of 1")
-            )
+    elif not abs(global_norm - 1.0) <= NORM_VALID_TOL:
+        violations.append(Violation("global_embedding", "norm",
+                                    f"norm {global_norm:.6g} not within {NORM_VALID_TOL:g} of 1"))
     h, w = t.image_size
     if h <= 0 or w <= 0:
         violations.append(Violation("image_size", "positive", f"{t.image_size}"))
-    d_m = t.minutia_dim
-    for i, m in enumerate(t.minutiae):
-        name = f"minutiae[{i}]"
-        if not (math.isfinite(m.x) and math.isfinite(m.y)):
-            violations.append(Violation(name, "finite coordinates", f"({m.x}, {m.y})"))
-        elif not (0.0 <= m.x <= w and 0.0 <= m.y <= h):
-            violations.append(
-                Violation(name, "within image", f"({m.x:.1f}, {m.y:.1f}) outside {w}x{h}")
-            )
-        if not (0.0 <= m.theta < TWO_PI):
-            violations.append(
-                Violation(name + ".theta", "range [0, 2pi)", f"theta {m.theta:.6g}")
-            )
-        if m.embedding.shape[0] != d_m:
-            violations.append(
-                Violation(name + ".embedding", "dimension", f"{m.embedding.shape[0]} != {d_m}")
-            )
-        else:
-            norm = _norm(m.embedding)
-            if not math.isfinite(norm) or abs(norm - 1.0) > NORM_VALID_TOL:
-                violations.append(
-                    Violation(name + ".embedding", "norm", f"norm {norm:.6g} not within {NORM_VALID_TOL:g} of 1")
-                )
-    return violations
+    x, y = t.positions.astype(np.float64).T
+    theta = t.theta.astype(np.float64)
+    finite = np.isfinite(x) & np.isfinite(y)
+    inside = (0.0 <= x) & (x <= w) & (0.0 <= y) & (y <= h)
+    found = [(i, Violation(f"minutiae[{i}]", "finite coordinates", f"({x[i]}, {y[i]})"))
+             for i in np.flatnonzero(~finite)]
+    found += [(i, Violation(f"minutiae[{i}]", "within image",
+                            f"({x[i]:.1f}, {y[i]:.1f}) outside {w}x{h}"))
+              for i in np.flatnonzero(finite & ~inside)]
+    found += [(i, Violation(f"minutiae[{i}].theta", "range [0, 2pi)", f"theta {theta[i]:.6g}"))
+              for i in np.flatnonzero(~((0.0 <= theta) & (theta < TWO_PI)))]
+    found += [(i, Violation(f"minutiae[{i}].embedding", "norm",
+                            f"norm {norms[i]:.6g} not within {NORM_VALID_TOL:g} of 1"))
+              for i in np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_VALID_TOL))]
+    found.sort(key=lambda item: item[0])  # stable: per minutia, in the order checked above
+    return violations + [v for _, v in found]
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +209,10 @@ def read_template(data: bytes) -> Template:
 
 def _write_binary(t: Template) -> bytes:
     src = t.source_id.encode("utf-8")
-    d_m = t.minutia_dim
-    out = bytearray()
-    out += BINARY_MAGIC
-    out += _HEADER.pack(BINARY_VERSION, t.global_dim, d_m, len(t.minutiae),
-                        t.image_size[0], t.image_size[1], len(src))
-    out += src
-    out += np.asarray(t.global_embedding, dtype="<f4").tobytes()
-    for m in t.minutiae:
-        out += struct.pack("<fff", m.x, m.y, m.theta)
-        out += np.asarray(m.embedding, dtype="<f4").tobytes()
-    return bytes(out)
+    header = _HEADER.pack(BINARY_VERSION, t.global_dim, t.minutia_dim, t.records.shape[0],
+                          t.image_size[0], t.image_size[1], len(src))
+    return b"".join((BINARY_MAGIC, header, src, t.global_embedding.astype("<f4").tobytes(),
+                     t.records.tobytes()))
 
 
 def _take(data: bytes, offset: int, count: int, what: str) -> Tuple[bytes, int]:
@@ -234,26 +221,37 @@ def _take(data: bytes, offset: int, count: int, what: str) -> Tuple[bytes, int]:
     return data[offset:offset + count], offset + count
 
 
-def _ingest_unit(vec: np.ndarray, what: str) -> np.ndarray:
-    """Renormalize slightly drifted unit vectors; reject anything worse."""
-    norm = _norm(vec)
-    if abs(norm - 1.0) <= NORM_VALID_TOL:
-        return vec
-    if abs(norm - 1.0) <= NORM_INGEST_TOL and norm > 0.0:
-        return (np.asarray(vec, dtype=np.float64) / norm).astype(np.float32)
-    raise DecodeError(f"{what} norm {norm:.6g} deviates beyond {NORM_INGEST_TOL:g} from 1")
+def _drifted(norms: np.ndarray) -> np.ndarray:
+    """Rows close enough to unit norm for a reader to renormalize them."""
+    drift = np.abs(norms - 1.0)
+    return (drift > NORM_VALID_TOL) & (drift <= NORM_INGEST_TOL)
 
 
-def _ingest(global_embedding: np.ndarray, fields: Sequence[tuple], image_size: Tuple[int, int],
-            source_id: str) -> Template:
-    """Shared tail of both readers; ``fields`` holds ``(x, y, theta, embedding)``
-    per minutia.  The result passes ``validate`` or ``DecodeError`` is raised."""
-    minutiae = tuple(
-        Minutia(x, y, canonicalize_angle(theta), _ingest_unit(emb, f"minutiae[{i}].embedding"))
-        for i, (x, y, theta, emb) in enumerate(fields))
-    t = Template(_ingest_unit(global_embedding, "global_embedding"), minutiae, image_size,
-                 source_id)
-    violations = validate(t)
+def _rescaled(rows: np.ndarray, norms: np.ndarray, fix: np.ndarray) -> np.ndarray:
+    """``rows`` with the ``fix`` rows divided by their norm, whose entries in
+    ``norms`` become 1: float32 rounding moves a unit row's norm by at most
+    2**-24, well inside ``NORM_VALID_TOL``."""
+    out = rows.astype(np.float64)
+    out[fix] /= norms[fix, None]
+    norms[fix] = 1.0
+    return out
+
+
+def _ingest(global_embedding: np.ndarray, xyt: np.ndarray, embeddings: np.ndarray,
+            image_size: Tuple[int, int], source_id: str) -> Template:
+    """Shared tail of both readers; row ``i`` of ``xyt`` holds minutia ``i``'s
+    x, y and theta.  Renormalizes slightly drifted embeddings and wraps theta,
+    computing every norm once.  The result passes ``validate`` or
+    ``DecodeError`` is raised."""
+    t = Template(global_embedding, xyt[:, :2], canonicalize_angle(xyt[:, 2]), embeddings,
+                 image_size, source_id)
+    g = t.global_embedding[None, :]
+    g_norms, norms = _norms(g), _norms(t.embeddings)
+    g_fix, fix = _drifted(g_norms), _drifted(norms)
+    if g_fix.any() or fix.any():
+        t = replace(t, global_embedding=_rescaled(g, g_norms, g_fix)[0],
+                    embeddings=_rescaled(t.embeddings, norms, fix))
+    violations = _violations(t, g_norms[0], norms)
     if violations:
         raise DecodeError("invalid template: " + "; ".join(str(v) for v in violations))
     return t
@@ -270,23 +268,21 @@ def _read_binary(data: bytes) -> Template:
     raw, offset = _take(data, offset, src_len, "source_id")
     source_id = raw.decode("utf-8")
     global_embedding, offset = _take(data, offset, 4 * d_g, "global embedding")
-    fields = []
-    rec = 12 + 4 * d_m
-    for i in range(n_minutiae):
-        raw, offset = _take(data, offset, rec, f"minutia {i}")
-        fields.append(struct.unpack("<fff", raw[:12]) + (np.frombuffer(raw[12:], dtype="<f4"),))
+    block, offset = _take(data, offset, n_minutiae * (12 + 4 * d_m),
+                          f"{n_minutiae} minutia records")
     if offset != len(data):
         raise DecodeError(f"{len(data) - offset} trailing bytes after template", offset)
-    return _ingest(np.frombuffer(global_embedding, dtype="<f4"), fields, (h, w), source_id)
+    records = np.frombuffer(block, dtype=_record_dtype(d_m if n_minutiae else 0))
+    return _ingest(np.frombuffer(global_embedding, dtype="<f4"), records["xyt"], records["emb"],
+                   (h, w), source_id)
 
 
 def _write_json(t: Template) -> bytes:
     doc = {
-        "global": [float(v) for v in t.global_embedding],
-        "minutiae": [
-            {"x": m.x, "y": m.y, "theta": m.theta, "emb": [float(v) for v in m.embedding]}
-            for m in t.minutiae
-        ],
+        "global": t.global_embedding.tolist(),
+        "minutiae": [{"x": x, "y": y, "theta": theta, "emb": emb}
+                     for (x, y), theta, emb in zip(t.positions.tolist(), t.theta.tolist(),
+                                                   t.embeddings.tolist())],
         "image_size": [t.image_size[0], t.image_size[1]],
         "source_id": t.source_id,
     }
@@ -299,11 +295,17 @@ def _read_json(data: bytes) -> Template:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DecodeError(f"template is neither FPT1 binary nor JSON: {exc}", 0) from exc
     try:
-        fields = [(float(rec["x"]), float(rec["y"]), float(rec["theta"]),
-                   np.asarray(rec["emb"], dtype=np.float32)) for rec in doc["minutiae"]]
+        recs = doc["minutiae"]
+        embs = [rec["emb"] for rec in recs]
+        dims = {len(e) for e in embs}
+        if len(dims) > 1:
+            raise DecodeError(f"minutia embeddings differ in dimension: {sorted(dims)}")
+        d_m = dims.pop() if dims else 0
+        xyt = np.array([(rec["x"], rec["y"], rec["theta"]) for rec in recs], dtype=np.float64)
         h, w = doc["image_size"]
-        return _ingest(np.asarray(doc["global"], dtype=np.float32), fields, (int(h), int(w)),
-                       str(doc.get("source_id", "")))
+        return _ingest(np.asarray(doc["global"], dtype=np.float32), xyt.reshape(-1, 3),
+                       np.array(embs, dtype=np.float32).reshape(len(embs), d_m),
+                       (int(h), int(w)), str(doc.get("source_id", "")))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, DecodeError):
             raise
@@ -315,24 +317,13 @@ def _read_json(data: bytes) -> Template:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered impressions per subject, with uniform embedding dimensions."""
+    """Ordered impressions per subject.  Embedding dimensions are not checked
+    here; the matchers reject a pair whose dimensions differ."""
 
     subjects: Dict[str, Tuple[Template, ...]]
-    dims: Tuple[int, int] = field(default=(0, 0))
 
     def __post_init__(self):
-        subjects = {str(k): tuple(v) for k, v in self.subjects.items()}
-        object.__setattr__(self, "subjects", subjects)
-        d_g, d_m = self.dims
-        if d_g == 0 and d_m == 0:
-            for templates in subjects.values():
-                for t in templates:
-                    d_g = t.global_dim
-                    d_m = t.minutia_dim or d_m
-                    break
-                if d_g:
-                    break
-        object.__setattr__(self, "dims", (int(d_g), int(d_m)))
+        object.__setattr__(self, "subjects", {str(k): tuple(v) for k, v in self.subjects.items()})
 
     @property
     def subject_ids(self) -> List[str]:

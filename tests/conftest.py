@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fpfuse import (LocalMatchConfig, Minutia, SynthSpec, Template,
-                    generate_corpus)
+from fpfuse import LocalMatchConfig, SynthSpec, Template, generate_corpus
 
 
 def unit(vec):
@@ -12,16 +11,26 @@ def unit(vec):
     return vec / np.linalg.norm(vec)
 
 
+def as_arrays(rows):
+    """(positions, theta, embeddings) arrays from (x, y, theta, embedding) rows."""
+    rows = list(rows)
+    positions = np.array([r[:2] for r in rows], dtype=np.float64).reshape(-1, 2)
+    theta = np.array([r[2] for r in rows], dtype=np.float64)
+    embeddings = (np.array([r[3] for r in rows], dtype=np.float64).reshape(len(rows), -1)
+                  if rows else np.zeros((0, 0)))
+    return positions, theta, embeddings
+
+
 def make_template(global_direction, minutiae=(), image_size=(384, 384), source_id="t"):
-    return Template(global_embedding=unit(global_direction), minutiae=tuple(minutiae),
-                    image_size=image_size, source_id=source_id)
+    """Template from a global direction and (x, y, theta, embedding) minutia rows."""
+    return Template(unit(global_direction), *as_arrays(minutiae), image_size, source_id)
 
 
 def random_minutia(rng, d_m=8, image_size=(384, 384)):
+    """One (x, y, theta, embedding) row inside the image."""
     h, w = image_size
-    return Minutia(x=rng.uniform(0, w), y=rng.uniform(0, h),
-                   theta=rng.uniform(0, 2 * math.pi),
-                   embedding=unit(rng.normal(size=d_m)))
+    return (rng.uniform(0, w), rng.uniform(0, h), rng.uniform(0, 2 * math.pi),
+            unit(rng.normal(size=d_m)))
 
 
 def basis_template(d_g=8, axis=0, minutiae=(), source_id="t"):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from fpfuse import (CorrespondenceWeights, DoubleSigmoidParams, Minutia,
+from fpfuse import (CorrespondenceWeights, DoubleSigmoidParams,
                     PipelineConfig, Protocol, SynthSpec, angular_distance,
                     apply_pipeline, double_sigmoid, enumerate_pairs,
                     fit_double_sigmoid, frr_at_far, generate_corpus,
@@ -22,7 +22,7 @@ from fpfuse import (CorrespondenceWeights, DoubleSigmoidParams, Minutia,
 from fpfuse.losses import GroundTruthRecord, PredictionRecord
 from fpfuse.cli import main
 
-from conftest import random_minutia
+from conftest import as_arrays, random_minutia
 
 
 def _ranks(values):
@@ -370,7 +370,7 @@ def test_metrics_sanity():
         below = grid[grid < thr]
         if below.size:
             assert np.mean(impostor >= below[-1]) > target  # tightness
-    gt = [random_minutia(np.random.default_rng(75)) for _ in range(9)]
+    gt = as_arrays([random_minutia(np.random.default_rng(75)) for _ in range(9)])[0]
     q = minutiae_quality(gt, gt)
     assert (q.paired, q.missed, q.spurious) == (9, 0, 0)
     assert q.goodness_index == 1.0 and q.avg_positional_error_px == 0.0

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from fpfuse import (CorrespondenceWeights, CostMatrix,
-                    InfeasibleAssignmentError, Minutia, angular_distance,
-                    correspond_minutiae, minutia_cost, solve_assignment)
+                    InfeasibleAssignmentError, angular_distance,
+                    correspondence_cost_matrix, reorder_ground_truth,
+                    solve_assignment)
 
-from conftest import random_minutia, unit
+from conftest import as_arrays, random_minutia, unit
 
 
 def brute_force(cost):
@@ -151,76 +152,89 @@ def test_angular_distance_symmetry_and_bound():
     assert angular_distance(0.1, 2 * math.pi - 0.1) == pytest.approx(0.2)
 
 
+def pair_cost(p, g, w=CorrespondenceWeights(), circular_orientation=True):
+    """Cost of one (x, y, theta, embedding) row against another."""
+    return float(correspondence_cost_matrix(*as_arrays([p]), *as_arrays([g]), w,
+                                            circular_orientation)[0, 0])
+
+
 def test_minutia_cost_identity_is_zero():
     rng = np.random.default_rng(48)
     m = random_minutia(rng)
-    assert minutia_cost(m, m, CorrespondenceWeights(1, 1, 1)) == pytest.approx(0.0, abs=1e-7)
+    assert pair_cost(m, m, CorrespondenceWeights(1, 1, 1)) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_minutia_cost_wraparound():
     e = unit([1.0, 1.0])
-    p = Minutia(x=5, y=5, theta=0.1, embedding=e)
-    g = Minutia(x=5, y=5, theta=2 * math.pi - 0.1, embedding=e)
-    assert minutia_cost(p, g, CorrespondenceWeights(1, 1, 1)) == pytest.approx(0.2, abs=1e-6)
+    p = (5, 5, 0.1, e)
+    g = (5, 5, 2 * math.pi - 0.1, e)
+    assert pair_cost(p, g, CorrespondenceWeights(1, 1, 1)) == pytest.approx(0.2, abs=1e-6)
 
 
 def test_minutia_cost_three_four_five():
     e1 = np.zeros(4); e1[0] = 1.0
     e2 = np.zeros(4); e2[1] = 1.0
-    p = Minutia(x=0, y=0, theta=0.0, embedding=e1)
-    g = Minutia(x=3, y=4, theta=0.0, embedding=e2)
-    got = minutia_cost(p, g, CorrespondenceWeights(1, 1, 1))
+    got = pair_cost((0, 0, 0.0, e1), (3, 4, 0.0, e2), CorrespondenceWeights(1, 1, 1))
     assert got == pytest.approx(5.0 + math.sqrt(2.0), abs=1e-6)
 
 
 def test_minutia_cost_literal_orientation_flag():
     e = unit([1.0, 0.0])
-    p = Minutia(x=0, y=0, theta=0.1, embedding=e)
-    g = Minutia(x=0, y=0, theta=2 * math.pi - 0.1, embedding=e)
+    p = (0, 0, 0.1, e)
+    g = (0, 0, 2 * math.pi - 0.1, e)
     w = CorrespondenceWeights(1, 1, 1)
-    literal = minutia_cost(p, g, w, circular_orientation=False)
+    literal = pair_cost(p, g, w, circular_orientation=False)
     assert literal == pytest.approx(2 * math.pi - 0.2, abs=1e-5)
-    assert minutia_cost(p, g, w) == pytest.approx(0.2, abs=1e-6)
+    assert pair_cost(p, g, w) == pytest.approx(0.2, abs=1e-6)
 
 
 def test_minutia_cost_dimension_mismatch():
-    p = Minutia(x=0, y=0, theta=0, embedding=[1.0, 0.0])
-    g = Minutia(x=0, y=0, theta=0, embedding=[1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        minutia_cost(p, g)
+        pair_cost((0, 0, 0, [1.0, 0.0]), (0, 0, 0, [1.0, 0.0, 0.0]))
+
+
+def _records(rows):
+    """(L, 3) x/y/theta rows and (L, d) embeddings, as ``reorder_ground_truth`` takes them."""
+    pos, theta, emb = as_arrays(rows)
+    return np.column_stack([pos, theta]), emb
 
 
 def test_correspond_identity_any_order():
     rng = np.random.default_rng(49)
     gt = [random_minutia(rng) for _ in range(6)]
     order = rng.permutation(6)
-    pred = [gt[i] for i in order]
-    result = correspond_minutiae(pred, gt)
-    assert result.total_cost == pytest.approx(0.0, abs=1e-5)
-    for row, col in result.pairs:
-        assert col == order[row]
+    pred_po, pred_e = _records([gt[i] for i in order])
+    gt_po, gt_e = reorder_ground_truth(pred_po, pred_e, *_records(gt))
+    assert np.array_equal(gt_po, pred_po) and np.array_equal(gt_e, pred_e)
 
 
 def test_correspond_empty_side():
     rng = np.random.default_rng(50)
-    gt = [random_minutia(rng) for _ in range(3)]
-    assert correspond_minutiae([], gt).pairs == ()
-    assert correspond_minutiae(gt, []).pairs == ()
+    gt_pos, gt_theta, gt_emb = as_arrays([random_minutia(rng) for _ in range(3)])
+    none = (np.zeros((0, 2)), np.zeros(0), np.zeros((0, gt_emb.shape[1])))
+    assert solve_assignment(correspondence_cost_matrix(*none, gt_pos, gt_theta, gt_emb)).pairs == ()
+    assert solve_assignment(correspondence_cost_matrix(gt_pos, gt_theta, gt_emb, *none)).pairs == ()
+    po, e = reorder_ground_truth(np.zeros((0, 3)), none[2], np.zeros((0, 3)), none[2])
+    assert po.shape == (0, 3) and e.shape == none[2].shape
 
 
 def test_correspond_displaced_still_matched():
     rng = np.random.default_rng(51)
     gt = [random_minutia(rng) for _ in range(4)]
     pred = list(gt)
-    pred[2] = Minutia(x=gt[2].x + 100.0, y=gt[2].y, theta=gt[2].theta,
-                      embedding=gt[2].embedding)
+    x, y, theta, emb = gt[2]
+    pred[2] = (x + 100.0, y, theta, emb)
     w = CorrespondenceWeights(1.0, 10.0, 10.0)
-    result = correspond_minutiae(pred, gt, w)
-    assert len(result.pairs) == 4  # maximal: the displaced one is still matched
-    cost = np.array([[minutia_cost(p, g, w) for g in gt] for p in pred])
+    pred_po, pred_e = _records(pred)
+    gt_po, gt_e = reorder_ground_truth(pred_po, pred_e, *_records(gt), w)
+    # a permutation: the displaced one is still matched
+    assert sorted(map(tuple, gt_po)) == sorted(map(tuple, _records(gt)[0]))
+    cost = correspondence_cost_matrix(*as_arrays(pred), *as_arrays(gt), w)
     best_total = min(math.fsum(cost[i, perm[i]] for i in range(4))
                      for perm in itertools.permutations(range(4)))
-    assert result.total_cost == pytest.approx(best_total, abs=1e-9)
+    got = correspondence_cost_matrix(pred_po[:, :2], pred_po[:, 2], pred_e,
+                                     gt_po[:, :2], gt_po[:, 2], gt_e, w)
+    assert math.fsum(np.diag(got)) == pytest.approx(best_total, abs=1e-9)
 
 
 def test_correspondence_weight_validation():

@@ -300,6 +300,21 @@ def test_losses_shape_mismatch_exits_2(tmp_path, capsys):
     assert main(["losses", "--pred", str(pred_path), "--gt", str(gt_path)]) == 2
 
 
+@pytest.mark.parametrize("which", ["pred", "gt"])
+def test_losses_record_not_an_object_exits_2(tmp_path, capsys, which):
+    paths = dict(zip(("pred", "gt"), loss_fixture(tmp_path)))
+    paths[which].write_text("[1, 2]")
+    assert main(["losses", "--pred", str(paths["pred"]), "--gt", str(paths["gt"])]) == 2
+    assert f"--{which} must hold a JSON object" in capsys.readouterr().err
+
+
+def test_losses_weights_not_an_object_exits_2(tmp_path, capsys):
+    pred_path, gt_path = loss_fixture(tmp_path)
+    argv = ["losses", "--pred", str(pred_path), "--gt", str(gt_path), "--weights", "[1]"]
+    assert main(argv) == 2
+    assert "--weights must hold a JSON object" in capsys.readouterr().err
+
+
 def test_pretty_output_renders_table(synth_dir, capsys):
     code = main(["--pretty", "bench", "--corpus", str(synth_dir),
                  "--protocol", "4x3", "--grid", "disabled,0.75:0.15"])

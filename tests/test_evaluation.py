@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fpfuse import (Corpus, Minutia, PipelineConfig, Protocol, SynthSpec,
+from fpfuse import (Corpus, PipelineConfig, Protocol, SynthSpec,
                     aggregate_minutiae_quality, enumerate_pairs, eer, evaluate_corpus, frr_at_far,
                     generate_corpus, minutiae_quality, roc_curve)
 
-from conftest import random_minutia, unit
+from conftest import as_arrays, random_minutia
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +155,13 @@ def test_eer_handcrafted():
 # ---------------------------------------------------------------------------
 # minutiae quality
 
+def random_positions(rng, n):
+    return as_arrays([random_minutia(rng) for _ in range(n)])[0]
+
+
 def test_quality_identity():
     rng = np.random.default_rng(63)
-    gt = [random_minutia(rng) for _ in range(8)]
+    gt = random_positions(rng, 8)
     q = minutiae_quality(gt, gt)
     assert q.paired == 8 and q.missed == 0 and q.spurious == 0
     assert q.goodness_index == 1.0
@@ -166,18 +170,15 @@ def test_quality_identity():
 
 def test_quality_empty_prediction():
     rng = np.random.default_rng(64)
-    gt = [random_minutia(rng) for _ in range(10)]
-    q = minutiae_quality([], gt)
+    gt = random_positions(rng, 10)
+    q = minutiae_quality(np.zeros((0, 2)), gt)
     assert q.paired == 0 and q.missed == 10 and q.spurious == 0
     assert q.goodness_index == -1.0
 
 
 def test_quality_fixed_offset():
-    rng = np.random.default_rng(65)
-    gt = [Minutia(x=40.0 + 60.0 * i, y=50.0, theta=0.3, embedding=unit(rng.normal(size=4)))
-          for i in range(5)]
-    pred = [Minutia(x=m.x + 3.0, y=m.y + 4.0, theta=m.theta, embedding=m.embedding)
-            for m in gt]
+    gt = np.array([(40.0 + 60.0 * i, 50.0) for i in range(5)], dtype=np.float32)
+    pred = gt + np.float32([3.0, 4.0])
     q = minutiae_quality(pred, gt)
     assert q.paired == 5 and q.missed == 0 and q.spurious == 0
     assert q.goodness_index == 1.0
@@ -185,11 +186,8 @@ def test_quality_fixed_offset():
 
 
 def test_quality_threshold_excludes_far_pairs():
-    rng = np.random.default_rng(66)
-    gt = [Minutia(x=50.0, y=50.0, theta=0.0, embedding=unit(rng.normal(size=4))),
-          Minutia(x=300.0, y=300.0, theta=0.0, embedding=unit(rng.normal(size=4)))]
-    pred = [Minutia(x=55.0, y=50.0, theta=0.0, embedding=gt[0].embedding),
-            Minutia(x=300.0, y=340.0, theta=0.0, embedding=gt[1].embedding)]
+    gt = [(50.0, 50.0), (300.0, 300.0)]
+    pred = [(55.0, 50.0), (300.0, 340.0)]
     q = minutiae_quality(pred, gt, dist_threshold_px=20.0)
     assert q.paired == 1 and q.missed == 1 and q.spurious == 1
     assert q.goodness_index == pytest.approx((1 - 1 - 1) / 2)
@@ -197,8 +195,8 @@ def test_quality_threshold_excludes_far_pairs():
 
 def test_quality_spurious_counts():
     rng = np.random.default_rng(67)
-    gt = [random_minutia(rng) for _ in range(4)]
-    pred = gt + [random_minutia(rng)]
+    gt = random_positions(rng, 4)
+    pred = np.vstack([gt, random_positions(rng, 1)])
     q = minutiae_quality(pred, gt, dist_threshold_px=1e-3)
     assert q.spurious >= 1
 

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fpfuse import (LocalMatchConfig, Minutia, Template, global_match,
-                    local_match)
+from fpfuse import LocalMatchConfig, global_match, local_match
 
 from conftest import basis_template, make_template, random_minutia, unit
 
@@ -17,19 +16,15 @@ def grid_template(n, d_m=8, seed=0, spacing=60.0, image_size=(384, 384)):
     for i in range(n):
         x = 40.0 + spacing * (i % 5)
         y = 40.0 + spacing * (i // 5)
-        minutiae.append(Minutia(x=x, y=y, theta=rng.uniform(0, 2 * math.pi),
-                                embedding=unit(rng.normal(size=d_m))))
+        minutiae.append((x, y, rng.uniform(0, 2 * math.pi), unit(rng.normal(size=d_m))))
     return make_template(rng.normal(size=8), minutiae, image_size=image_size)
 
 
 def rigid_copy(t, rot, tx, ty):
     c, s = math.cos(rot), math.sin(rot)
-    minutiae = []
-    for m in t.minutiae:
-        x = c * m.x - s * m.y + tx
-        y = s * m.x + c * m.y + ty
-        minutiae.append(Minutia(x=x, y=y, theta=(m.theta + rot) % (2 * math.pi),
-                                embedding=m.embedding))
+    pos, theta, emb = t.minutiae_arrays()
+    x, y = pos.T
+    minutiae = zip(c * x - s * y + tx, s * x + c * y + ty, (theta + rot) % (2 * math.pi), emb)
     return make_template(np.asarray(t.global_embedding, dtype=np.float64),
                          minutiae, image_size=(2000, 2000))
 
@@ -100,8 +95,8 @@ def test_rigid_transform_recovered():
     assert len(result.matched_pairs) == 6
     assert result.score == pytest.approx(6.0, abs=1e-9)
     # brute-force best one-to-one cosine pairing as the oracle
-    emb_a = np.stack([m.embedding for m in t.minutiae]).astype(np.float64)
-    emb_b = np.stack([m.embedding for m in moved.minutiae]).astype(np.float64)
+    emb_a = t.embeddings.astype(np.float64)
+    emb_b = moved.embeddings.astype(np.float64)
     cos = emb_a @ emb_b.T / np.outer(np.linalg.norm(emb_a, axis=1),
                                      np.linalg.norm(emb_b, axis=1))
     best = max(sum(cos[i, p[i]] for i in range(6))
@@ -122,7 +117,7 @@ def test_score_bound():
         a = grid_template(int(rng.integers(1, 12)), seed=seed)
         b = grid_template(int(rng.integers(1, 12)), seed=seed + 100)
         r = local_match(a, b)
-        assert 0.0 <= r.score <= min(len(a.minutiae), len(b.minutiae)) + 1e-12
+        assert 0.0 <= r.score <= min(len(a.theta), len(b.theta)) + 1e-12
 
 
 def test_one_directional_score_symmetric_here():
@@ -163,8 +158,8 @@ def test_floor_excludes_weak_candidates():
     rng = np.random.default_rng(15)
     e1 = unit(rng.normal(size=16))
     e2 = unit(rng.normal(size=16))
-    a = make_template([1, 0], [Minutia(10, 10, 0.5, e1)])
-    b = make_template([1, 0], [Minutia(10, 10, 0.5, e2)])
+    a = make_template([1, 0], [(10, 10, 0.5, e1)])
+    b = make_template([1, 0], [(10, 10, 0.5, e2)])
     cos = float(np.dot(e1, e2))
     floor_above = min(0.99, abs(cos) + 0.2)
     r = local_match(a, b, LocalMatchConfig(emb_sim_floor=floor_above))
@@ -172,15 +167,15 @@ def test_floor_excludes_weak_candidates():
 
 
 def test_negative_floor_never_forces_negative_score():
-    a = make_template([1, 0], [Minutia(10, 10, 0.0, [1.0, 0.0])])
-    b = make_template([1, 0], [Minutia(10, 10, 0.0, [-1.0, 0.0])])
+    a = make_template([1, 0], [(10, 10, 0.0, [1.0, 0.0])])
+    b = make_template([1, 0], [(10, 10, 0.0, [-1.0, 0.0])])
     r = local_match(a, b, LocalMatchConfig(emb_sim_floor=-1.0))
     assert r.score == 0.0
 
 
 def test_minutia_dimension_mismatch():
-    a = make_template([1, 0], [Minutia(1, 1, 0, [1.0, 0.0])])
-    b = make_template([1, 0], [Minutia(1, 1, 0, [1.0, 0.0, 0.0])])
+    a = make_template([1, 0], [(1, 1, 0, [1.0, 0.0])])
+    b = make_template([1, 0], [(1, 1, 0, [1.0, 0.0, 0.0])])
     with pytest.raises(ValueError):
         local_match(a, b)
 

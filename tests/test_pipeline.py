@@ -11,7 +11,7 @@ from fpfuse import (DoubleSigmoidParams, LocalMatchConfig, PipelineConfig,
 from fpfuse.pipeline import (GATE_CONFIDENT_GENUINE, GATE_CONFIDENT_IMPOSTOR,
                              GATE_LOCAL_EVALUATED, identity_norm)
 
-from conftest import basis_template, make_template
+from conftest import as_arrays, basis_template, make_template
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +177,8 @@ def test_gate_partition_boundaries():
                       (0.5, GATE_LOCAL_EVALUATED),
                       (0.15625, GATE_LOCAL_EVALUATED),  # exact f32, > theta_f
                       (0.1, GATE_CONFIDENT_IMPOSTOR)):
-        b = Template(global_embedding=[dot, math.sqrt(max(0.0, 1 - dot * dot))],
-                     minutiae=(), image_size=(384, 384))
+        b = Template([dot, math.sqrt(max(0.0, 1 - dot * dot))], *as_arrays([]),
+                     image_size=(384, 384))
         r = infer_pair(a, b, thr)
         assert r.gate == gate, dot
 

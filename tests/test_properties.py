@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpfuse import (DecodeError, LocalMatchConfig, Minutia, PipelineConfig,
-                    Protocol, SynthSpec, Template, apply_pipeline,
+from fpfuse import (DecodeError, LocalMatchConfig, PipelineConfig, Protocol,
+                    SynthSpec, Template, apply_pipeline, canonicalize_angle,
                     enumerate_pairs, generate_corpus, infer_pair_with_config,
                     read_template, score_pairs, validate, write_template)
 from fpfuse.pipeline import FUSION_RULES, GATES
+
+from conftest import as_arrays
 
 TWO_PI = 2 * math.pi
 SIZE = (64, 48)  # (h, w)
@@ -38,9 +40,8 @@ minutia_fields = st.tuples(st.floats(0.0, SIZE[1]), st.floats(0.0, SIZE[0]), the
 def templates(draw, fields=minutia_fields):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d_g, d_m = draw(st.integers(1, 8)), draw(st.integers(1, 6))
-    minutiae = [Minutia(x, y, theta, _unit(rng, d_m))
-                for x, y, theta in draw(st.lists(fields, max_size=6))]
-    return Template(_unit(rng, d_g), tuple(minutiae), SIZE, draw(st.text(max_size=8)))
+    rows = [(x, y, theta, _unit(rng, d_m)) for x, y, theta in draw(st.lists(fields, max_size=6))]
+    return Template(_unit(rng, d_g), *as_arrays(rows), SIZE, draw(st.text(max_size=8)))
 
 
 @PROPERTY
@@ -49,9 +50,8 @@ def test_read_returns_valid_template(t, fmt):
     back = read_template(write_template(t, format=fmt))
     assert validate(back) == []
     assert back.source_id == t.source_id
-    for a, b in zip(back.minutiae, t.minutiae):
-        assert (a.x, a.y) == (b.x, b.y)
-        assert a.theta == b.canonical().theta
+    assert np.array_equal(back.positions, t.positions)
+    assert np.array_equal(back.theta, canonicalize_angle(t.theta).astype(np.float32))
     if fmt == "binary":
         assert np.array_equal(back.global_embedding, t.global_embedding)
 
@@ -65,11 +65,54 @@ bad_coordinates = st.one_of(st.just(math.nan), st.floats(-1e6, -1e-3),
        st.booleans(), st.sampled_from(["binary", "json"]))
 def test_read_rejects_nan_and_out_of_frame(t, bad, swap, fmt):
     x, y = reversed(bad) if swap else bad
-    broken = Template(t.global_embedding,
-                      t.minutiae + (Minutia(x, y, 1.0, np.eye(t.minutia_dim or 3)[0]),),
+    d_m = t.minutia_dim or 3
+    embeddings = t.embeddings if len(t.theta) else np.zeros((0, d_m))
+    broken = Template(t.global_embedding, np.vstack([t.positions, [(x, y)]]),
+                      np.append(t.theta, 1.0), np.vstack([embeddings, np.eye(d_m)[0]]),
                       t.image_size, t.source_id)
     with pytest.raises(DecodeError):
         read_template(write_template(broken, format=fmt))
+
+
+def _loop_violations(t):
+    """Per-minutia reference for the minutia rules of ``validate``."""
+    h, w = t.image_size
+    out = []
+    for i in range(len(t.theta)):
+        x, y, theta = float(t.positions[i, 0]), float(t.positions[i, 1]), float(t.theta[i])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            out.append((f"minutiae[{i}]", "finite coordinates"))
+        elif not (0.0 <= x <= w and 0.0 <= y <= h):
+            out.append((f"minutiae[{i}]", "within image"))
+        if not 0.0 <= theta < TWO_PI:
+            out.append((f"minutiae[{i}].theta", "range [0, 2pi)"))
+        if not abs(math.sqrt(sum(float(v) ** 2 for v in t.embeddings[i])) - 1.0) <= 1e-6:
+            out.append((f"minutiae[{i}].embedding", "norm"))
+    return out
+
+
+any_float = st.floats(-10.0, 100.0) | st.floats(width=32)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(any_float, any_float, any_float, st.sampled_from([1.0, 0.4, 2.0])),
+                max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_validate_matches_per_minutia_reference(rows, seed):
+    rng = np.random.default_rng(seed)
+    t = Template(np.eye(3)[0], *as_arrays([(x, y, theta, scale * _unit(rng, 4))
+                                           for x, y, theta, scale in rows]), SIZE)
+    assert [(v.field, v.rule) for v in validate(t)] == _loop_violations(t)
+
+
+@PROPERTY
+@given(templates())
+def test_every_strict_prefix_of_a_binary_payload_is_rejected(t):
+    payload = write_template(t)
+    for cut in range(len(payload)):
+        with pytest.raises(DecodeError) as err:
+            read_template(payload[:cut])
+        assert err.value.offset is not None
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_identity_zero_minutiae():
     ident = generate_identity(spec, 0)
     assert ident.positions.shape == (0, 2)
     t = generate_impression(ident, spec, 0)
-    assert len(t.minutiae) <= 12  # Poisson spurious additions only
+    assert len(t.theta) <= 12  # Poisson spurious additions only
 
 
 def test_zero_noise_impression_equals_identity():
@@ -49,9 +49,8 @@ def test_zero_noise_impression_equals_identity():
                      drop_probability=0.0, spurious_rate=0.0)
     ident = generate_identity(spec, 0)
     t = generate_impression(ident, spec, 0)
-    assert len(t.minutiae) == spec.minutiae_per_identity
-    got = np.array([(m.x, m.y) for m in t.minutiae])
-    assert np.allclose(got, ident.positions, atol=1e-4)
+    assert len(t.theta) == spec.minutiae_per_identity
+    assert np.allclose(t.positions, ident.positions, atol=1e-4)
     assert float(np.dot(np.asarray(t.global_embedding, np.float64),
                         ident.global_direction)) == pytest.approx(1.0, abs=1e-6)
 
@@ -61,9 +60,8 @@ def test_full_drop_leaves_only_spurious():
                      spurious_rate=3.0)
     ident = generate_identity(spec, 0)
     t = generate_impression(ident, spec, 0)
-    emb = np.stack([m.embedding for m in t.minutiae]) if t.minutiae else np.zeros((0, 64))
     # none of the survivors matches a canonical embedding
-    for e in emb.astype(np.float64):
+    for e in t.embeddings.astype(np.float64):
         sims = ident.embeddings @ e
         assert sims.max() < 0.9
 
@@ -78,7 +76,7 @@ def test_default_noise_sibling_scores(small_bundle):
                 g_scores.append(global_match(ts[i], ts[j]))
                 r = local_match(ts[i], ts[j])
                 recovery.append(len(r.matched_pairs) /
-                                min(len(ts[i].minutiae), len(ts[j].minutiae)))
+                                min(len(ts[i].theta), len(ts[j].theta)))
     assert min(g_scores) > 0.9
     assert float(np.mean(recovery)) >= 0.8
 
@@ -126,8 +124,8 @@ def test_distortion_manifest_sound():
     for sid, k in hits:
         impression = bundle.corpus.subjects[sid][k]
         ref = bundle.references.subjects[sid][k]
-        q = minutiae_quality(impression.minutiae, ref.minutiae)
-        kept_fraction = q.paired / len(ref.minutiae)
+        q = minutiae_quality(impression.positions, ref.positions)
+        kept_fraction = q.paired / len(ref.theta)
         assert kept_fraction <= 1.0 - spec.distortion_drop_fraction + 0.05
 
 

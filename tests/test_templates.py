@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from fpfuse import (Corpus, DecodeError, Minutia, SynthSpec, Template,
-                    canonicalize_angle, generate_corpus, read_corpus,
-                    read_template, validate, write_corpus, write_template)
+from fpfuse import (DecodeError, SynthSpec, Template, canonicalize_angle,
+                    generate_corpus, read_corpus, read_template, validate,
+                    write_corpus, write_template)
 
-from conftest import basis_template, make_template, random_minutia, unit
+from conftest import as_arrays, basis_template, make_template, random_minutia
 
 TWO_PI = 2 * math.pi
 
@@ -20,8 +20,7 @@ def test_validate_accepts_unit_global_no_minutiae():
 
 
 def test_validate_flags_global_norm():
-    t = Template(global_embedding=np.array([0.5, 0, 0, 0]), minutiae=(),
-                 image_size=(384, 384))
+    t = Template(np.array([0.5, 0, 0, 0]), *as_arrays([]), image_size=(384, 384))
     violations = validate(t)
     assert len(violations) == 1
     assert violations[0].field == "global_embedding"
@@ -29,19 +28,18 @@ def test_validate_flags_global_norm():
 
 
 def test_validate_flags_uncanonical_theta():
-    m = Minutia(x=10, y=10, theta=7.0, embedding=[1.0, 0.0])
-    t = basis_template(minutiae=[m])
+    t = basis_template(minutiae=[(10, 10, 7.0, [1.0, 0.0])])
     violations = validate(t)
     assert any(v.rule == "range [0, 2pi)" for v in violations)
-    fixed = m.canonical()
-    assert fixed.theta == pytest.approx(7.0 - TWO_PI, abs=1e-4)
-    assert fixed.theta == pytest.approx(0.7168, abs=1e-4)
-    assert validate(basis_template(minutiae=[fixed])) == []
+    fixed = canonicalize_angle(t.theta)
+    assert fixed[0] == pytest.approx(7.0 - TWO_PI, abs=1e-4)
+    assert fixed[0] == pytest.approx(0.7168, abs=1e-4)
+    assert validate(basis_template(minutiae=[(10, 10, fixed[0], [1.0, 0.0])])) == []
 
 
 def test_validate_flags_out_of_frame_and_bad_embedding():
-    bad_pos = Minutia(x=500.0, y=10.0, theta=0.1, embedding=[1.0, 0.0])
-    bad_emb = Minutia(x=10.0, y=10.0, theta=0.1, embedding=[0.4, 0.0])
+    bad_pos = (500.0, 10.0, 0.1, [1.0, 0.0])
+    bad_emb = (10.0, 10.0, 0.1, [0.4, 0.0])
     violations = validate(basis_template(minutiae=[bad_pos, bad_emb]))
     rules = {(v.field, v.rule) for v in violations}
     assert ("minutiae[0]", "within image") in rules
@@ -64,16 +62,18 @@ def test_binary_round_trip_bit_exact():
     assert back.source_id == t.source_id
     assert back.image_size == t.image_size
     assert np.array_equal(back.global_embedding, t.global_embedding)
-    assert len(back.minutiae) == len(t.minutiae)
-    for a, b in zip(back.minutiae, t.minutiae):
-        assert (a.x, a.y, a.theta) == (b.x, b.y, b.theta)
-        assert np.array_equal(a.embedding, b.embedding)
+    assert np.array_equal(back.positions, t.positions)
+    assert np.array_equal(back.theta, t.theta)
+    assert np.array_equal(back.embeddings, t.embeddings)
+    assert back.embeddings.shape == (7, 8)
 
 
 def test_empty_minutiae_round_trips():
     t = basis_template()
-    back = read_template(write_template(t))
-    assert back.minutiae == ()
+    payload = write_template(t)
+    back = read_template(payload)
+    assert back.positions.shape == (0, 2) and back.theta.shape == (0,)
+    assert back.minutia_dim == 0 and payload[4 + 5:4 + 9] == bytes(4)  # header d_m
     assert np.array_equal(back.global_embedding, t.global_embedding)
 
 
@@ -83,9 +83,8 @@ def test_json_round_trip():
     payload = write_template(t, format="json")
     back = read_template(payload)
     assert np.allclose(back.global_embedding, t.global_embedding, atol=1e-9)
-    for a, b in zip(back.minutiae, t.minutiae):
-        assert a.x == pytest.approx(b.x, abs=1e-9)
-        assert np.allclose(a.embedding, b.embedding, atol=1e-9)
+    assert np.allclose(back.positions, t.positions, atol=1e-9)
+    assert np.allclose(back.embeddings, t.embeddings, atol=1e-9)
 
 
 def test_unknown_format_rejected():
@@ -142,15 +141,14 @@ def test_ingest_rejects_large_drift():
 
 
 def test_reader_canonicalizes_theta():
-    m = Minutia(x=1.0, y=1.0, theta=0.5, embedding=[1.0, 0.0])
-    t = basis_template(minutiae=[m])
+    t = basis_template(minutiae=[(1.0, 1.0, 0.5, [1.0, 0.0])])
     payload = bytearray(write_template(t))
     # overwrite theta (header 4+23 bytes + source 1 + global 32, then x, y)
     theta_off = 4 + 23 + 1 + 32 + 8
     payload[theta_off:theta_off + 4] = np.float32(7.0).tobytes()
     back = read_template(bytes(payload))
-    assert 0.0 <= back.minutiae[0].theta < TWO_PI
-    assert back.minutiae[0].theta == pytest.approx(7.0 - TWO_PI, abs=1e-4)
+    assert 0.0 <= back.theta[0] < TWO_PI
+    assert back.theta[0] == pytest.approx(7.0 - TWO_PI, abs=1e-4)
 
 
 def test_corpus_round_trip_and_pinned_checksum(tmp_path):
@@ -164,7 +162,7 @@ def test_corpus_round_trip_and_pinned_checksum(tmp_path):
     for sid in corpus.subject_ids:
         for a, b in zip(back.subjects[sid], corpus.subjects[sid]):
             assert np.array_equal(a.global_embedding, b.global_embedding)
-            assert len(a.minutiae) == len(b.minutiae)
+            assert len(a.theta) == len(b.theta)
     digest = hashlib.sha256()
     for path in sorted(tmp_path.glob("subject_*/impression_*.fpt")):
         digest.update(path.relative_to(tmp_path).as_posix().encode())
@@ -179,11 +177,6 @@ def test_read_corpus_missing_dir(tmp_path):
         read_corpus(tmp_path / "nope")
 
 
-def test_corpus_dims_inferred(small_bundle):
-    corpus = small_bundle.corpus
-    assert corpus.dims == (192, 64)
-
-
 def test_property_round_trip_random_templates():
     rng = np.random.default_rng(77)
     for _ in range(25):
@@ -192,17 +185,16 @@ def test_property_round_trip_random_templates():
                           [random_minutia(rng, d_m=6) for _ in range(n)])
         back = read_template(write_template(t))
         assert np.array_equal(back.global_embedding, t.global_embedding)
-        for a, b in zip(back.minutiae, t.minutiae):
-            assert (a.x, a.y, a.theta) == (b.x, b.y, b.theta)
-            assert np.array_equal(a.embedding, b.embedding)
+        assert write_template(back) == write_template(t)
+        assert np.array_equal(back.records, t.records)
 
 
 def test_json_theta_just_below_zero_stays_valid():
-    t = basis_template(minutiae=[Minutia(x=5.0, y=5.0, theta=0.5, embedding=[1.0, 0.0])])
+    t = basis_template(minutiae=[(5.0, 5.0, 0.5, [1.0, 0.0])])
     doc = json.loads(write_template(t, format="json"))
     doc["minutiae"][0]["theta"] = -1e-9
     back = read_template(json.dumps(doc).encode())
-    assert back.minutiae[0].theta == 0.0
+    assert back.theta[0] == 0.0
     assert validate(back) == []
 
 
@@ -210,22 +202,46 @@ def test_canonical_guards_float32_two_pi():
     # both round to float32 2*pi, which lies outside [0, 2*pi)
     assert canonicalize_angle(-1e-9) == 0.0
     assert canonicalize_angle(TWO_PI - 1e-9) == 0.0
-    assert Minutia(1.0, 1.0, -1e-9, [1.0, 0.0]).canonical().theta == 0.0
     assert math.isnan(canonicalize_angle(math.nan))
+    wrapped = canonicalize_angle(np.array([-1e-9, TWO_PI - 1e-9, 7.0, -math.inf]))
+    assert wrapped[:2].tolist() == [0.0, 0.0]
+    assert wrapped[2] == canonicalize_angle(7.0) and wrapped[3] == -math.inf
 
 
 @pytest.mark.parametrize("x, y, theta", [(math.nan, 5.0, 0.5), (5.0, math.inf, 0.5),
                                          (500.0, 5.0, 0.5), (5.0, -1.0, 0.5),
                                          (5.0, 5.0, math.inf)])
 def test_readers_reject_non_finite_and_out_of_frame(x, y, theta):
-    t = basis_template(minutiae=[Minutia(x=x, y=y, theta=theta, embedding=[1.0, 0.0])])
+    t = basis_template(minutiae=[(x, y, theta, [1.0, 0.0])])
     for fmt in ("binary", "json"):
         with pytest.raises(DecodeError, match="minutiae\\[0\\]"):
             read_template(write_template(t, format=fmt))
 
 
 def test_readers_reject_mixed_minutia_dimensions():
-    t = basis_template(minutiae=[Minutia(1.0, 1.0, 0.5, [1.0, 0.0]),
-                                 Minutia(2.0, 2.0, 0.5, [1.0, 0.0, 0.0])])
+    doc = json.loads(write_template(basis_template(), format="json"))
+    doc["minutiae"] = [{"x": 1.0, "y": 1.0, "theta": 0.5, "emb": [1.0, 0.0]},
+                       {"x": 2.0, "y": 2.0, "theta": 0.5, "emb": [1.0, 0.0, 0.0]}]
     with pytest.raises(DecodeError, match="dimension"):
-        read_template(write_template(t, format="json"))
+        read_template(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("positions, theta, embeddings", [
+    (np.zeros((2, 2)), np.zeros(3), np.zeros((2, 4))),   # row counts differ
+    (np.zeros((2, 3)), np.zeros(2), np.zeros((2, 4))),   # positions not (n, 2)
+    (np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((2, 4))),  # theta not 1-D
+    (np.zeros((2, 2)), np.zeros(2), np.zeros(2)),        # embeddings not 2-D
+])
+def test_template_rejects_mismatched_shapes(positions, theta, embeddings):
+    with pytest.raises(ValueError, match="shapes"):
+        Template(np.eye(4)[0], positions, theta, embeddings, (384, 384))
+
+
+def test_template_arrays_are_read_only_float32_views_of_records():
+    rng = np.random.default_rng(8)
+    t = make_template(rng.normal(size=4), [random_minutia(rng, d_m=5) for _ in range(3)])
+    for arr in (t.global_embedding, t.positions, t.theta, t.embeddings, t.records):
+        assert not arr.flags.writeable
+    for arr in (t.positions, t.theta, t.embeddings):
+        assert arr.dtype == np.float32 and arr.base is t.records
+    assert t.records["xyt"][:, 2].tolist() == t.theta.tolist()
