@@ -10,9 +10,9 @@ seeded synthetic corpus generator used by the test and demo suites.
 from .assignment import (Assignment, CorrespondenceWeights, CostMatrix,
                          InfeasibleAssignmentError, angular_distance,
                          correspondence_cost_matrix, solve_assignment)
-from .evaluation import (ChannelScores, EvalReport, MinutiaeQuality, Protocol,
+from .evaluation import (ChannelScores, MinutiaeQuality, Protocol,
                          RocPoint, aggregate_minutiae_quality, apply_pipeline,
-                         eer, enumerate_pairs, evaluate_corpus, frr_at_far,
+                         eer, enumerate_pairs, evaluate_scores, frr_at_far,
                          minutiae_quality, roc_curve, score_pairs)
 from .losses import (GroundTruthRecord, LossBreakdown, LossWeights,
                      PredictionRecord, mse, mse_gradient, reorder_ground_truth,
@@ -35,14 +35,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Assignment", "ChannelScores", "Corpus", "CorpusBundle",
     "CorrespondenceWeights", "CostMatrix", "DecodeError",
-    "DoubleSigmoidParams", "EvalReport", "GroundTruthRecord", "Identity",
+    "DoubleSigmoidParams", "GroundTruthRecord", "Identity",
     "InfeasibleAssignmentError", "InjectionManifest", "LocalMatchConfig",
     "LocalMatchResult", "LossBreakdown", "LossWeights", "MatchResult",
     "MinutiaeQuality", "PipelineConfig", "PredictionRecord",
     "Protocol", "RocPoint", "SynthSpec", "Template", "ThresholdConfig",
     "Violation", "aggregate_minutiae_quality", "angular_distance",
     "apply_pipeline", "canonicalize_angle", "correspondence_cost_matrix",
-    "double_sigmoid", "eer", "enumerate_pairs", "evaluate_corpus",
+    "double_sigmoid", "eer", "enumerate_pairs", "evaluate_scores",
     "fit_double_sigmoid", "frr_at_far", "fuse", "generate_corpus",
     "generate_identity", "generate_impression", "global_match", "infer_pair",
     "infer_pair_with_config", "local_match", "make_normalizer",

@@ -14,9 +14,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from .evaluation import (Protocol, apply_pipeline, enumerate_pairs,
                          evaluate_scores, aggregate_minutiae_quality,
@@ -110,6 +108,8 @@ def cmd_match(args) -> int:
 
 
 def _load_eval_inputs(args):
+    """The corpus, its protocol, and the protocol's pairs, genuine first,
+    with the number of genuine pairs."""
     try:
         corpus = read_corpus(args.corpus)
     except (OSError, ValueError) as exc:
@@ -118,13 +118,14 @@ def _load_eval_inputs(args):
         protocol = Protocol.parse(args.protocol) if args.protocol else Protocol(
             subjects=len(corpus.subject_ids),
             impressions=len(corpus.subjects[corpus.subject_ids[0]]))
+        genuine_pairs, impostor_pairs = enumerate_pairs(protocol, corpus)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    return corpus, protocol
+    return corpus, protocol, genuine_pairs + impostor_pairs, len(genuine_pairs)
 
 
 def cmd_eval(args) -> int:
-    corpus, protocol = _load_eval_inputs(args)
+    corpus, protocol, pairs, n_gen = _load_eval_inputs(args)
     cfg = _load_config(args.config)
     quality = None
     refs_dir = Path(args.refs) if args.refs else Path(args.corpus) / "refs"
@@ -133,17 +134,11 @@ def cmd_eval(args) -> int:
             quality = aggregate_minutiae_quality(corpus, read_corpus(refs_dir))
         except (OSError, ValueError) as exc:
             raise CliError(f"bad references {refs_dir}: {exc}") from exc
-    try:
-        genuine_pairs, impostor_pairs = enumerate_pairs(protocol, corpus)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    n_gen = len(genuine_pairs)
-    raw = score_pairs(corpus, genuine_pairs + impostor_pairs, cfg.local, jobs=args.jobs)
+    raw = score_pairs(corpus, pairs, cfg.local, jobs=args.jobs)
     derived = apply_pipeline(raw, cfg)
-    report = evaluate_scores(derived.final[:n_gen], derived.final[n_gen:],
-                             derived.gate_stats, int(derived.work_units.sum()),
-                             quality=quality)
-    doc = report.to_dict()
+    doc = evaluate_scores(derived.final[:n_gen], derived.final[n_gen:],
+                          derived.gate_stats, int(derived.work_units.sum()),
+                          quality=quality)
     doc["config"] = cfg.to_dict()
     doc["protocol"] = {"subjects": protocol.subjects, "impressions": protocol.impressions}
     payload = json.dumps(doc, sort_keys=True)
@@ -152,12 +147,12 @@ def cmd_eval(args) -> int:
     roc_path = args.roc_csv or (str(Path(args.out).with_suffix("")) + "_roc.csv" if args.out else None)
     if roc_path:
         lines = ["threshold,far,frr"]
-        lines += [f"{p.threshold!r},{p.far!r},{p.frr!r}" for p in report.roc]
+        lines += [f"{p['thr']!r},{p['far']!r},{p['frr']!r}" for p in doc["roc"]]
         Path(roc_path).write_text("\n".join(lines) + "\n")
     if args.scores_csv:
         lines = ["kind,score"]
-        lines += [f"genuine,{float(v)!r}" for v in report.genuine_scores]
-        lines += [f"impostor,{float(v)!r}" for v in report.impostor_scores]
+        lines += [f"genuine,{float(v)!r}" for v in derived.final[:n_gen]]
+        lines += [f"impostor,{float(v)!r}" for v in derived.final[n_gen:]]
         Path(args.scores_csv).write_text("\n".join(lines) + "\n")
     summary = {k: doc[k] for k in ("counts", "frr_at_far", "eer", "gate_stats", "work_units_total")}
     summary["minutiae_quality"] = doc["minutiae_quality"]
@@ -165,34 +160,32 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> List[Optional[Tuple[float, float]]]:
-    grid: List[Optional[Tuple[float, float]]] = []
+_DISABLED = ThresholdConfig.disabled()
+
+
+def _parse_grid(text: str) -> List[ThresholdConfig]:
+    grid: List[ThresholdConfig] = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
         if token.lower() == "disabled":
-            grid.append(None)
+            grid.append(_DISABLED)
             continue
         try:
             t, f = token.split(":")
-            grid.append((float(t), float(f)))
+            t, f = float(t), float(f)
         except ValueError as exc:
             raise CliError(f"bad grid token {token!r}; expected 'theta_t:theta_f' or 'disabled'") from exc
+        grid.append(ThresholdConfig(t, f))
     if not grid:
         raise CliError("empty threshold grid")
     return grid
 
 
 def cmd_bench(args) -> int:
-    corpus, protocol = _load_eval_inputs(args)
+    corpus, _, pairs, n_gen = _load_eval_inputs(args)
     cfg = _load_config(args.config)
-    try:
-        genuine_pairs, impostor_pairs = enumerate_pairs(protocol, corpus)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    n_gen = len(genuine_pairs)
-    pairs = genuine_pairs + impostor_pairs
     far_targets = [float(t) for t in args.far.split(",")]
 
     rows = []
@@ -202,9 +195,9 @@ def cmd_bench(args) -> int:
         except ValueError as exc:
             raise CliError(f"bad --sweep-minutiae {args.sweep_minutiae!r}") from exc
         for k in ks:
-            k_cfg = cfg.with_max_minutiae(k)
-            raw = score_pairs(corpus, pairs, k_cfg.local, jobs=args.jobs)
-            ungated = k_cfg.with_thresholds(*_DISABLED)
+            ungated = replace(cfg, theta_t=_DISABLED.theta_t, theta_f=_DISABLED.theta_f,
+                              local=replace(cfg.local, max_minutiae_used=k))
+            raw = score_pairs(corpus, pairs, ungated.local, jobs=args.jobs)
             fused = apply_pipeline(raw, ungated)
             local_only = apply_pipeline(raw, ungated, channel="local")
             row = {"max_minutiae": k, "work_units": int(fused.work_units.sum())}
@@ -218,14 +211,12 @@ def cmd_bench(args) -> int:
     else:
         grid = _parse_grid(args.grid)
         raw = score_pairs(corpus, pairs, cfg.local, jobs=args.jobs)
-        for entry in grid:
-            theta_t, theta_f = entry if entry is not None else _DISABLED
-            g_cfg = cfg.with_thresholds(theta_t, theta_f)
-            derived = apply_pipeline(raw, g_cfg)
+        for thr in grid:
+            derived = apply_pipeline(raw, replace(cfg, theta_t=thr.theta_t, theta_f=thr.theta_f))
             row = {
-                "theta_t": theta_t,
-                "theta_f": theta_f,
-                "gap": theta_t - theta_f,
+                "theta_t": thr.theta_t,
+                "theta_f": thr.theta_f,
+                "gap": thr.theta_t - thr.theta_f,
                 "local_evaluated": derived.gate_stats["local_evaluated"],
                 "work_units": int(derived.work_units.sum()),
             }
@@ -239,9 +230,6 @@ def cmd_bench(args) -> int:
         Path(args.out).write_text(json.dumps(doc, sort_keys=True))
     _emit(doc, args.pretty, rows_key="rows")
     return 0
-
-
-_DISABLED = (ThresholdConfig.disabled().theta_t, ThresholdConfig.disabled().theta_f)
 
 
 def _json_object(text: str, what: str) -> dict:
@@ -330,10 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

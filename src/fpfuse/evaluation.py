@@ -8,11 +8,18 @@ canonical impression per subject across all subject pairs, giving
 Score metrics use the decision rule ``score >= threshold -> genuine`` on a
 grid of the distinct observed scores plus +inf, which keeps every reported
 operating point realizable.
+
+:func:`evaluate_scores` builds the report document that ``fpfuse eval``
+writes as JSON: ``counts``, ``frr_at_far`` and ``thresholds`` (keyed by
+each of :data:`FAR_TARGETS` formatted with ``%g``), ``eer``, ``roc`` (one
+``{"thr", "far", "frr"}`` object per operating point), ``gate_stats``,
+``work_units_total`` and ``minutiae_quality`` (the fields of
+:class:`MinutiaeQuality`, or null without references).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,6 +30,9 @@ from .pipeline import GATE_LOCAL_EVALUATED, GATES, PipelineConfig, band_gate, ga
 from .templates import Corpus
 
 PairKey = Tuple[Tuple[str, int], Tuple[str, int]]
+
+# FAR operating points of the report's ``frr_at_far`` and ``thresholds``.
+FAR_TARGETS = (0.001, 0.01)
 
 
 @dataclass(frozen=True)
@@ -53,11 +63,9 @@ class Protocol:
             raise ValueError(f"protocol must look like '100x8', got {text!r}") from exc
 
 
-def enumerate_pairs(protocol: Protocol, corpus: Optional[Corpus] = None,
-                    impostor_mode: str = "first_impression") -> Tuple[List[PairKey], List[PairKey]]:
+def enumerate_pairs(protocol: Protocol,
+                    corpus: Optional[Corpus] = None) -> Tuple[List[PairKey], List[PairKey]]:
     """Deterministic genuine and impostor pair lists (subject-major order)."""
-    if impostor_mode not in ("first_impression", "all_pairs"):
-        raise ValueError(f"unknown impostor_mode {impostor_mode!r}")
     if corpus is not None:
         ids = corpus.subject_ids
         if len(ids) != protocol.subjects:
@@ -78,12 +86,7 @@ def enumerate_pairs(protocol: Protocol, corpus: Optional[Corpus] = None,
     impostor: List[PairKey] = []
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
-            if impostor_mode == "first_impression":
-                impostor.append(((ids[a], 0), (ids[b], 0)))
-            else:
-                for i in range(protocol.impressions):
-                    for j in range(protocol.impressions):
-                        impostor.append(((ids[a], i), (ids[b], j)))
+            impostor.append(((ids[a], 0), (ids[b], 0)))
     return genuine, impostor
 
 
@@ -342,86 +345,25 @@ def apply_pipeline(scores: ChannelScores, cfg: PipelineConfig,
     return PipelineScores(final=np.array(final, dtype=np.float64), gates=codes, work_units=work)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Everything the evaluation protocol reports for one pipeline run."""
-
-    genuine_count: int
-    impostor_count: int
-    frr_at_far: Dict[str, float]
-    thresholds: Dict[str, float]
-    eer: float
-    roc: List[RocPoint]
-    gate_stats: Dict[str, int]
-    work_units_total: int
-    genuine_scores: np.ndarray
-    impostor_scores: np.ndarray
-    minutiae_quality: Optional[MinutiaeQuality] = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "counts": {"genuine": self.genuine_count, "impostor": self.impostor_count},
-            "frr_at_far": dict(self.frr_at_far),
-            "thresholds": dict(self.thresholds),
-            "eer": self.eer,
-            "roc": [{"thr": p.threshold, "far": p.far, "frr": p.frr} for p in self.roc],
-            "gate_stats": dict(self.gate_stats),
-            "work_units_total": self.work_units_total,
-            "minutiae_quality": None,
-        }
-        if self.minutiae_quality is not None:
-            q = self.minutiae_quality
-            doc["minutiae_quality"] = {
-                "paired": q.paired, "missed": q.missed, "spurious": q.spurious,
-                "goodness_index": q.goodness_index,
-                "avg_positional_error_px": q.avg_positional_error_px,
-            }
-        return doc
-
-
 def evaluate_scores(genuine: np.ndarray, impostor: np.ndarray,
                     gate_stats: Dict[str, int], work_total: int,
-                    far_targets: Sequence[float] = (0.001, 0.01),
-                    quality: Optional[MinutiaeQuality] = None) -> EvalReport:
+                    quality: Optional[MinutiaeQuality] = None) -> dict:
+    """The report document of one pipeline run over the protocol's pairs."""
     frr_map = {}
     thr_map = {}
-    for target in far_targets:
+    for target in FAR_TARGETS:
         frr, thr = frr_at_far(genuine, impostor, target)
         key = f"{target:g}"
         frr_map[key] = frr
         thr_map[key] = thr
-    return EvalReport(
-        genuine_count=int(genuine.size),
-        impostor_count=int(impostor.size),
-        frr_at_far=frr_map,
-        thresholds=thr_map,
-        eer=eer(genuine, impostor),
-        roc=roc_curve(genuine, impostor),
-        gate_stats=gate_stats,
-        work_units_total=int(work_total),
-        genuine_scores=genuine,
-        impostor_scores=impostor,
-        minutiae_quality=quality,
-    )
-
-
-def evaluate_corpus(corpus: Corpus, protocol: Protocol, cfg: PipelineConfig,
-                    references: Optional[Corpus] = None, jobs: int = 1,
-                    far_targets: Sequence[float] = (0.001, 0.01),
-                    channel: str = "fused") -> EvalReport:
-    """Score every protocol pair through the configured pipeline."""
-    genuine_pairs, impostor_pairs = enumerate_pairs(protocol, corpus)
-    quality = None
-    if references is not None:
-        quality = aggregate_minutiae_quality(corpus, references)
-    n_gen = len(genuine_pairs)
-    raw = score_pairs(corpus, genuine_pairs + impostor_pairs, cfg.local, jobs=jobs)
-    derived = apply_pipeline(raw, cfg, channel=channel)
-    return evaluate_scores(
-        genuine=derived.final[:n_gen],
-        impostor=derived.final[n_gen:],
-        gate_stats=derived.gate_stats,
-        work_total=int(derived.work_units.sum()),
-        far_targets=far_targets,
-        quality=quality,
-    )
+    return {
+        "counts": {"genuine": int(genuine.size), "impostor": int(impostor.size)},
+        "frr_at_far": frr_map,
+        "thresholds": thr_map,
+        "eer": eer(genuine, impostor),
+        "roc": [{"thr": p.threshold, "far": p.far, "frr": p.frr}
+                for p in roc_curve(genuine, impostor)],
+        "gate_stats": dict(gate_stats),
+        "work_units_total": int(work_total),
+        "minutiae_quality": None if quality is None else asdict(quality),
+    }

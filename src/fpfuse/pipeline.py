@@ -15,7 +15,7 @@ then :func:`gated_fuse`).  :func:`infer_pair` applies it to one pair and
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Tuple
@@ -233,16 +233,30 @@ def make_normalizer(kind: str, params: Optional[dict] = None) -> Callable:
     return norm
 
 
+def _json_type(what: str, *types: type, convert: Callable = lambda v: v) -> Callable:
+    """Conversion of a config value that must have one of the JSON ``types``;
+    a boolean is never taken for a number."""
+    def check(value):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return convert(value)
+    return check
+
+
+_NUMBER = _json_type("a number", int, float, convert=float)
+
 # Config-file keys per section: key -> (dataclass field, conversion).  Keys
 # left out of a file keep the dataclass defaults.
-_TOP_KEYS = {"theta_t": ("theta_t", float), "theta_f": ("theta_f", float),
-             "fusion": ("fusion", str)}
-_NORM_KEYS = {"kind": ("norm_kind", str), "params": ("norm_params", lambda v: dict(v or {})),
-              "apply_to_global": ("apply_norm_to_global", bool)}
-_LOCAL_KEYS = {"emb_sim_floor": ("emb_sim_floor", float),
-               "geo_tolerance_px": ("geo_tolerance_px", float),
-               "ori_tolerance_rad": ("ori_tolerance_rad", float),
-               "max_minutiae": ("max_minutiae_used", lambda v: None if v is None else int(v))}
+_TOP_KEYS = {"theta_t": ("theta_t", _NUMBER), "theta_f": ("theta_f", _NUMBER),
+             "fusion": ("fusion", _json_type("a string", str))}
+_NORM_KEYS = {"kind": ("norm_kind", _json_type("a string", str)),
+              "params": ("norm_params", _json_type("an object", dict, convert=dict)),
+              "apply_to_global": ("apply_norm_to_global", _json_type("a boolean", bool))}
+_LOCAL_KEYS = {"emb_sim_floor": ("emb_sim_floor", _NUMBER),
+               "geo_tolerance_px": ("geo_tolerance_px", _NUMBER),
+               "ori_tolerance_rad": ("ori_tolerance_rad", _NUMBER),
+               "max_minutiae": ("max_minutiae_used",
+                                _json_type("an integer or null", int, type(None)))}
 
 
 def _section_fields(doc, section: str, keys: dict) -> dict:
@@ -252,7 +266,14 @@ def _section_fields(doc, section: str, keys: dict) -> dict:
     if unknown:
         raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
                          f"expected {', '.join(keys)}")
-    return {keys[k][0]: keys[k][1](v) for k, v in doc.items()}
+    fields = {}
+    for key, value in doc.items():
+        name, convert = keys[key]
+        try:
+            fields[name] = convert(value)
+        except ValueError as exc:
+            raise ValueError(f"{section} key {key} {exc}") from None
+    return fields
 
 
 def _section_doc(obj, keys: dict) -> dict:
@@ -287,12 +308,6 @@ class PipelineConfig:
 
     def global_normalizer(self) -> Callable:
         return self._norm if self.apply_norm_to_global else identity_norm
-
-    def with_thresholds(self, theta_t: float, theta_f: float) -> "PipelineConfig":
-        return replace(self, theta_t=theta_t, theta_f=theta_f)
-
-    def with_max_minutiae(self, k: Optional[int]) -> "PipelineConfig":
-        return replace(self, local=replace(self.local, max_minutiae_used=k))
 
     def to_dict(self) -> dict:
         doc = _section_doc(self, _TOP_KEYS)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -72,6 +73,18 @@ class SynthSpec:
     distortion_jitter_scale: float = 4.0
 
     def __post_init__(self):
+        # Integer knobs and their least value (None: any integer).
+        for name, least in (("seed", None), ("subjects", 1), ("impressions", 1),
+                            ("global_dim", 1), ("minutia_dim", 1), ("minutiae_per_identity", 0)):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        size = self.image_size
+        if not (isinstance(size, tuple) and len(size) == 2
+                and all(_is_int(v) and v >= 1 for v in size)):
+            raise ValueError(f"image_size must be two positive integers, got {size!r}")
         for name in ("drop_probability", "global_collision_rate", "distortion_rate",
                      "distortion_drop_fraction", "weak_global_rate"):
             value = getattr(self, name)
@@ -83,8 +96,6 @@ class SynthSpec:
                      "distortion_embedding_jitter", "distortion_jitter_scale"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.subjects < 1 or self.impressions < 1:
-            raise ValueError("need at least one subject and one impression")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -94,14 +105,17 @@ class SynthSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthSpec":
         doc = dict(doc)
-        if "image_size" in doc:
-            h, w = doc["image_size"]
-            doc["image_size"] = (int(h), int(w))
+        if isinstance(doc.get("image_size"), list):
+            doc["image_size"] = tuple(doc["image_size"])
         return cls(**doc)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthSpec":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _rng(spec_seed: int, subject: int, impression: int, field_tag: int) -> np.random.Generator:

@@ -237,6 +237,11 @@ def _rescaled(rows: np.ndarray, norms: np.ndarray, fix: np.ndarray) -> np.ndarra
     return out
 
 
+# A DecodeError names this many violations and counts the rest; validate()
+# still returns every one.
+_SHOWN_VIOLATIONS = 5
+
+
 def _ingest(global_embedding: np.ndarray, xyt: np.ndarray, embeddings: np.ndarray,
             image_size: Tuple[int, int], source_id: str) -> Template:
     """Shared tail of both readers; row ``i`` of ``xyt`` holds minutia ``i``'s
@@ -253,7 +258,10 @@ def _ingest(global_embedding: np.ndarray, xyt: np.ndarray, embeddings: np.ndarra
                     embeddings=_rescaled(t.embeddings, norms, fix))
     violations = _violations(t, g_norms[0], norms)
     if violations:
-        raise DecodeError("invalid template: " + "; ".join(str(v) for v in violations))
+        shown = "; ".join(str(v) for v in violations[:_SHOWN_VIOLATIONS])
+        if len(violations) > _SHOWN_VIOLATIONS:
+            shown += f"; and {len(violations) - _SHOWN_VIOLATIONS} more ({len(violations)} in all)"
+        raise DecodeError("invalid template: " + shown)
     return t
 
 

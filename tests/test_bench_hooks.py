@@ -1,13 +1,17 @@
-"""The benchmark's tracer can still wrap and restore every name it patches.
+"""The benchmark's tracer can still wrap and restore every name it patches,
+and a traced ``fpfuse eval`` still goes through every one of them.
 
 ``perfbench/spans.py`` replaces functions by name in the ``fpfuse`` modules
-and ``Template.minutiae_arrays``; a rename in ``src/`` would otherwise only
-show up in a traced benchmark run.
+and ``Template.minutiae_arrays``; a rename in ``src/``, or a stage that
+``cmd_eval`` stops calling through the ``fpfuse.cli`` namespace, would
+otherwise only show up in a traced benchmark run.
 """
 
 import importlib
 from pathlib import Path
 
+from fpfuse import SynthSpec, generate_corpus, write_bundle
+from fpfuse.cli import main
 from fpfuse.templates import Template
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -31,3 +35,25 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch):
     for (module, attr), original in zip(targets, originals):
         assert getattr(module, attr) is original, (module.__name__, attr)
     assert Template.minutiae_arrays is original_arrays
+
+
+def test_traced_eval_times_every_stage(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    write_bundle(generate_corpus(SynthSpec(seed=7, subjects=4, impressions=3)), tmp_path)
+    assert (tmp_path / "refs").is_dir()
+
+    tracer = spans.Tracer().install()
+    tracer.round = 0
+    try:
+        assert main(["eval", "--corpus", str(tmp_path)]) == 0
+    finally:
+        tracer.close()
+
+    layers = tracer.per_layer([0], 1, 0.0)
+    for stage in ("enumerate_pairs", "score_pairs", "apply_pipeline", "metrics",
+                  "minutiae_quality"):
+        assert layers[f"evaluation.{stage}_s"] > 0, stage
+    assert layers["matching.local_match_s"] > 0
+    gates = sum(v for k, v in layers.items() if k.startswith("pipeline.gate."))
+    assert gates == 4 * 3 + 6

@@ -75,6 +75,26 @@ def test_synth_invalid_probability_exits_2(tmp_path, capsys):
     assert "drop_probability" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"subjects": 2.5}, "subjects"),
+    ({"minutiae_per_identity": 2.5}, "minutiae_per_identity"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"image_size": [0, 0]}, "image_size"),
+    ({"image_size": [384.5, 384]}, "image_size"),
+    ({"minutia_dim": 0}, "minutia_dim"),
+    ({"global_dim": 0}, "global_dim"),
+    ({"minutiae_per_identity": -1}, "minutiae_per_identity"),
+])
+def test_synth_bad_spec_exits_2(tmp_path, capsys, doc, key):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"subjects": 2, "impressions": 2, **doc}))
+    out = tmp_path / "z"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # match
 
@@ -140,6 +160,19 @@ def test_eval_toy_corpus_counts(tmp_path, capsys):
     roc_csv = tmp_path / "report_roc.csv"
     assert roc_csv.is_file()
     assert roc_csv.read_text().startswith("threshold,far,frr")
+
+
+def test_eval_report_document(synth_dir, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    code, summary = run_json(capsys, ["eval", "--corpus", str(synth_dir),
+                                      "--out", str(report_path)])
+    assert code == 0
+    doc = json.loads(report_path.read_text())
+    assert doc["counts"] == summary["counts"] == {"genuine": 4 * 3, "impostor": 6}
+    assert sum(doc["gate_stats"].values()) == 4 * 3 + 6
+    assert set(doc["frr_at_far"]) == set(doc["thresholds"]) == {"0.001", "0.01"}
+    assert doc["minutiae_quality"]["avg_positional_error_px"] < 6.0
+    assert doc["protocol"] == {"subjects": 4, "impressions": 3}
 
 
 def test_eval_protocol_mismatch_exits_2(synth_dir):
@@ -242,6 +275,26 @@ def test_bench_minutiae_sweep(synth_dir, capsys):
     assert ks == [50, 30, 10]
     works = [row["work_units"] for row in doc["rows"]]
     assert works[0] > works[1] > works[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--out", "{missing}/r.json"],
+    ["eval", "--scores-csv", "{missing}/s.csv"],
+    ["eval", "--roc-csv", "{directory}"],
+    ["bench", "--out", "{missing}/b.json"],
+    ["synth", "--out", "{file}"],
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    corpus = _synth(tmp_path, "c", 3, 2)
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing" / "d", "directory": tmp_path,
+             "file": tmp_path / "file"}
+    argv = [arg.format(**paths) for arg in argv]
+    if argv[0] != "synth":
+        argv += ["--corpus", str(corpus)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

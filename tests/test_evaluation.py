@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fpfuse import (Corpus, PipelineConfig, Protocol, SynthSpec,
-                    aggregate_minutiae_quality, enumerate_pairs, eer, evaluate_corpus, frr_at_far,
-                    generate_corpus, minutiae_quality, roc_curve)
+from fpfuse import (Corpus, Protocol, aggregate_minutiae_quality, enumerate_pairs, eer,
+                    frr_at_far, minutiae_quality, roc_curve)
 
 from conftest import as_arrays, random_minutia
 
@@ -40,11 +39,6 @@ def test_enumeration_order_deterministic():
     a = enumerate_pairs(Protocol(5, 3))
     b = enumerate_pairs(Protocol(5, 3))
     assert a == b
-
-
-def test_all_pairs_impostor_mode():
-    genuine, impostor = enumerate_pairs(Protocol(3, 2), impostor_mode="all_pairs")
-    assert len(impostor) == 3 * 2 * 2  # C(3,2) subject pairs x 2x2 impressions
 
 
 def test_ragged_corpus_rejected(small_bundle):
@@ -201,37 +195,6 @@ def test_quality_spurious_counts():
     assert q.spurious >= 1
 
 
-# ---------------------------------------------------------------------------
-# corpus evaluation
-
-def test_evaluate_corpus_report(small_bundle):
-    corpus = small_bundle.corpus
-    refs = small_bundle.references
-    protocol = Protocol(len(corpus.subject_ids), 3)
-    cfg = PipelineConfig()
-    report = evaluate_corpus(corpus, protocol, cfg, references=refs)
-    assert report.genuine_count == protocol.genuine_count
-    assert report.impostor_count == protocol.impostor_count
-    assert sum(report.gate_stats.values()) == protocol.genuine_count + protocol.impostor_count
-    assert set(report.frr_at_far) == {"0.001", "0.01"}
-    assert report.minutiae_quality is not None
-    assert report.minutiae_quality.avg_positional_error_px < 6.0
-    doc = report.to_dict()
-    assert doc["counts"] == {"genuine": report.genuine_count,
-                             "impostor": report.impostor_count}
-
-
-def test_evaluate_corpus_jobs_invariant(small_bundle):
-    corpus = small_bundle.corpus
-    protocol = Protocol(len(corpus.subject_ids), 3)
-    cfg = PipelineConfig()
-    seq = evaluate_corpus(corpus, protocol, cfg, jobs=1)
-    par = evaluate_corpus(corpus, protocol, cfg, jobs=3)
-    assert np.array_equal(seq.genuine_scores, par.genuine_scores)
-    assert np.array_equal(seq.impostor_scores, par.impostor_scores)
-    assert seq.to_dict() == par.to_dict()
-
-
 def test_minutiae_quality_rejects_mismatched_references(small_bundle):
     corpus, refs = small_bundle.corpus, small_bundle.references
     fewer = Corpus({sid: refs.subjects[sid][:-1] for sid in refs.subject_ids})
@@ -239,5 +202,3 @@ def test_minutiae_quality_rejects_mismatched_references(small_bundle):
     for bad in (fewer, other):
         with pytest.raises(ValueError, match="references"):
             aggregate_minutiae_quality(corpus, bad)
-        with pytest.raises(ValueError, match="references"):
-            evaluate_corpus(corpus, Protocol(6, 3), PipelineConfig(), references=bad)

@@ -269,6 +269,28 @@ def test_pipeline_config_rejects_unknown_keys(doc):
         PipelineConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"norm": {"apply_to_global": "false"}}, "apply_to_global"),
+    ({"local": {"max_minutiae": 2.9}}, "max_minutiae"),
+    ({"local": {"max_minutiae": True}}, "max_minutiae"),
+    ({"theta_t": True}, "theta_t"),
+    ({"theta_f": "0.1"}, "theta_f"),
+    ({"local": {"geo_tolerance_px": "8"}}, "geo_tolerance_px"),
+    ({"fusion": 1}, "fusion"),
+    ({"norm": {"kind": None}}, "kind"),
+    ({"norm": {"params": [["mean", 0.0], ["std", 1.0]]}}, "params"),
+])
+def test_pipeline_config_rejects_wrong_json_types(doc, key):
+    with pytest.raises(ValueError, match=rf"key {key} must be"):
+        PipelineConfig.from_dict(doc)
+
+
+def test_pipeline_config_takes_json_integers_as_numbers():
+    cfg = PipelineConfig.from_dict({"theta_t": 1, "theta_f": 0, "local": {"max_minutiae": 7}})
+    assert (cfg.theta_t, cfg.theta_f, cfg.local.max_minutiae_used) == (1.0, 0.0, 7)
+    assert isinstance(cfg.theta_t, float)
+
+
 @pytest.mark.parametrize("kind, params", [
     ("double_sigmoid", {}),
     ("double_sigmoid", {"center": 1.0, "left_width": 1.0}),

@@ -218,6 +218,17 @@ def test_readers_reject_non_finite_and_out_of_frame(x, y, theta):
             read_template(write_template(t, format=fmt))
 
 
+def test_decode_error_names_first_violations_and_counts_the_rest():
+    t = basis_template(minutiae=[(500.0 + i, 5.0, 0.5, [1.0, 0.0]) for i in range(40)])
+    assert len(validate(t)) == 40
+    with pytest.raises(DecodeError) as info:
+        read_template(write_template(t))
+    message = str(info.value)
+    assert message.count("within image") == 5
+    assert "minutiae[4]" in message and "minutiae[5]" not in message
+    assert message.endswith("and 35 more (40 in all)")
+
+
 def test_readers_reject_mixed_minutia_dimensions():
     doc = json.loads(write_template(basis_template(), format="json"))
     doc["minutiae"] = [{"x": 1.0, "y": 1.0, "theta": 0.5, "emb": [1.0, 0.0]},
