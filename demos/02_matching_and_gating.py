@@ -8,9 +8,9 @@ corpus (all pairs / in-band global / in-band local / final fused).
 import numpy as np
 
 from fpfuse import (LocalMatchConfig, PipelineConfig, Protocol, SynthSpec,
-                    ThresholdConfig, apply_pipeline, enumerate_pairs,
-                    fit_double_sigmoid, generate_corpus, global_match,
-                    infer_pair_with_config, local_match, score_pairs)
+                    apply_pipeline, enumerate_pairs, fit_double_sigmoid,
+                    generate_corpus, global_match, infer_pair_with_config,
+                    local_match, score_pairs)
 
 spec = SynthSpec(seed=2024, subjects=30, impressions=4)
 corpus = generate_corpus(spec).corpus
@@ -52,14 +52,13 @@ def histogram(title, genuine, impostor, lo=0.0, hi=1.0, bins=10):
         print(f"  [{edges[k]:4.2f},{edges[k + 1]:4.2f})  {bar_g:<42}{bar_i}")
 
 
-thr = ThresholdConfig(theta_t=0.75, theta_f=0.15)
-cfg = PipelineConfig.from_dict({"theta_t": thr.theta_t, "theta_f": thr.theta_f,
+cfg = PipelineConfig.from_dict({"theta_t": 0.75, "theta_f": 0.15,
                                 "fusion": "mean", "norm": norm})
 derived = apply_pipeline(raw, cfg)
 
 histogram("stage 1: raw global scores (all pairs)",
           raw.s_g_raw[:n_gen], raw.s_g_raw[n_gen:])
-in_band = (raw.s_g_raw >= thr.theta_f) & (raw.s_g_raw <= thr.theta_t)
+in_band = (raw.s_g_raw >= cfg.theta_f) & (raw.s_g_raw <= cfg.theta_t)
 histogram("stage 2: global scores where the gate permits local matching",
           raw.s_g_raw[:n_gen][in_band[:n_gen]], raw.s_g_raw[n_gen:][in_band[n_gen:]])
 histogram("stage 3: normalized local scores on those in-band pairs",

@@ -19,8 +19,8 @@ from .losses import (GroundTruthRecord, LossBreakdown, LossWeights,
                      total_loss)
 from .matching import (LocalMatchConfig, LocalMatchResult, global_match,
                        local_match)
-from .pipeline import (DoubleSigmoidParams, MatchResult, PipelineConfig,
-                       ThresholdConfig, double_sigmoid, fit_double_sigmoid,
+from .pipeline import (UNGATED, DoubleSigmoidParams, MatchResult,
+                       PipelineConfig, double_sigmoid, fit_double_sigmoid,
                        fuse, infer_pair, infer_pair_with_config,
                        make_normalizer, minmax_norm, tanh_norm, zscore_norm)
 from .synth import (CorpusBundle, Identity, InjectionManifest, SynthSpec,
@@ -39,7 +39,7 @@ __all__ = [
     "InfeasibleAssignmentError", "InjectionManifest", "LocalMatchConfig",
     "LocalMatchResult", "LossBreakdown", "LossWeights", "MatchResult",
     "MinutiaeQuality", "PipelineConfig", "PredictionRecord",
-    "Protocol", "RocPoint", "SynthSpec", "Template", "ThresholdConfig",
+    "Protocol", "RocPoint", "SynthSpec", "Template", "UNGATED",
     "Violation", "aggregate_minutiae_quality", "angular_distance",
     "apply_pipeline", "canonicalize_angle", "correspondence_cost_matrix",
     "double_sigmoid", "eer", "enumerate_pairs", "evaluate_scores",

@@ -20,7 +20,7 @@ from .evaluation import (Protocol, apply_pipeline, enumerate_pairs,
                          evaluate_scores, aggregate_minutiae_quality,
                          frr_at_far, score_pairs)
 from .losses import GroundTruthRecord, LossWeights, PredictionRecord, total_loss
-from .pipeline import PipelineConfig, ThresholdConfig, infer_pair_with_config
+from .pipeline import UNGATED, PipelineConfig, infer_pair_with_config
 from .synth import SynthSpec, generate_corpus, write_bundle
 from .templates import read_corpus, read_template
 
@@ -160,24 +160,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_DISABLED = ThresholdConfig.disabled()
-
-
-def _parse_grid(text: str) -> List[ThresholdConfig]:
-    grid: List[ThresholdConfig] = []
+def _parse_grid(text: str, cfg: PipelineConfig) -> List[PipelineConfig]:
+    """``cfg`` once per band of the grid."""
+    grid: List[PipelineConfig] = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
         if token.lower() == "disabled":
-            grid.append(_DISABLED)
+            grid.append(replace(cfg, **UNGATED))
             continue
         try:
             t, f = token.split(":")
-            t, f = float(t), float(f)
+            grid.append(replace(cfg, theta_t=float(t), theta_f=float(f)))
         except ValueError as exc:
-            raise CliError(f"bad grid token {token!r}; expected 'theta_t:theta_f' or 'disabled'") from exc
-        grid.append(ThresholdConfig(t, f))
+            raise CliError(f"bad grid token {token!r}; expected 'theta_t:theta_f' "
+                           f"or 'disabled' ({exc})") from exc
     if not grid:
         raise CliError("empty threshold grid")
     return grid
@@ -195,8 +193,7 @@ def cmd_bench(args) -> int:
         except ValueError as exc:
             raise CliError(f"bad --sweep-minutiae {args.sweep_minutiae!r}") from exc
         for k in ks:
-            ungated = replace(cfg, theta_t=_DISABLED.theta_t, theta_f=_DISABLED.theta_f,
-                              local=replace(cfg.local, max_minutiae_used=k))
+            ungated = replace(cfg, **UNGATED, local=replace(cfg.local, max_minutiae_used=k))
             raw = score_pairs(corpus, pairs, ungated.local, jobs=args.jobs)
             fused = apply_pipeline(raw, ungated)
             local_only = apply_pipeline(raw, ungated, channel="local")
@@ -209,14 +206,14 @@ def cmd_bench(args) -> int:
             rows.append(row)
         rows.sort(key=lambda r: -r["max_minutiae"])
     else:
-        grid = _parse_grid(args.grid)
+        grid = _parse_grid(args.grid, cfg)
         raw = score_pairs(corpus, pairs, cfg.local, jobs=args.jobs)
-        for thr in grid:
-            derived = apply_pipeline(raw, replace(cfg, theta_t=thr.theta_t, theta_f=thr.theta_f))
+        for band in grid:
+            derived = apply_pipeline(raw, band)
             row = {
-                "theta_t": thr.theta_t,
-                "theta_f": thr.theta_f,
-                "gap": thr.theta_t - thr.theta_f,
+                "theta_t": band.theta_t,
+                "theta_f": band.theta_f,
+                "gap": band.theta_t - band.theta_f,
                 "local_evaluated": derived.gate_stats["local_evaluated"],
                 "work_units": int(derived.work_units.sum()),
             }

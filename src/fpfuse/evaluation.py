@@ -336,8 +336,7 @@ def apply_pipeline(scores: ChannelScores, cfg: PipelineConfig,
                               work_units=scores.work_units.copy())
     if channel != "fused":
         raise ValueError(f"unknown channel {channel!r}")
-    thr = cfg.thresholds
-    gates = [band_gate(s, thr) for s in s_g.tolist()]
+    gates = [band_gate(s, cfg) for s in s_g.tolist()]
     final = [gated_fuse(gate, g, l, cfg.fusion)[2]
              for gate, g, l in zip(gates, s_g_norm.tolist(), s_l_norm.tolist())]
     codes = np.array([GATES.index(gate) for gate in gates], dtype=np.int64)

@@ -11,6 +11,7 @@ training loop.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import List, Tuple
 
@@ -31,12 +32,11 @@ class PredictionRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "global_embedding",
-                           np.asarray(self.global_embedding, dtype=np.float64))
+                           _finite(self.global_embedding, "global_embedding"))
         object.__setattr__(self, "positions", _check_positions(self.positions, "positions"))
-        object.__setattr__(self, "embeddings",
-                           np.asarray(self.embeddings, dtype=np.float64))
+        object.__setattr__(self, "embeddings", _finite(self.embeddings, "embeddings"))
         inter = tuple((_check_positions(po, f"intermediates[{i}].positions"),
-                       np.asarray(e, dtype=np.float64))
+                       _finite(e, f"intermediates[{i}].embeddings"))
                       for i, (po, e) in enumerate(self.intermediates))
         object.__setattr__(self, "intermediates", inter)
         L = self.positions.shape[0]
@@ -66,10 +66,9 @@ class GroundTruthRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "global_embedding",
-                           np.asarray(self.global_embedding, dtype=np.float64))
+                           _finite(self.global_embedding, "global_embedding"))
         object.__setattr__(self, "positions", _check_positions(self.positions, "positions"))
-        object.__setattr__(self, "embeddings",
-                           np.asarray(self.embeddings, dtype=np.float64))
+        object.__setattr__(self, "embeddings", _finite(self.embeddings, "embeddings"))
         if self.embeddings.shape[0] != self.positions.shape[0]:
             raise ValueError("embeddings rows != positions rows")
 
@@ -80,8 +79,15 @@ class GroundTruthRecord:
                    embeddings=np.asarray(doc["embeddings"]))
 
 
-def _check_positions(arr, what: str) -> np.ndarray:
+def _finite(arr, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must hold finite numbers")
+    return arr
+
+
+def _check_positions(arr, what: str) -> np.ndarray:
+    arr = _finite(arr, what)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"{what} must have shape (L, 3), got {arr.shape}")
     return arr
@@ -98,14 +104,15 @@ class LossWeights:
     intermediate_embedding_weight: float = 1.0
 
     def __post_init__(self):
-        for name in ("global_weight", "position_weight", "embedding_weight",
-                     "intermediate_position_weight", "intermediate_embedding_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for name, value in asdict(self).items():
+            # A finite number that is not a bool; NaN fails the comparison.
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not 0 <= value < math.inf):
+                raise ValueError(f"{name} must be a nonnegative finite number, got {value!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LossWeights":
-        return cls(**{k: float(v) for k, v in doc.items()})
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

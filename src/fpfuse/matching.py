@@ -40,7 +40,7 @@ class LocalMatchConfig:
     def __post_init__(self):
         if not -1.0 <= self.emb_sim_floor <= 1.0:
             raise ValueError("emb_sim_floor must lie in [-1, 1]")
-        if self.geo_tolerance_px < 0 or self.ori_tolerance_rad < 0:
+        if not (self.geo_tolerance_px >= 0 and self.ori_tolerance_rad >= 0):
             raise ValueError("tolerances must be nonnegative")
         if self.max_minutiae_used is not None and self.max_minutiae_used <= 0:
             raise ValueError("max_minutiae_used must be positive or None")

@@ -7,14 +7,18 @@ score alone is decisive: above ``theta_t`` the pair is a confident genuine,
 below ``theta_f`` a confident impostor, and only scores inside the band pay
 for a local match.
 
-The gate-and-fuse rule lives here once, as scalar code (:func:`band_gate`,
-then :func:`gated_fuse`).  :func:`infer_pair` applies it to one pair and
-``evaluation.apply_pipeline`` maps it over a corpus, bit-identically.
+The one configuration is :class:`PipelineConfig`: its band is
+``theta_t``/``theta_f``, and :data:`UNGATED` holds the band that keeps every
+pair inside (a disabled gate).  The gate-and-fuse rule lives here once, as
+scalar code (:func:`band_gate`, then :func:`gated_fuse`).  :func:`infer_pair`
+applies it to one pair and ``evaluation.apply_pipeline`` maps it over a
+corpus, bit-identically.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -89,8 +93,7 @@ def tanh_norm(s, mean: float, std: float):
     return float(out) if out.ndim == 0 else out
 
 
-def fit_double_sigmoid(scores_genuine, scores_impostor,
-                       width_floor: float = WIDTH_FLOOR) -> DoubleSigmoidParams:
+def fit_double_sigmoid(scores_genuine, scores_impostor) -> DoubleSigmoidParams:
     """Place the center midway between the class means on a hold-out split."""
     genuine = np.asarray(scores_genuine, dtype=np.float64)
     impostor = np.asarray(scores_impostor, dtype=np.float64)
@@ -101,8 +104,8 @@ def fit_double_sigmoid(scores_genuine, scores_impostor,
     center = 0.5 * (g_mean + i_mean)
     return DoubleSigmoidParams(
         center=center,
-        left_width=max(width_floor, center - i_mean),
-        right_width=max(width_floor, g_mean - center),
+        left_width=max(WIDTH_FLOOR, center - i_mean),
+        right_width=max(WIDTH_FLOOR, g_mean - center),
     )
 
 
@@ -119,28 +122,15 @@ def fuse(a: float, b: float, rule: str = "mean") -> float:
     return 0.5 * (a + b) if rule == "mean" else max(a, b)
 
 
-@dataclass(frozen=True)
-class ThresholdConfig:
-    """Gate band: local matching runs only when theta_f <= s_g <= theta_t."""
-
-    theta_t: float = 0.75
-    theta_f: float = 0.15
-
-    def __post_init__(self):
-        if self.theta_f > self.theta_t:
-            raise ValueError("theta_f must not exceed theta_t")
-
-    @classmethod
-    def disabled(cls) -> "ThresholdConfig":
-        # theta_t > 1 and theta_f < 0 keep every pair inside the band.
-        return cls(theta_t=2.0, theta_f=-1.0)
+# A disabled gate: theta_t > 1 and theta_f < 0 keep every pair inside the band.
+UNGATED = {"theta_t": 2.0, "theta_f": -1.0}
 
 
-def band_gate(s_g_raw: float, thr: ThresholdConfig) -> str:
+def band_gate(s_g_raw: float, cfg: PipelineConfig) -> str:
     """Gate of a raw global score: only ``local_evaluated`` pays for a local match."""
-    if s_g_raw > thr.theta_t:
+    if s_g_raw > cfg.theta_t:
         return GATE_CONFIDENT_GENUINE
-    if s_g_raw < thr.theta_f:
+    if s_g_raw < cfg.theta_f:
         return GATE_CONFIDENT_IMPOSTOR
     return GATE_LOCAL_EVALUATED
 
@@ -179,23 +169,6 @@ def identity_norm(s):
     return s
 
 
-def infer_pair(a: Template, b: Template,
-               thr: ThresholdConfig = ThresholdConfig(),
-               norm_g: Callable = identity_norm,
-               norm_l: Callable = identity_norm,
-               rule: str = "mean",
-               local_cfg: LocalMatchConfig = LocalMatchConfig()) -> MatchResult:
-    """Gated global+local comparison of two templates."""
-    s_g_raw = global_match(a, b)
-    gate = band_gate(s_g_raw, thr)
-    s_l_raw, s_l_norm, work = None, None, 0
-    if gate == GATE_LOCAL_EVALUATED:
-        local = local_match(a, b, local_cfg)
-        s_l_raw, s_l_norm, work = local.score, norm_l(local.score), local.work_units
-    return MatchResult(s_g_raw, s_l_raw, *gated_fuse(gate, norm_g(s_g_raw), s_l_norm, rule),
-                       gate=gate, work_units=work)
-
-
 # ---------------------------------------------------------------------------
 # Configurable normalizers and the pipeline config file
 
@@ -211,16 +184,19 @@ NORM_KINDS = tuple(_NORM_PARAMS)
 
 
 def make_normalizer(kind: str, params: Optional[dict] = None) -> Callable:
-    """Build a score-normalizing callable from a config entry.  Missing or
-    invalid parameters raise ``ValueError`` here, not at the first score."""
+    """Build a score-normalizing callable from a config entry.  ``params``
+    must hold exactly the kind's parameters, each a finite number; anything
+    else raises ``ValueError`` here, not at the first score."""
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown normalizer kind {kind!r}; expected one of {NORM_KINDS}")
     names = _NORM_PARAMS[kind]
-    try:
-        args = [float((params or {})[name]) for name in names]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{kind} normalizer needs numeric params {', '.join(names)}; "
-                         f"{exc!r}") from exc
+    values = _section_fields(params or {}, f"{kind} normalizer params",
+                             {name: (name, _NUMBER) for name in names})
+    missing = [name for name in names if name not in values]
+    if missing:
+        raise ValueError(f"{kind} normalizer needs params {', '.join(names)}; "
+                         f"missing {', '.join(missing)}")
+    args = [values[name] for name in names]
     if kind == "identity":
         return identity_norm
     if kind == "double_sigmoid":
@@ -243,7 +219,19 @@ def _json_type(what: str, *types: type, convert: Callable = lambda v: v) -> Call
     return check
 
 
-_NUMBER = _json_type("a number", int, float, convert=float)
+def _finite(value) -> float:
+    # json.loads takes NaN and Infinity, which strict JSON has not; an integer
+    # beyond the float range counts as infinite.
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return value
+
+
+_NUMBER = _json_type("a finite number", int, float, convert=_finite)
 
 # Config-file keys per section: key -> (dataclass field, conversion).  Keys
 # left out of a file keep the dataclass defaults.
@@ -265,7 +253,7 @@ def _section_fields(doc, section: str, keys: dict) -> dict:
     unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
-                         f"expected {', '.join(keys)}")
+                         f"expected {', '.join(keys) or 'none'}")
     fields = {}
     for key, value in doc.items():
         name, convert = keys[key]
@@ -295,13 +283,11 @@ class PipelineConfig:
     def __post_init__(self):
         if self.fusion not in FUSION_RULES:
             raise ValueError(f"unknown fusion rule {self.fusion!r}")
-        ThresholdConfig(self.theta_t, self.theta_f)
+        if not -math.inf < self.theta_f <= self.theta_t < math.inf:  # NaN fails it too
+            raise ValueError(f"the band needs finite theta_f <= theta_t, "
+                             f"got theta_f={self.theta_f!r} and theta_t={self.theta_t!r}")
         # Built once: norm_params is read at construction only.
         object.__setattr__(self, "_norm", make_normalizer(self.norm_kind, self.norm_params))
-
-    @property
-    def thresholds(self) -> ThresholdConfig:
-        return ThresholdConfig(theta_t=self.theta_t, theta_f=self.theta_f)
 
     def local_normalizer(self) -> Callable:
         return self._norm
@@ -331,8 +317,20 @@ class PipelineConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+def infer_pair(a: Template, b: Template, cfg: PipelineConfig = PipelineConfig()) -> MatchResult:
+    """Gated global+local comparison of two templates."""
+    s_g_raw = global_match(a, b)
+    gate = band_gate(s_g_raw, cfg)
+    s_l_raw, s_l_norm, work = None, None, 0
+    if gate == GATE_LOCAL_EVALUATED:
+        local = local_match(a, b, cfg.local)
+        s_l_raw, s_l_norm, work = local.score, cfg.local_normalizer()(local.score), local.work_units
+    s_g_norm = cfg.global_normalizer()(s_g_raw)
+    return MatchResult(s_g_raw, s_l_raw, *gated_fuse(gate, s_g_norm, s_l_norm, cfg.fusion),
+                       gate=gate, work_units=work)
+
+
 def infer_pair_with_config(a: Template, b: Template, cfg: PipelineConfig) -> MatchResult:
-    return infer_pair(a, b, thr=cfg.thresholds,
-                      norm_g=cfg.global_normalizer(),
-                      norm_l=cfg.local_normalizer(),
-                      rule=cfg.fusion, local_cfg=cfg.local)
+    # Calls infer_pair through the module, so a wrapper installed there sees
+    # every request.
+    return infer_pair(a, b, cfg)

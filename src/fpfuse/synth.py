@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -85,6 +85,12 @@ class SynthSpec:
         if not (isinstance(size, tuple) and len(size) == 2
                 and all(_is_int(v) and v >= 1 for v in size)):
             raise ValueError(f"image_size must be two positive integers, got {size!r}")
+        # Float knobs: finite real numbers, not bools (NaN fails the comparison).
+        for name in (f.name for f in fields(self) if isinstance(f.default, float)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not -math.inf < value < math.inf):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("drop_probability", "global_collision_rate", "distortion_rate",
                      "distortion_drop_fraction", "weak_global_rate"):
             value = getattr(self, name)
@@ -94,7 +100,7 @@ class SynthSpec:
                      "orientation_jitter_rad", "embedding_jitter", "global_jitter",
                      "weak_global_jitter", "spurious_rate", "collision_offset",
                      "distortion_embedding_jitter", "distortion_jitter_scale"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
     def to_dict(self) -> dict:
@@ -304,19 +310,6 @@ class InjectionManifest:
             "collided_subject_pairs": [list(p) for p in self.collided_subject_pairs],
             "distorted_impressions": [[s, k] for s, k in self.distorted_impressions],
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "InjectionManifest":
-        return cls(
-            collided_subject_pairs=tuple((str(a), str(b))
-                                         for a, b in doc["collided_subject_pairs"]),
-            distorted_impressions=tuple((str(s), int(k))
-                                        for s, k in doc["distorted_impressions"]),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "InjectionManifest":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 @dataclass(frozen=True)

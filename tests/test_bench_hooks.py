@@ -10,7 +10,8 @@ otherwise only show up in a traced benchmark run.
 import importlib
 from pathlib import Path
 
-from fpfuse import SynthSpec, generate_corpus, write_bundle
+import fpfuse.pipeline
+from fpfuse import UNGATED, PipelineConfig, SynthSpec, generate_corpus, write_bundle
 from fpfuse.cli import main
 from fpfuse.templates import Template
 
@@ -57,3 +58,28 @@ def test_traced_eval_times_every_stage(monkeypatch, tmp_path):
     assert layers["matching.local_match_s"] > 0
     gates = sum(v for k, v in layers.items() if k.startswith("pipeline.gate."))
     assert gates == 4 * 3 + 6
+
+
+def test_traced_request_counts_its_gate(monkeypatch):
+    """A per-pair request goes through ``infer_pair`` in the module, where the
+    tracer counts its gate by the request's label."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    corpus = generate_corpus(SynthSpec(seed=7, subjects=4, impressions=3)).corpus
+    sid = corpus.subject_ids[0]
+    a, b = corpus.template(sid, 0), corpus.template(sid, 1)
+    cfg = PipelineConfig(**UNGATED)
+
+    tracer = spans.Tracer().install()
+    tracer.round = 0
+    try:
+        for label in ("genuine", "impostor"):
+            tracer.label = label
+            fpfuse.pipeline.infer_pair_with_config(a, b, cfg)
+    finally:
+        tracer.close()
+
+    layers = tracer.per_layer([0], 1, 0.0)
+    assert layers["pipeline.infer_pair_calls"] == 2
+    assert layers["pipeline.gate.local_evaluated.genuine"] == 1
+    assert layers["pipeline.gate.local_evaluated.impostor"] == 1

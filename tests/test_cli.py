@@ -85,6 +85,11 @@ def test_synth_invalid_probability_exits_2(tmp_path, capsys):
     ({"minutia_dim": 0}, "minutia_dim"),
     ({"global_dim": 0}, "global_dim"),
     ({"minutiae_per_identity": -1}, "minutiae_per_identity"),
+    ({"position_jitter_px": math.nan}, "position_jitter_px"),
+    ({"drop_probability": True}, "drop_probability"),
+    ({"rotation_range_rad": "0.1"}, "rotation_range_rad"),
+    ({"spurious_rate": math.inf}, "spurious_rate"),
+    ({"collision_similarity_floor": math.inf}, "collision_similarity_floor"),
 ])
 def test_synth_bad_spec_exits_2(tmp_path, capsys, doc, key):
     spec_path = tmp_path / "spec.json"
@@ -226,6 +231,12 @@ def test_eval_bad_refs_exits_2(synth_dir, tmp_path, capsys, refs_shape):
     {"norm": {"kind": "double_sigmoid", "params": {}}},
     {"local": {"seed_candidates": 3}},
     {"theta_t": None},
+    {"theta_t": math.nan},
+    {"local": {"geo_tolerance_px": math.nan}},
+    {"norm": {"kind": "tanh", "params": {"mean": "20", "std": True}}},
+    {"norm": {"kind": "zscore", "params": {"mean": 0.0, "std": 1.0, "scale": 3}}},
+    {"norm": {"kind": "double_sigmoid",
+              "params": {"center": math.nan, "left_width": 1.0, "right_width": 1.0}}},
 ])
 def test_bad_config_exits_2(synth_dir, tmp_path, capsys, doc):
     config = tmp_path / "config.json"
@@ -264,6 +275,13 @@ def test_bench_degenerate_grid(synth_dir, capsys):
 def test_bench_empty_grid_exits_2(synth_dir):
     assert main(["bench", "--corpus", str(synth_dir), "--protocol", "4x3",
                  "--grid", " , "]) == 2
+
+
+@pytest.mark.parametrize("grid", ["nan:0.1", "inf:0.1", "0.5:-inf", "0.5:nan"])
+def test_bench_non_finite_grid_exits_2(synth_dir, capsys, grid):
+    assert main(["bench", "--corpus", str(synth_dir), "--protocol", "4x3",
+                 "--grid", grid]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_bench_minutiae_sweep(synth_dir, capsys):
@@ -366,6 +384,29 @@ def test_losses_weights_not_an_object_exits_2(tmp_path, capsys):
     argv = ["losses", "--pred", str(pred_path), "--gt", str(gt_path), "--weights", "[1]"]
     assert main(argv) == 2
     assert "--weights must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which, patch, key", [
+    ("weights", {"global_weight": math.nan}, "global_weight"),
+    ("weights", {"global_weight": math.inf}, "global_weight"),
+    ("weights", {"global_weight": "2"}, "global_weight"),
+    ("weights", {"position_weight": True}, "position_weight"),
+    ("pred", {"global": [math.nan] * 4}, "global_embedding"),
+    ("gt", {"embeddings": [[math.nan, 0.0]] * 3}, "embeddings"),
+    ("pred", {"intermediates": [{"positions": [[0.0, 0.0, math.inf]] * 3,
+                                 "embeddings": [[1.0, 0.0]] * 3}]},
+     "intermediates[0].positions"),
+])
+def test_losses_bad_numbers_exit_2(tmp_path, capsys, which, patch, key):
+    paths = dict(zip(("pred", "gt"), loss_fixture(tmp_path)))
+    argv = ["losses", "--pred", str(paths["pred"]), "--gt", str(paths["gt"])]
+    if which == "weights":
+        argv += ["--weights", json.dumps(patch)]
+    else:
+        doc = json.loads(paths[which].read_text())
+        paths[which].write_text(json.dumps({**doc, **patch}))
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_pretty_output_renders_table(synth_dir, capsys):

@@ -187,3 +187,6 @@ def test_config_validation():
         LocalMatchConfig(geo_tolerance_px=-1.0)
     with pytest.raises(ValueError):
         LocalMatchConfig(max_minutiae_used=0)
+    for knob in ("geo_tolerance_px", "ori_tolerance_rad"):
+        with pytest.raises(ValueError):
+            LocalMatchConfig(**{knob: math.nan})

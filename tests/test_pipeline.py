@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from fpfuse import (DoubleSigmoidParams, LocalMatchConfig, PipelineConfig,
-                    ThresholdConfig, double_sigmoid, fit_double_sigmoid, fuse,
+from fpfuse import (UNGATED, DoubleSigmoidParams, LocalMatchConfig,
+                    PipelineConfig, double_sigmoid, fit_double_sigmoid, fuse,
                     infer_pair, infer_pair_with_config, make_normalizer,
                     minmax_norm, tanh_norm, zscore_norm)
 from fpfuse.pipeline import (GATE_CONFIDENT_GENUINE, GATE_CONFIDENT_IMPOSTOR,
-                             GATE_LOCAL_EVALUATED, identity_norm)
+                             GATE_LOCAL_EVALUATED)
 
 from conftest import as_arrays, basis_template, make_template
 
@@ -138,7 +138,7 @@ def test_fit_double_sigmoid_empty():
 
 def test_identical_templates_gate_genuine():
     t = basis_template()
-    r = infer_pair(t, t, ThresholdConfig(0.75, 0.15))
+    r = infer_pair(t, t, PipelineConfig(theta_t=0.75, theta_f=0.15))
     assert r.gate == GATE_CONFIDENT_GENUINE
     assert r.s_l_raw is None
     assert r.s_l_effective == 1.0
@@ -148,7 +148,7 @@ def test_identical_templates_gate_genuine():
 
 def test_orthogonal_templates_gate_impostor():
     r = infer_pair(basis_template(axis=0), basis_template(axis=1),
-                   ThresholdConfig(0.75, 0.15))
+                   PipelineConfig(theta_t=0.75, theta_f=0.15))
     assert r.gate == GATE_CONFIDENT_IMPOSTOR
     assert r.s_l_effective == 0.0
     assert r.s_final == 0.0
@@ -158,8 +158,10 @@ def test_midband_runs_local():
     half = math.sqrt(0.5)
     a = make_template([1.0, 0.0, 0.0, 0.0])
     b = make_template([0.5, math.sqrt(0.75), 0.0, 0.0])  # dot = 0.5
-    r = infer_pair(a, b, ThresholdConfig(0.75, 0.15),
-                   norm_l=lambda s: 0.9, rule="mean")
+    # minutia-free templates score 0 locally, which this minmax maps to 0.9
+    cfg = PipelineConfig(theta_t=0.75, theta_f=0.15, fusion="mean",
+                         norm_kind="minmax", norm_params={"min": -9, "max": 1})
+    r = infer_pair(a, b, cfg)
     assert r.gate == GATE_LOCAL_EVALUATED
     assert r.s_g_raw == pytest.approx(0.5, abs=1e-6)
     assert r.s_l_raw is not None
@@ -168,7 +170,7 @@ def test_midband_runs_local():
 
 def test_gate_partition_boundaries():
     from fpfuse import Template
-    thr = ThresholdConfig(0.75, 0.15)
+    cfg = PipelineConfig(theta_t=0.75, theta_f=0.15)
     a = make_template([1.0, 0.0])
     # a = (1, 0) makes the dot product exactly b's first component; 0.75 is
     # an exact float32, so the boundary case is inclusive (local runs)
@@ -179,39 +181,42 @@ def test_gate_partition_boundaries():
                       (0.1, GATE_CONFIDENT_IMPOSTOR)):
         b = Template([dot, math.sqrt(max(0.0, 1 - dot * dot))], *as_arrays([]),
                      image_size=(384, 384))
-        r = infer_pair(a, b, thr)
+        r = infer_pair(a, b, cfg)
         assert r.gate == gate, dot
 
 
 def test_disabled_gate_equals_ungated(small_bundle):
     corpus = small_bundle.corpus
-    thr = ThresholdConfig.disabled()
     ids = corpus.subject_ids
-    norm_l = make_normalizer("double_sigmoid",
-                             {"center": 20.0, "left_width": 18.0, "right_width": 18.0})
-    cfg = LocalMatchConfig()
+    cfg = PipelineConfig(**UNGATED, norm_kind="double_sigmoid",
+                         norm_params={"center": 20.0, "left_width": 18.0, "right_width": 18.0},
+                         local=LocalMatchConfig())
+    norm_l = make_normalizer("double_sigmoid", cfg.norm_params)
     from fpfuse import global_match, local_match
     for a, b in [(corpus.template(ids[0], 0), corpus.template(ids[0], 1)),
                  (corpus.template(ids[0], 0), corpus.template(ids[1], 0))]:
-        r = infer_pair(a, b, thr, norm_l=norm_l, local_cfg=cfg)
+        r = infer_pair(a, b, cfg)
         assert r.gate == GATE_LOCAL_EVALUATED
         expected = 0.5 * (min(1.0, max(0.0, global_match(a, b)))
-                          + min(1.0, max(0.0, norm_l(local_match(a, b, cfg).score))))
+                          + min(1.0, max(0.0, norm_l(local_match(a, b, cfg.local).score))))
         assert r.s_final == expected
 
 
 def test_unbounded_normalizer_clamped():
     a = make_template([1.0, 0.0])
     b = make_template([0.5, math.sqrt(0.75)])
-    r = infer_pair(a, b, ThresholdConfig(0.75, 0.15), norm_l=lambda s: 5.0)
+    # minutia-free templates score 0 locally, which this zscore maps to 5.0
+    cfg = PipelineConfig(theta_t=0.75, theta_f=0.15,
+                         norm_kind="zscore", norm_params={"mean": -5, "std": 1})
+    r = infer_pair(a, b, cfg)
     assert r.s_l_effective == 1.0
     assert 0.0 <= r.s_final <= 1.0
 
 
 def test_threshold_validation():
     with pytest.raises(ValueError):
-        ThresholdConfig(theta_t=0.1, theta_f=0.5)
-    ThresholdConfig(theta_t=0.5, theta_f=0.5)  # equality allowed
+        PipelineConfig(theta_t=0.1, theta_f=0.5)
+    PipelineConfig(theta_t=0.5, theta_f=0.5)  # equality allowed
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +256,7 @@ def test_infer_with_config_matches_manual(small_bundle):
     cfg = PipelineConfig(norm_kind="tanh", norm_params={"mean": 20.0, "std": 10.0})
     a, b = corpus.template(ids[0], 0), corpus.template(ids[0], 1)
     r1 = infer_pair_with_config(a, b, cfg)
-    r2 = infer_pair(a, b, cfg.thresholds, identity_norm, cfg.local_normalizer(),
-                    cfg.fusion, cfg.local)
+    r2 = infer_pair(a, b, cfg)
     assert r1 == r2
 
 
@@ -279,6 +283,13 @@ def test_pipeline_config_rejects_unknown_keys(doc):
     ({"fusion": 1}, "fusion"),
     ({"norm": {"kind": None}}, "kind"),
     ({"norm": {"params": [["mean", 0.0], ["std", 1.0]]}}, "params"),
+    ({"theta_t": math.nan}, "theta_t"),
+    ({"theta_f": -math.inf}, "theta_f"),
+    ({"local": {"geo_tolerance_px": math.nan}}, "geo_tolerance_px"),
+    ({"norm": {"kind": "tanh", "params": {"mean": "20", "std": 1.0}}}, "mean"),
+    ({"norm": {"kind": "tanh", "params": {"mean": 20.0, "std": True}}}, "std"),
+    ({"norm": {"kind": "double_sigmoid",
+               "params": {"center": math.nan, "left_width": 1.0, "right_width": 1.0}}}, "center"),
 ])
 def test_pipeline_config_rejects_wrong_json_types(doc, key):
     with pytest.raises(ValueError, match=rf"key {key} must be"):
@@ -297,6 +308,8 @@ def test_pipeline_config_takes_json_integers_as_numbers():
     ("minmax", {"min": 1.0, "max": 1.0}),
     ("zscore", {"mean": 0.0, "std": 0.0}),
     ("tanh", {"mean": "a", "std": 1.0}),
+    ("zscore", {"mean": 0.0, "std": 1.0, "scale": 3}),
+    ("identity", {"scale": 3}),
 ])
 def test_pipeline_config_checks_normalizer_params(kind, params):
     with pytest.raises(ValueError, match=kind):
