@@ -7,7 +7,7 @@ training-loss reference formulas, a verification-protocol evaluator and a
 seeded synthetic corpus generator used by the test and demo suites.
 """
 
-from .assignment import (Assignment, CorrespondenceWeights, CostMatrix,
+from .assignment import (Assignment, CorrespondenceWeights,
                          InfeasibleAssignmentError, angular_distance,
                          correspondence_cost_matrix, solve_assignment)
 from .evaluation import (ChannelScores, MinutiaeQuality, Protocol,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "ChannelScores", "Corpus", "CorpusBundle",
-    "CorrespondenceWeights", "CostMatrix", "DecodeError",
+    "CorrespondenceWeights", "DecodeError",
     "DoubleSigmoidParams", "GroundTruthRecord", "Identity",
     "InfeasibleAssignmentError", "InjectionManifest", "LocalMatchConfig",
     "LocalMatchResult", "LossBreakdown", "LossWeights", "MatchResult",

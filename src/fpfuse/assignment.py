@@ -27,29 +27,6 @@ class InfeasibleAssignmentError(ValueError):
 
 
 @dataclass(frozen=True)
-class CostMatrix:
-    """Dense n x m cost matrix; ``+inf`` marks a forbidden pair."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"cost matrix must be 2-D, got shape {arr.shape}")
-        if np.isnan(arr).any():
-            raise ValueError("cost matrix contains NaN")
-        if np.isneginf(arr).any():
-            raise ValueError("cost matrix contains -inf")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.entries.shape
-
-
-@dataclass(frozen=True)
 class Assignment:
     """Row-sorted one-to-one pairs and their exact total cost."""
 
@@ -255,17 +232,23 @@ def _canonical_pairs(cost: np.ndarray, tol: float, col_of_row: np.ndarray,
     return pairs
 
 
-def solve_assignment(c: CostMatrix | np.ndarray | Sequence[Sequence[float]]) -> Assignment:
-    """Minimum-cost maximal one-to-one pairing of rows to columns.
+def solve_assignment(c: np.ndarray | Sequence[Sequence[float]]) -> Assignment:
+    """Minimum-cost maximal one-to-one pairing of rows to columns of a dense
+    n x m cost matrix, where ``+inf`` marks a forbidden pair.
 
     Ties between optimal pairings break toward the lexicographically
-    smallest row-sorted pair sequence.  Raises
+    smallest row-sorted pair sequence.  Raises ``ValueError`` for a matrix
+    that is not 2-D or holds NaN or -inf, and
     :class:`InfeasibleAssignmentError` when forbidden entries block every
-    maximal pairing.
+    maximal pairing.  The input is never written to.
     """
-    if not isinstance(c, CostMatrix):
-        c = CostMatrix(np.asarray(c, dtype=np.float64))
-    cost = c.entries
+    cost = np.asarray(c, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
+    if np.isnan(cost).any():
+        raise ValueError("cost matrix contains NaN")
+    if np.isneginf(cost).any():
+        raise ValueError("cost matrix contains -inf")
     n, m = cost.shape
     if n == 0 or m == 0:
         return Assignment((), 0.0)
@@ -274,12 +257,12 @@ def solve_assignment(c: CostMatrix | np.ndarray | Sequence[Sequence[float]]) -> 
     if n <= m:
         col_of_row, row_of_col, u, v = _augmenting_path_solve(cost)
         pairs = [(i, int(col_of_row[i])) for i in range(n)]
-        unique = _is_unique_optimum(cost.copy(), col_of_row, u, v, tol)
+        unique = _is_unique_optimum(cost, col_of_row, u, v, tol)
     else:
         # Solve the transpose; its row potentials belong to our columns.
         row_of_col, col_of_row, v, u = _augmenting_path_solve(cost.T)
         pairs = sorted((int(row_of_col[j]), j) for j in range(m))
-        unique = _is_unique_optimum(cost.T.copy(), row_of_col, v, u, tol)
+        unique = _is_unique_optimum(cost.T, row_of_col, v, u, tol)
     if not unique:
         pairs = _canonical_pairs(cost, tol, col_of_row, row_of_col, u, v)
     total = math.fsum(cost[i, j] for i, j in pairs)

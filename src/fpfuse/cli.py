@@ -16,6 +16,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from .evaluation import (Protocol, apply_pipeline, enumerate_pairs,
                          evaluate_scores, aggregate_minutiae_quality,
                          frr_at_far, score_pairs)
@@ -79,9 +81,10 @@ def cmd_synth(args) -> int:
     env_seed = os.environ.get("FPFUSE_SEED")
     if env_seed is not None:
         try:
-            spec = replace(spec, seed=int(env_seed))
+            seed = int(env_seed)
         except ValueError as exc:
             raise CliError(f"FPFUSE_SEED must be an integer, got {env_seed!r}") from exc
+        spec = replace(spec, seed=seed)
     out = Path(args.out)
     bundle = generate_corpus(spec)
     write_bundle(bundle, out, spec=spec, include_references=not args.no_refs)
@@ -110,6 +113,8 @@ def cmd_match(args) -> int:
 def _load_eval_inputs(args):
     """The corpus, its protocol, and the protocol's pairs, genuine first,
     with the number of genuine pairs."""
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         corpus = read_corpus(args.corpus)
     except (OSError, ValueError) as exc:
@@ -196,13 +201,13 @@ def cmd_bench(args) -> int:
             ungated = replace(cfg, **UNGATED, local=replace(cfg.local, max_minutiae_used=k))
             raw = score_pairs(corpus, pairs, ungated.local, jobs=args.jobs)
             fused = apply_pipeline(raw, ungated)
-            local_only = apply_pipeline(raw, ungated, channel="local")
+            local_only = np.clip(ungated.local_normalizer()(raw.s_l_raw), 0.0, 1.0)
             row = {"max_minutiae": k, "work_units": int(fused.work_units.sum())}
             for target in far_targets:
                 row[f"frr_fused@far={target:g}"] = frr_at_far(
                     fused.final[:n_gen], fused.final[n_gen:], target)[0]
                 row[f"frr_local@far={target:g}"] = frr_at_far(
-                    local_only.final[:n_gen], local_only.final[n_gen:], target)[0]
+                    local_only[:n_gen], local_only[n_gen:], target)[0]
             rows.append(row)
         rows.sort(key=lambda r: -r["max_minutiae"])
     else:

@@ -46,14 +46,6 @@ class Protocol:
         if self.subjects < 1 or self.impressions < 1:
             raise ValueError("protocol needs at least one subject and one impression")
 
-    @property
-    def genuine_count(self) -> int:
-        return self.subjects * (self.impressions * (self.impressions - 1)) // 2
-
-    @property
-    def impostor_count(self) -> int:
-        return self.subjects * (self.subjects - 1) // 2
-
     @classmethod
     def parse(cls, text: str) -> "Protocol":
         try:
@@ -314,31 +306,17 @@ class PipelineScores:
 _LOCAL = GATES.index(GATE_LOCAL_EVALUATED)
 
 
-def apply_pipeline(scores: ChannelScores, cfg: PipelineConfig,
-                   channel: str = "fused") -> PipelineScores:
+def apply_pipeline(scores: ChannelScores, cfg: PipelineConfig) -> PipelineScores:
     """Derive a pipeline's final scores from precomputed raw channel scores.
 
-    ``channel`` picks the fused pipeline or a single-channel baseline
-    ("global" or "local"); single-channel baselines ignore gating.  The
-    fused pipeline maps the gate-and-fuse rule of ``infer_pair`` over the
-    pairs, so its scores are bit-identical to ``infer_pair``'s.
+    Maps the gate-and-fuse rule of ``infer_pair`` over the pairs, so the
+    scores are bit-identical to ``infer_pair``'s.
     """
-    s_g = scores.s_g_raw
-    s_g_norm = np.asarray(cfg.global_normalizer()(s_g), dtype=np.float64)
+    s_g = scores.s_g_raw.tolist()
     s_l_norm = np.asarray(cfg.local_normalizer()(scores.s_l_raw), dtype=np.float64)
-    if channel == "global":
-        return PipelineScores(final=np.clip(s_g_norm, 0.0, 1.0),
-                              gates=np.full(s_g.size, _LOCAL, dtype=np.int64),
-                              work_units=np.zeros(s_g.size, dtype=np.int64))
-    if channel == "local":
-        return PipelineScores(final=np.clip(s_l_norm, 0.0, 1.0),
-                              gates=np.full(s_g.size, _LOCAL, dtype=np.int64),
-                              work_units=scores.work_units.copy())
-    if channel != "fused":
-        raise ValueError(f"unknown channel {channel!r}")
-    gates = [band_gate(s, cfg) for s in s_g.tolist()]
+    gates = [band_gate(s, cfg) for s in s_g]
     final = [gated_fuse(gate, g, l, cfg.fusion)[2]
-             for gate, g, l in zip(gates, s_g_norm.tolist(), s_l_norm.tolist())]
+             for gate, g, l in zip(gates, s_g, s_l_norm.tolist())]
     codes = np.array([GATES.index(gate) for gate in gates], dtype=np.int64)
     work = np.where(codes == _LOCAL, scores.work_units, 0)
     return PipelineScores(final=np.array(final, dtype=np.float64), gates=codes, work_units=work)

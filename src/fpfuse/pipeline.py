@@ -1,11 +1,11 @@
 """Score normalization, fusion and the thresholding-gated pair inference.
 
 The global score is cheap and already lives in [0, 1]; the raw local score
-is an unbounded sum of cosines.  Normalization brings both onto a common
-scale before fusing.  Gating skips local matching entirely when the global
-score alone is decisive: above ``theta_t`` the pair is a confident genuine,
-below ``theta_f`` a confident impostor, and only scores inside the band pay
-for a local match.
+is an unbounded sum of cosines.  Normalization maps the local score onto
+[0, 1], where the global score already lies, before fusing.  Gating skips
+local matching entirely when the global score alone is decisive: above
+``theta_t`` the pair is a confident genuine, below ``theta_f`` a confident
+impostor, and only scores inside the band pay for a local match.
 
 The one configuration is :class:`PipelineConfig`: its band is
 ``theta_t``/``theta_f``, and :data:`UNGATED` holds the band that keeps every
@@ -135,13 +135,14 @@ def band_gate(s_g_raw: float, cfg: PipelineConfig) -> str:
     return GATE_LOCAL_EVALUATED
 
 
-def gated_fuse(gate: str, s_g_norm: float, s_l_norm: Optional[float],
+def gated_fuse(gate: str, s_g: float, s_l_norm: Optional[float],
                rule: str) -> Tuple[float, float, float]:
-    """Clamp the normalized channels to [0, 1] (unbounded normalizers cannot
-    push the final score out of range), substitute the local score of a
-    skipped pair, and fuse.  Returns ``(s_g_norm, s_l_effective, s_final)``.
+    """Clamp the global score and the normalized local score to [0, 1]
+    (unbounded normalizers cannot push the final score out of range),
+    substitute the local score of a skipped pair, and fuse.  Returns
+    ``(s_g_norm, s_l_effective, s_final)``.
     """
-    s_g_norm = min(1.0, max(0.0, float(s_g_norm)))
+    s_g_norm = min(1.0, max(0.0, float(s_g)))
     if gate in SKIP_LOCAL:
         s_l_effective = SKIP_LOCAL[gate]
     else:
@@ -211,9 +212,9 @@ def make_normalizer(kind: str, params: Optional[dict] = None) -> Callable:
 
 def _json_type(what: str, *types: type, convert: Callable = lambda v: v) -> Callable:
     """Conversion of a config value that must have one of the JSON ``types``;
-    a boolean is never taken for a number."""
+    no key takes a boolean, so one is never taken for a number."""
     def check(value):
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        if not isinstance(value, types) or isinstance(value, bool):
             raise ValueError(f"must be {what}, got {value!r}")
         return convert(value)
     return check
@@ -238,8 +239,7 @@ _NUMBER = _json_type("a finite number", int, float, convert=_finite)
 _TOP_KEYS = {"theta_t": ("theta_t", _NUMBER), "theta_f": ("theta_f", _NUMBER),
              "fusion": ("fusion", _json_type("a string", str))}
 _NORM_KEYS = {"kind": ("norm_kind", _json_type("a string", str)),
-              "params": ("norm_params", _json_type("an object", dict, convert=dict)),
-              "apply_to_global": ("apply_norm_to_global", _json_type("a boolean", bool))}
+              "params": ("norm_params", _json_type("an object", dict, convert=dict))}
 _LOCAL_KEYS = {"emb_sim_floor": ("emb_sim_floor", _NUMBER),
                "geo_tolerance_px": ("geo_tolerance_px", _NUMBER),
                "ori_tolerance_rad": ("ori_tolerance_rad", _NUMBER),
@@ -277,7 +277,6 @@ class PipelineConfig:
     fusion: str = "mean"
     norm_kind: str = "identity"
     norm_params: dict = field(default_factory=dict)
-    apply_norm_to_global: bool = False
     local: LocalMatchConfig = field(default_factory=LocalMatchConfig)
 
     def __post_init__(self):
@@ -291,9 +290,6 @@ class PipelineConfig:
 
     def local_normalizer(self) -> Callable:
         return self._norm
-
-    def global_normalizer(self) -> Callable:
-        return self._norm if self.apply_norm_to_global else identity_norm
 
     def to_dict(self) -> dict:
         doc = _section_doc(self, _TOP_KEYS)
@@ -325,8 +321,7 @@ def infer_pair(a: Template, b: Template, cfg: PipelineConfig = PipelineConfig())
     if gate == GATE_LOCAL_EVALUATED:
         local = local_match(a, b, cfg.local)
         s_l_raw, s_l_norm, work = local.score, cfg.local_normalizer()(local.score), local.work_units
-    s_g_norm = cfg.global_normalizer()(s_g_raw)
-    return MatchResult(s_g_raw, s_l_raw, *gated_fuse(gate, s_g_norm, s_l_norm, cfg.fusion),
+    return MatchResult(s_g_raw, s_l_raw, *gated_fuse(gate, s_g_raw, s_l_norm, cfg.fusion),
                        gate=gate, work_units=work)
 
 

@@ -66,20 +66,19 @@ class SynthSpec:
     # Failure injection.
     global_collision_rate: float = 0.0
     collision_offset: float = 0.012
-    collision_similarity_floor: float = 0.9
     distortion_rate: float = 0.0
     distortion_drop_fraction: float = 0.5
     distortion_embedding_jitter: float = 0.6
     distortion_jitter_scale: float = 4.0
 
     def __post_init__(self):
-        # Integer knobs and their least value (None: any integer).
-        for name, least in (("seed", None), ("subjects", 1), ("impressions", 1),
+        # Integer knobs and their least value.
+        for name, least in (("seed", 0), ("subjects", 1), ("impressions", 1),
                             ("global_dim", 1), ("minutia_dim", 1), ("minutiae_per_identity", 0)):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if least is not None and value < least:
+            if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         size = self.image_size
         if not (isinstance(size, tuple) and len(size) == 2
@@ -125,7 +124,7 @@ def _is_int(value) -> bool:
 
 
 def _rng(spec_seed: int, subject: int, impression: int, field_tag: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(spec_seed) & (2 ** 64 - 1),
+    seq = np.random.SeedSequence(entropy=int(spec_seed),
                                  spawn_key=(subject, impression, field_tag))
     return np.random.Generator(np.random.Philox(seq))
 

@@ -29,7 +29,7 @@ import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -343,10 +343,6 @@ class Corpus:
 
     def template(self, subject_id: str, impression: int) -> Template:
         return self.subjects[subject_id][impression]
-
-    def all_templates(self) -> Iterable[Template]:
-        for sid in self.subject_ids:
-            yield from self.subjects[sid]
 
 
 def write_corpus(corpus: Corpus, out_dir: str | Path) -> None:

@@ -107,12 +107,12 @@ def test_fusion_advantage(fitted_norm):
 
     cfg = _config(fitted_norm, 2.0, -1.0)  # ungated
     fused = apply_pipeline(raw, cfg)
-    global_only = apply_pipeline(raw, cfg, channel="global")
-    local_only = apply_pipeline(raw, cfg, channel="local")
+    global_only = raw.s_g_raw
+    local_only = np.clip(cfg.local_normalizer()(raw.s_l_raw), 0.0, 1.0)
 
     frr_fused, thr_fused = frr_at_far(fused.final[:n_gen], fused.final[n_gen:], 0.01)
-    frr_global, _ = frr_at_far(global_only.final[:n_gen], global_only.final[n_gen:], 0.01)
-    frr_local, thr_local = frr_at_far(local_only.final[:n_gen], local_only.final[n_gen:], 0.01)
+    frr_global, _ = frr_at_far(global_only[:n_gen], global_only[n_gen:], 0.01)
+    frr_local, thr_local = frr_at_far(local_only[:n_gen], local_only[n_gen:], 0.01)
     assert frr_fused < frr_global
     assert frr_fused < frr_local
 
@@ -127,14 +127,14 @@ def test_fusion_advantage(fitted_norm):
 
     # global channel fails on collided impostors: accepted at the operating
     # threshold calibrated on clean impostors only
-    _, thr_clean_global = frr_at_far(global_only.final[:n_gen],
-                                     global_only.final[n_gen:][~col_mask], 0.01)
-    global_failures = global_only.final[n_gen:][col_mask] >= thr_clean_global
+    _, thr_clean_global = frr_at_far(global_only[:n_gen],
+                                     global_only[n_gen:][~col_mask], 0.01)
+    global_failures = global_only[n_gen:][col_mask] >= thr_clean_global
     assert global_failures.mean() >= 0.5
 
     # local channel fails on distorted genuine pairs: rejected at its own
     # FAR=1% threshold (distortion does not touch impostor pairs)
-    local_failures = local_only.final[:n_gen][dist_mask] < thr_local
+    local_failures = local_only[:n_gen][dist_mask] < thr_local
     assert local_failures.mean() >= 0.5
 
     # the fused pipeline, at its own FAR=1% threshold, flips >= 50% of each
@@ -193,10 +193,10 @@ def test_minutiae_subset_tradeoff(fitted_norm):
         cfg = _config(fitted_norm, 2.0, -1.0, max_minutiae=k)
         raw = score_pairs(corpus, genuine_pairs + impostor_pairs, cfg.local)
         fused = apply_pipeline(raw, cfg)
-        local_only = apply_pipeline(raw, cfg, channel="local")
+        local_only = np.clip(cfg.local_normalizer()(raw.s_l_raw), 0.0, 1.0)
         work.append(int(fused.work_units.sum()))
         frr_fused.append(frr_at_far(fused.final[:n_gen], fused.final[n_gen:], 0.01)[0])
-        frr_local.append(frr_at_far(local_only.final[:n_gen], local_only.final[n_gen:], 0.01)[0])
+        frr_local.append(frr_at_far(local_only[:n_gen], local_only[n_gen:], 0.01)[0])
     assert work[0] > work[1] > work[2]
     assert frr_fused[0] <= frr_fused[1] <= frr_fused[2]
     fused_degradation = frr_fused[2] - frr_fused[0]

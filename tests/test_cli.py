@@ -90,6 +90,7 @@ def test_synth_invalid_probability_exits_2(tmp_path, capsys):
     ({"rotation_range_rad": "0.1"}, "rotation_range_rad"),
     ({"spurious_rate": math.inf}, "spurious_rate"),
     ({"collision_similarity_floor": math.inf}, "collision_similarity_floor"),
+    ({"seed": -1}, "seed"),
 ])
 def test_synth_bad_spec_exits_2(tmp_path, capsys, doc, key):
     spec_path = tmp_path / "spec.json"
@@ -97,6 +98,27 @@ def test_synth_bad_spec_exits_2(tmp_path, capsys, doc, key):
     out = tmp_path / "z"
     assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_seeds_beyond_64_bits_stay_distinct(tmp_path, capsys):
+    sums = []
+    for seed in (0, 2 ** 64):
+        spec_path = tmp_path / f"spec{seed}.json"
+        spec_path.write_text(json.dumps({"seed": seed, "subjects": 2, "impressions": 2}))
+        code, doc = run_json(capsys, ["synth", "--spec", str(spec_path),
+                                      "--out", str(tmp_path / str(seed))])
+        assert code == 0
+        sums.append(doc["checksum"])
+    assert sums[0] != sums[1]
+
+
+def test_synth_negative_env_seed_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FPFUSE_SEED", "-1")
+    out = tmp_path / "z"
+    assert main(["synth", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "integer" not in err
     assert not out.exists()
 
 
@@ -192,6 +214,13 @@ def test_eval_jobs_byte_identical(synth_dir, tmp_path):
                      "--out", str(path), "--jobs", str(jobs)]) == 0
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exits_2(synth_dir, capsys, command, jobs):
+    assert main([command, "--corpus", str(synth_dir), "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_eval_scores_csv_is_numeric(synth_dir, tmp_path):

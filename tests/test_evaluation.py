@@ -22,10 +22,10 @@ def test_pair_counts_match_closed_forms_exhaustively():
 
 
 def test_standard_protocol_counts():
-    p = Protocol(100, 8)
-    assert (p.genuine_count, p.impostor_count) == (2800, 4950)
-    p = Protocol(140, 12)
-    assert (p.genuine_count, p.impostor_count) == (9240, 9730)
+    genuine, impostor = enumerate_pairs(Protocol(100, 8))
+    assert (len(genuine), len(impostor)) == (2800, 4950)
+    genuine, impostor = enumerate_pairs(Protocol(140, 12))
+    assert (len(genuine), len(impostor)) == (9240, 9730)
 
 
 def test_tiny_protocol_hand_count():

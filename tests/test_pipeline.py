@@ -267,6 +267,7 @@ def test_infer_with_config_matches_manual(small_bundle):
     {"thresholds": [0.7, 0.2]},
     {"local": [1, 2]},
     [],
+    {"norm": {"apply_to_global": "false"}},
 ])
 def test_pipeline_config_rejects_unknown_keys(doc):
     with pytest.raises(ValueError):
@@ -274,7 +275,7 @@ def test_pipeline_config_rejects_unknown_keys(doc):
 
 
 @pytest.mark.parametrize("doc, key", [
-    ({"norm": {"apply_to_global": "false"}}, "apply_to_global"),
+    ({"local": {"emb_sim_floor": "0.3"}}, "emb_sim_floor"),
     ({"local": {"max_minutiae": 2.9}}, "max_minutiae"),
     ({"local": {"max_minutiae": True}}, "max_minutiae"),
     ({"theta_t": True}, "theta_t"),

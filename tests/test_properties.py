@@ -144,8 +144,7 @@ def configs(draw, bands=st.tuples(finite, finite), norm_kinds=norms, locals_=loc
     kind, params = draw(norm_kinds)
     return PipelineConfig(theta_t=theta_t, theta_f=theta_f,
                           fusion=draw(st.sampled_from(FUSION_RULES)),
-                          norm_kind=kind, norm_params=params,
-                          apply_norm_to_global=draw(st.booleans()), local=draw(locals_))
+                          norm_kind=kind, norm_params=params, local=draw(locals_))
 
 
 @PROPERTY
