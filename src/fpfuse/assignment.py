@@ -127,40 +127,29 @@ def _is_unique_optimum(cost, col_of_row, u, v, tol) -> bool:
     return bool((red > tol).all())
 
 
-def _kuhn_augment(adj, start_row, row_of_col, col_of_row, banned_rows, banned_cols):
-    """Try to re-match ``start_row`` via an alternating path in ``adj``.
-
-    Mutates the matching arrays on success.  Banned rows/columns are
-    treated as absent.
+def _reroute(tight, fixed, r, c, col_of_row, row_of_col) -> bool:
+    """Move row ``r`` to column ``c`` along an alternating cycle of tight
+    edges that avoids ``fixed`` columns: a path from the row holding ``c``
+    to the column holding ``r``, each of whose rows takes the column it
+    reached.  Returns False, changing nothing, when there is no such cycle.
     """
-    s = adj.shape[0]
-    visited_cols = np.zeros(s, dtype=bool)
-    parent_col = np.full(s, -1, dtype=np.int64)
-    col_entered_from_row = np.full(s, -1, dtype=np.int64)
-    stack = [start_row]
-    entered_from = {start_row: -1}
+    seen = fixed.copy()
+    seen[c] = True
+    via = np.empty(len(fixed), dtype=np.int64)  # row each seen column was reached from
+    stack = [row_of_col[c]]
     while stack:
-        r = stack.pop()
-        cols = np.flatnonzero(adj[r] & ~visited_cols & ~banned_cols)
-        for c in cols:
-            visited_cols[c] = True
-            col_entered_from_row[c] = r
-            parent_col[c] = entered_from[r]
-            r2 = row_of_col[c]
-            if r2 < 0:
-                # Free column: flip the path.
-                j = c
-                while True:
-                    i = col_entered_from_row[j]
-                    pj = parent_col[j]
-                    row_of_col[j] = i
-                    col_of_row[i] = j
-                    if pj == -1:
-                        return True
-                    j = pj
-            if not banned_rows[r2] and r2 not in entered_from:
-                entered_from[r2] = c
-                stack.append(r2)
+        i = stack.pop()
+        cols = np.flatnonzero(tight[i] & ~seen)
+        seen[cols] = True
+        via[cols] = i
+        if seen[col_of_row[r]]:
+            j = col_of_row[r]
+            while j != c:
+                i = via[j]
+                col_of_row[i], row_of_col[j], j = j, i, col_of_row[i]  # j: i's old column
+            col_of_row[r], row_of_col[c] = c, r
+            return True
+        stack.extend(row_of_col[cols])
     return False
 
 
@@ -168,68 +157,37 @@ def _canonical_pairs(cost: np.ndarray, tol: float, col_of_row: np.ndarray,
                      row_of_col: np.ndarray, u: np.ndarray, v: np.ndarray) -> List[Tuple[int, int]]:
     """Lexicographically smallest optimal maximal pairing.
 
-    Starts from an optimal solution of ``cost``: its matching (-1 marks an
-    unmatched row or column) and potentials, with ``v <= 0`` on columns and
-    0 on unmatched rows and columns as :func:`_augmenting_path_solve` leaves
-    them.  Pads to a square matrix with zero-cost dummy rows/columns (a dummy
-    column stands for "row unmatched") of potential 0; the rows and columns
-    left free then pair up along zero reduced costs, so the padded solution
-    is optimal without a second solve.  Then greedily fixes each real row to
-    its smallest usable column inside the tight subgraph.  On a square
-    matrix every perfect matching made of tight edges is optimal, so
-    feasibility checks reduce to bipartite matching.
+    Starts from an optimal matching of ``cost`` (-1 marks an unmatched row
+    or column) and the potentials :func:`_augmenting_path_solve` leaves:
+    ``v <= 0``, and 0 where unmatched.  Pads to a square matrix with
+    zero-cost dummy rows/columns of potential 0 (a dummy column stands for
+    "row unmatched") and pairs the free rows and columns, which keeps the
+    solution optimal.  Every perfect matching of tight (zero reduced cost)
+    edges is then optimal, and one holds edge (r, c) exactly when an
+    alternating cycle runs through it.  So each real row in turn takes and
+    fixes the first of its tight, unfixed columns, ascending with the
+    dummies last, that is its own or that :func:`_reroute` reaches.
     """
     n, m = cost.shape
     s = max(n, m)
-    sq = np.zeros((s, s))
-    sq[:n, :m] = cost
-    u = np.concatenate([u, np.zeros(s - n)])
-    v = np.concatenate([v, np.zeros(s - m)])
-    col_of_row = np.concatenate([col_of_row, np.full(s - n, -1, dtype=np.int64)])
-    row_of_col = np.concatenate([row_of_col, np.full(s - m, -1, dtype=np.int64)])
+    sq = np.pad(cost, ((0, s - n), (0, s - m)))
+    u = np.pad(u, (0, s - n))
+    v = np.pad(v, (0, s - m))
+    col_of_row = np.pad(col_of_row, (0, s - n), constant_values=-1)
+    row_of_col = np.pad(row_of_col, (0, s - m), constant_values=-1)
     free_rows = np.flatnonzero(col_of_row < 0)
     free_cols = np.flatnonzero(row_of_col < 0)
     col_of_row[free_rows] = free_cols
     row_of_col[free_cols] = free_rows
-    with np.errstate(invalid="ignore"):
-        red = sq - u[:, None] - v[None, :]
-    tight = np.nan_to_num(red, nan=np.inf, posinf=np.inf) <= tol
-    banned_rows = np.zeros(s, dtype=bool)
-    banned_cols = np.zeros(s, dtype=bool)
-    pairs: List[Tuple[int, int]] = []
+    # Finite potentials leave every reduced cost finite or +inf, never NaN.
+    tight = sq - u[:, None] - v[None, :] <= tol
+    fixed = np.zeros(s, dtype=bool)
     for r in range(n):
-        real_candidates = [c for c in np.flatnonzero(tight[r, :m]) if not banned_cols[c]]
-        dummy_candidates = [c for c in np.flatnonzero(tight[r, m:]) + m if not banned_cols[c]]
-        chosen = -1
-        for c in real_candidates + dummy_candidates:
-            if col_of_row[r] == c:
-                chosen = c
+        for c in np.flatnonzero(tight[r] & ~fixed):
+            if c == col_of_row[r] or _reroute(tight, fixed, r, c, col_of_row, row_of_col):
                 break
-            # Reroute: free row r's current column and column c's current row,
-            # then check the displaced row can still be matched elsewhere.
-            c0 = col_of_row[r]
-            r2 = row_of_col[c]
-            snapshot = (col_of_row.copy(), row_of_col.copy())
-            row_of_col[c0] = -1
-            col_of_row[r] = c
-            row_of_col[c] = r
-            col_of_row[r2] = -1
-            banned_rows[r] = True
-            banned_cols[c] = True
-            ok = _kuhn_augment(tight, r2, row_of_col, col_of_row, banned_rows, banned_cols)
-            banned_rows[r] = False
-            banned_cols[c] = False
-            if ok:
-                chosen = c
-                break
-            col_of_row, row_of_col = snapshot
-        if chosen < 0:  # cannot happen: current matching is itself tight
-            chosen = col_of_row[r]
-        banned_rows[r] = True
-        banned_cols[chosen] = True
-        if chosen < m:
-            pairs.append((r, int(chosen)))
-    return pairs
+        fixed[c] = True
+    return [(r, int(col_of_row[r])) for r in range(n) if col_of_row[r] < m]
 
 
 def solve_assignment(c: np.ndarray | Sequence[Sequence[float]]) -> Assignment:

@@ -250,7 +250,10 @@ def cmd_losses(args) -> int:
     weights = LossWeights()
     if args.weights:
         try:
-            text = Path(args.weights).read_text() if Path(args.weights).is_file() else args.weights
+            text = args.weights
+            # An inline object is never taken for a path: it may be too long for one.
+            if not text.lstrip().startswith("{") and Path(text).is_file():
+                text = Path(text).read_text()
             weights = LossWeights.from_dict(_json_object(text, "--weights"))
         except (OSError, TypeError, ValueError) as exc:
             raise CliError(f"bad loss weights: {exc}") from exc

@@ -19,6 +19,7 @@ import numpy as np
 
 from .assignment import (CorrespondenceWeights, correspondence_cost_matrix,
                          angular_distance, solve_assignment)
+from .pipeline import as_float
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,10 @@ class GroundTruthRecord:
 
 
 def _finite(arr, what: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
+    try:
+        arr = np.asarray(arr, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        arr = np.array(math.inf)
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must hold finite numbers")
     return arr
@@ -107,7 +111,7 @@ class LossWeights:
         for name, value in asdict(self).items():
             # A finite number that is not a bool; NaN fails the comparison.
             if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not 0 <= value < math.inf):
+                    or not 0 <= as_float(value) < math.inf):
                 raise ValueError(f"{name} must be a nonnegative finite number, got {value!r}")
 
     @classmethod

@@ -220,13 +220,17 @@ def _json_type(what: str, *types: type, convert: Callable = lambda v: v) -> Call
     return check
 
 
-def _finite(value) -> float:
-    # json.loads takes NaN and Infinity, which strict JSON has not; an integer
-    # beyond the float range counts as infinite.
+def as_float(value) -> float:
+    """``float(value)``, with an integer beyond the float range taken as infinite."""
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:
-        value = math.inf
+        return math.inf
+
+
+def _finite(value) -> float:
+    # json.loads takes NaN and Infinity, which strict JSON has not.
+    value = as_float(value)
     if not math.isfinite(value):
         raise ValueError(f"must be a finite number, got {value!r}")
     return value

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .pipeline import as_float
 from .templates import Corpus, Template, canonicalize_angle, write_corpus
 
 # Field tags for RNG stream keys.
@@ -82,13 +83,14 @@ class SynthSpec:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         size = self.image_size
         if not (isinstance(size, tuple) and len(size) == 2
-                and all(_is_int(v) and v >= 1 for v in size)):
-            raise ValueError(f"image_size must be two positive integers, got {size!r}")
-        # Float knobs: finite real numbers, not bools (NaN fails the comparison).
+                and all(_is_int(v) and 1 <= v < 2 ** 32 for v in size)):
+            # FPT1 stores each side as a uint32.
+            raise ValueError(f"image_size must be two integers in [1, 2**32 - 1], got {size!r}")
+        # Float knobs: finite real numbers, not bools.
         for name in (f.name for f in fields(self) if isinstance(f.default, float)):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not -math.inf < value < math.inf):
+                    or not math.isfinite(as_float(value))):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("drop_probability", "global_collision_rate", "distortion_rate",
                      "distortion_drop_fraction", "weak_global_rate"):

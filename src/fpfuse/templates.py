@@ -314,7 +314,7 @@ def _read_json(data: bytes) -> Template:
         return _ingest(np.asarray(doc["global"], dtype=np.float32), xyt.reshape(-1, 3),
                        np.array(embs, dtype=np.float32).reshape(len(embs), d_m),
                        (int(h), int(w)), str(doc.get("source_id", "")))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DecodeError):
             raise
         raise DecodeError(f"malformed JSON template: {exc}") from exc

@@ -119,6 +119,38 @@ def test_oracle_with_sentinels():
     assert infeasible_seen > 0
 
 
+def test_lexicographic_minimality_beyond_brute_force():
+    # Each row's column (m for unmatched) is the smallest free one it can
+    # take: forcing an earlier free column onto the row, with the earlier
+    # rows fixed, must cost more or be infeasible.  Too large for the
+    # brute-force oracle, and tie-rich enough for long alternating cycles.
+    rng = np.random.default_rng(49)
+    for _ in range(60):
+        n, m = (int(k) for k in rng.integers(8, 25, size=2))
+        cost = rng.integers(0, 3, size=(n, m)).astype(np.float64)
+        got = solve_assignment(cost)
+        col = dict(got.pairs)
+        prefix = cost.copy()  # the rows before r fixed as the solution pairs them
+        taken = set()
+        for r in range(n):
+            own = col.get(r, m)
+            for c in sorted(set(range(own)) - taken):
+                forced = prefix.copy()
+                forced[r, :] = np.inf
+                forced[:, c] = np.inf
+                forced[r, c] = cost[r, c]
+                try:
+                    alt = solve_assignment(forced)
+                except InfeasibleAssignmentError:
+                    continue
+                assert (r, c) not in alt.pairs or alt.total_cost > got.total_cost
+            prefix[r, :] = np.inf
+            if own < m:
+                prefix[:, own] = np.inf
+                prefix[r, own] = cost[r, own]
+                taken.add(own)
+
+
 def test_permutation_invariance():
     rng = np.random.default_rng(45)
     cost = rng.uniform(0, 10, size=(5, 6))

@@ -91,6 +91,8 @@ def test_synth_invalid_probability_exits_2(tmp_path, capsys):
     ({"spurious_rate": math.inf}, "spurious_rate"),
     ({"collision_similarity_floor": math.inf}, "collision_similarity_floor"),
     ({"seed": -1}, "seed"),
+    ({"position_jitter_px": 10 ** 400}, "position_jitter_px"),
+    ({"image_size": [2 ** 32, 384]}, "image_size"),
 ])
 def test_synth_bad_spec_exits_2(tmp_path, capsys, doc, key):
     spec_path = tmp_path / "spec.json"
@@ -425,6 +427,8 @@ def test_losses_weights_not_an_object_exits_2(tmp_path, capsys):
     ("pred", {"intermediates": [{"positions": [[0.0, 0.0, math.inf]] * 3,
                                  "embeddings": [[1.0, 0.0]] * 3}]},
      "intermediates[0].positions"),
+    ("weights", {"global_weight": 10 ** 400}, "global_weight must be"),
+    ("pred", {"global": [10 ** 400, 0.0, 0.0, 0.0]}, "global_embedding"),
 ])
 def test_losses_bad_numbers_exit_2(tmp_path, capsys, which, patch, key):
     paths = dict(zip(("pred", "gt"), loss_fixture(tmp_path)))

@@ -237,6 +237,18 @@ def test_readers_reject_mixed_minutia_dimensions():
         read_template(json.dumps(doc).encode())
 
 
+@pytest.mark.parametrize("field", ["global", "x", "image_size"])
+def test_json_reader_rejects_integers_beyond_float_range(field):
+    doc = json.loads(write_template(basis_template(minutiae=[(5.0, 5.0, 0.5, [1.0, 0.0])]),
+                                    format="json"))
+    if field == "x":
+        doc["minutiae"][0]["x"] = 10 ** 400
+    else:
+        doc[field][0] = 10 ** 400
+    with pytest.raises(DecodeError, match="malformed JSON template"):
+        read_template(json.dumps(doc).encode())
+
+
 @pytest.mark.parametrize("positions, theta, embeddings", [
     (np.zeros((2, 2)), np.zeros(3), np.zeros((2, 4))),   # row counts differ
     (np.zeros((2, 3)), np.zeros(2), np.zeros((2, 4))),   # positions not (n, 2)
