@@ -231,8 +231,7 @@ def solve_assignment(c: np.ndarray | Sequence[Sequence[float]]) -> Assignment:
 # Minutiae correspondence
 
 def correspondence_cost_matrix(pred_pos, pred_ori, pred_emb, gt_pos, gt_ori, gt_emb,
-                               w: CorrespondenceWeights = CorrespondenceWeights(),
-                               circular_orientation: bool = True) -> np.ndarray:
+                               w: CorrespondenceWeights = CorrespondenceWeights()) -> np.ndarray:
     """Pairwise minutia costs between two sets given as arrays."""
     pred_pos = np.asarray(pred_pos, dtype=np.float64)
     gt_pos = np.asarray(gt_pos, dtype=np.float64)
@@ -243,12 +242,7 @@ def correspondence_cost_matrix(pred_pos, pred_ori, pred_emb, gt_pos, gt_ori, gt_
             f"embedding dimension mismatch: {pred_emb.shape[1]} != {gt_emb.shape[1]}")
     diff = pred_pos[:, None, :] - gt_pos[None, :, :]
     loc = np.sqrt((diff ** 2).sum(axis=2))
-    po = np.asarray(pred_ori, dtype=np.float64)[:, None]
-    go = np.asarray(gt_ori, dtype=np.float64)[None, :]
-    if circular_orientation:
-        ori = angular_distance(po, go)
-    else:
-        ori = np.abs(po - go)
+    ori = angular_distance(np.asarray(pred_ori)[:, None], np.asarray(gt_ori)[None, :])
     ediff = pred_emb[:, None, :] - gt_emb[None, :, :]
     emb = np.sqrt((ediff ** 2).sum(axis=2))
     return w.w_loc * loc + w.w_ori * ori + w.w_emb * emb

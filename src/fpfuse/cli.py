@@ -102,11 +102,7 @@ def cmd_match(args) -> int:
         b = read_template(Path(args.b).read_bytes())
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read template: {exc}") from exc
-    try:
-        result = infer_pair_with_config(a, b, cfg)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    _emit(result.to_dict(), args.pretty)
+    _emit(infer_pair_with_config(a, b, cfg).to_dict(), args.pretty)
     return 0
 
 
@@ -119,13 +115,10 @@ def _load_eval_inputs(args):
         corpus = read_corpus(args.corpus)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read corpus {args.corpus}: {exc}") from exc
-    try:
-        protocol = Protocol.parse(args.protocol) if args.protocol else Protocol(
-            subjects=len(corpus.subject_ids),
-            impressions=len(corpus.subjects[corpus.subject_ids[0]]))
-        genuine_pairs, impostor_pairs = enumerate_pairs(protocol, corpus)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    protocol = Protocol.parse(args.protocol) if args.protocol else Protocol(
+        subjects=len(corpus.subject_ids),
+        impressions=len(corpus.subjects[corpus.subject_ids[0]]))
+    genuine_pairs, impostor_pairs = enumerate_pairs(protocol, corpus)
     return corpus, protocol, genuine_pairs + impostor_pairs, len(genuine_pairs)
 
 
@@ -257,11 +250,7 @@ def cmd_losses(args) -> int:
             weights = LossWeights.from_dict(_json_object(text, "--weights"))
         except (OSError, TypeError, ValueError) as exc:
             raise CliError(f"bad loss weights: {exc}") from exc
-    try:
-        breakdown = total_loss(pred, gt, weights)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    _emit(breakdown.to_dict(), args.pretty)
+    _emit(total_loss(pred, gt, weights).to_dict(), args.pretty)
     return 0
 
 

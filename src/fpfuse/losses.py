@@ -1,11 +1,12 @@
 """Reference implementation of the training objective.
 
-The total loss combines a global-embedding MSE, position/orientation and
-local-embedding MSEs computed after reordering the ground-truth minutiae
-rows by optimal correspondence, and the analogous terms summed over the
-five intermediate decoder layers (each layer refits its own
-correspondence).  These are reference formulas over plain arrays, not a
-training loop.
+The total loss is a global-embedding MSE plus, for the final layer and for
+each intermediate decoder layer, a position/orientation MSE and a
+local-embedding MSE taken after reordering the ground-truth minutiae rows
+by that layer's own optimal correspondence.  Orientation is always
+circular: the correspondence cost and the theta column of the position MSE
+both use :func:`angular_distance`.  These are reference formulas over
+plain arrays, not a training loop.
 """
 
 from __future__ import annotations
@@ -13,71 +14,70 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .assignment import (CorrespondenceWeights, correspondence_cost_matrix,
                          angular_distance, solve_assignment)
 from .pipeline import as_float
+from .templates import json_numbers
 
 
 @dataclass(frozen=True)
-class PredictionRecord:
-    """Model outputs for one image: global embedding, minutiae, per-layer intermediates."""
+class _MinutiaeRecord:
+    """Global embedding and minutiae rows, checked for shape and finiteness."""
 
     global_embedding: np.ndarray          # (d_g,)
     positions: np.ndarray                 # (L, 3): x, y, theta
     embeddings: np.ndarray                # (L, d_m)
-    intermediates: Tuple[Tuple[np.ndarray, np.ndarray], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "global_embedding",
                            _finite(self.global_embedding, "global_embedding"))
         object.__setattr__(self, "positions", _check_positions(self.positions, "positions"))
         object.__setattr__(self, "embeddings", _finite(self.embeddings, "embeddings"))
+        L = self.positions.shape[0]
+        if self.embeddings.shape[0] != L:
+            raise ValueError(f"embeddings rows {self.embeddings.shape[0]} != positions rows {L}")
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        """The record of a JSON object with ``global``, ``positions`` and ``embeddings``."""
+        return cls(*_json_arrays(doc))
+
+
+def _json_arrays(doc: dict, prefix: str = "", keys=("global", "positions", "embeddings")):
+    """The arrays under ``keys`` of a JSON record, whose leaves must be numbers."""
+    return tuple(np.asarray(json_numbers(doc[key], prefix + key)) for key in keys)
+
+
+@dataclass(frozen=True)
+class PredictionRecord(_MinutiaeRecord):
+    """Model outputs for one image: global embedding, minutiae, per-layer intermediates."""
+
+    intermediates: Tuple[Tuple[np.ndarray, np.ndarray], ...] = ()
+
+    def __post_init__(self):
+        super().__post_init__()
         inter = tuple((_check_positions(po, f"intermediates[{i}].positions"),
                        _finite(e, f"intermediates[{i}].embeddings"))
                       for i, (po, e) in enumerate(self.intermediates))
         object.__setattr__(self, "intermediates", inter)
-        L = self.positions.shape[0]
-        if self.embeddings.shape[0] != L:
-            raise ValueError(f"embeddings rows {self.embeddings.shape[0]} != positions rows {L}")
         for i, (po, e) in enumerate(inter):
             if po.shape != self.positions.shape or e.shape != self.embeddings.shape:
                 raise ValueError(f"intermediate layer {i} shape mismatch")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PredictionRecord":
-        inter = tuple((np.asarray(layer["positions"]), np.asarray(layer["embeddings"]))
-                      for layer in doc.get("intermediates", []))
-        return cls(global_embedding=np.asarray(doc["global"]),
-                   positions=np.asarray(doc["positions"]),
-                   embeddings=np.asarray(doc["embeddings"]),
-                   intermediates=inter)
+        inter = tuple(_json_arrays(layer, f"intermediates[{i}].", ("positions", "embeddings"))
+                      for i, layer in enumerate(doc.get("intermediates", [])))
+        return cls(*_json_arrays(doc), inter)
 
 
 @dataclass(frozen=True)
-class GroundTruthRecord:
+class GroundTruthRecord(_MinutiaeRecord):
     """Reference targets matching one prediction's shapes."""
-
-    global_embedding: np.ndarray
-    positions: np.ndarray
-    embeddings: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "global_embedding",
-                           _finite(self.global_embedding, "global_embedding"))
-        object.__setattr__(self, "positions", _check_positions(self.positions, "positions"))
-        object.__setattr__(self, "embeddings", _finite(self.embeddings, "embeddings"))
-        if self.embeddings.shape[0] != self.positions.shape[0]:
-            raise ValueError("embeddings rows != positions rows")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GroundTruthRecord":
-        return cls(global_embedding=np.asarray(doc["global"]),
-                   positions=np.asarray(doc["positions"]),
-                   embeddings=np.asarray(doc["embeddings"]))
 
 
 def _finite(arr, what: str) -> np.ndarray:
@@ -152,33 +152,9 @@ def mse_gradient(a, b) -> np.ndarray:
     return 2.0 * (a - b) / a.size
 
 
-def _position_mse(pred_po: np.ndarray, gt_po: np.ndarray, circular_orientation: bool) -> float:
-    """MSE over (x, y, theta) rows; the theta column optionally uses the circular distance."""
-    if not circular_orientation:
-        return mse(pred_po, gt_po)
-    diff = pred_po - gt_po
-    sq = diff ** 2
-    sq[:, 2] = angular_distance(pred_po[:, 2], gt_po[:, 2]) ** 2
-    return float(np.mean(sq))
-
-
-def _correspondence_permutation(pred_po, pred_e, gt_po, gt_e,
-                                w: CorrespondenceWeights,
-                                circular_orientation: bool) -> np.ndarray:
-    cost = correspondence_cost_matrix(
-        pred_po[:, :2], pred_po[:, 2], pred_e,
-        gt_po[:, :2], gt_po[:, 2], gt_e,
-        w, circular_orientation)
-    result = solve_assignment(cost)
-    perm = np.empty(pred_po.shape[0], dtype=np.int64)
-    for row, col in result.pairs:
-        perm[row] = col
-    return perm
-
-
 def reorder_ground_truth(pred_po, pred_e, gt_po, gt_e,
-                         w: CorrespondenceWeights = CorrespondenceWeights(),
-                         circular_orientation: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+                         w: CorrespondenceWeights = CorrespondenceWeights()
+                         ) -> Tuple[np.ndarray, np.ndarray]:
     """Permute ground-truth rows to align with the predictions.
 
     Row ``i`` of the returned arrays is the ground-truth minutia matched to
@@ -186,45 +162,41 @@ def reorder_ground_truth(pred_po, pred_e, gt_po, gt_e,
     """
     pred_po = _check_positions(pred_po, "pred positions")
     gt_po = _check_positions(gt_po, "gt positions")
-    pred_e = np.asarray(pred_e, dtype=np.float64)
     gt_e = np.asarray(gt_e, dtype=np.float64)
     if pred_po.shape[0] != gt_po.shape[0]:
         raise ValueError(f"row count mismatch: {pred_po.shape[0]} != {gt_po.shape[0]}")
     if pred_po.shape[0] == 0:
         return gt_po.copy(), gt_e.copy()
-    perm = _correspondence_permutation(pred_po, pred_e, gt_po, gt_e, w, circular_orientation)
+    cost = correspondence_cost_matrix(pred_po[:, :2], pred_po[:, 2], pred_e,
+                                      gt_po[:, :2], gt_po[:, 2], gt_e, w)
+    # A square solve pairs every row, and its pairs come sorted by row.
+    perm = [col for _, col in solve_assignment(cost).pairs]
     return gt_po[perm], gt_e[perm]
+
+
+def _layer_loss(po, e, gt: GroundTruthRecord, cw: CorrespondenceWeights) -> Tuple[float, float]:
+    """Position and embedding MSEs of one layer against the ground truth
+    reordered by that layer's own correspondence; theta's error is circular."""
+    gt_po, gt_e = reorder_ground_truth(po, e, gt.positions, gt.embeddings, cw)
+    sq = (po - gt_po) ** 2
+    sq[:, 2] = angular_distance(po[:, 2], gt_po[:, 2]) ** 2
+    return float(np.mean(sq)), mse(e, gt_e)
 
 
 def total_loss(pred: PredictionRecord, gt: GroundTruthRecord,
                w: LossWeights = LossWeights(),
-               cw: CorrespondenceWeights = CorrespondenceWeights(),
-               circular_orientation: bool = True) -> LossBreakdown:
-    """Weighted sum of global, local and per-layer intermediate losses.
-
-    Each intermediate layer refits its own correspondence against the
-    ground truth before its MSE terms are computed.
-    """
+               cw: CorrespondenceWeights = CorrespondenceWeights()) -> LossBreakdown:
+    """Weighted sum of the global loss and every layer's position and
+    embedding losses; the intermediate layers' terms are summed."""
     if pred.global_embedding.shape != gt.global_embedding.shape:
         raise ValueError("global embedding shape mismatch")
     if pred.positions.shape != gt.positions.shape or pred.embeddings.shape != gt.embeddings.shape:
         raise ValueError("minutiae shape mismatch between prediction and ground truth")
     global_loss = mse(pred.global_embedding, gt.global_embedding)
-
-    gt_po, gt_e = reorder_ground_truth(pred.positions, pred.embeddings,
-                                       gt.positions, gt.embeddings, cw, circular_orientation)
-    position_loss = _position_mse(pred.positions, gt_po, circular_orientation)
-    embedding_loss = mse(pred.embeddings, gt_e)
-
-    inter_po_terms: List[float] = []
-    inter_e_terms: List[float] = []
-    for layer_po, layer_e in pred.intermediates:
-        l_po, l_e = reorder_ground_truth(layer_po, layer_e,
-                                         gt.positions, gt.embeddings, cw, circular_orientation)
-        inter_po_terms.append(_position_mse(layer_po, l_po, circular_orientation))
-        inter_e_terms.append(mse(layer_e, l_e))
-    intermediate_position_loss = math.fsum(inter_po_terms)
-    intermediate_embedding_loss = math.fsum(inter_e_terms)
+    position_loss, embedding_loss = _layer_loss(pred.positions, pred.embeddings, gt, cw)
+    inter = [_layer_loss(po, e, gt, cw) for po, e in pred.intermediates]
+    intermediate_position_loss = math.fsum(p for p, _ in inter)
+    intermediate_embedding_loss = math.fsum(e for _, e in inter)
 
     total = math.fsum((
         w.global_weight * global_loss,

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .pipeline import as_float
-from .templates import Corpus, Template, canonicalize_angle, write_corpus
+from .templates import MAX_IMAGE_SIDE, Corpus, Template, canonicalize_angle, write_corpus
 
 # Field tags for RNG stream keys.
 _F_GLOBAL = 0
@@ -83,9 +83,9 @@ class SynthSpec:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         size = self.image_size
         if not (isinstance(size, tuple) and len(size) == 2
-                and all(_is_int(v) and 1 <= v < 2 ** 32 for v in size)):
-            # FPT1 stores each side as a uint32.
-            raise ValueError(f"image_size must be two integers in [1, 2**32 - 1], got {size!r}")
+                and all(_is_int(v) and 1 <= v <= MAX_IMAGE_SIDE for v in size)):
+            raise ValueError(
+                f"image_size must be two integers in [1, {MAX_IMAGE_SIDE}], got {size!r}")
         # Float knobs: finite real numbers, not bools.
         for name in (f.name for f in fields(self) if isinstance(f.default, float)):
             value = getattr(self, name)

@@ -37,6 +37,7 @@ TWO_PI = 2.0 * math.pi
 
 BINARY_MAGIC = b"FPT1"
 BINARY_VERSION = 1
+MAX_IMAGE_SIDE = 2 ** 32 - 1  # FPT1 stores each image side as a uint32
 
 # |norm - 1| <= VALID tolerance passes validation untouched; values in
 # (VALID, INGEST] are renormalized by readers; beyond INGEST the data is
@@ -165,8 +166,9 @@ def _violations(t: Template, global_norm: float, norms: np.ndarray) -> List[Viol
         violations.append(Violation("global_embedding", "norm",
                                     f"norm {global_norm:.6g} not within {NORM_VALID_TOL:g} of 1"))
     h, w = t.image_size
-    if h <= 0 or w <= 0:
-        violations.append(Violation("image_size", "positive", f"{t.image_size}"))
+    if not (0 < h <= MAX_IMAGE_SIDE and 0 < w <= MAX_IMAGE_SIDE):
+        violations.append(Violation("image_size", f"sides in [1, {MAX_IMAGE_SIDE}]",
+                                    f"{t.image_size}"))
     x, y = t.positions.astype(np.float64).T
     theta = t.theta.astype(np.float64)
     finite = np.isfinite(x) & np.isfinite(y)
@@ -297,6 +299,20 @@ def _write_json(t: Template) -> bytes:
     return json.dumps(doc, sort_keys=True).encode("utf-8")
 
 
+def json_numbers(value, what: str):
+    """Return ``value``, a JSON number or a nest of arrays, after checking
+    that every leaf is an int or a float.  Any other leaf, a bool or a
+    numeric string included, raises ``ValueError`` naming ``what``."""
+    stack = [value]
+    while stack:
+        leaf = stack.pop()
+        if isinstance(leaf, list):
+            stack.extend(leaf)
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ValueError(f"{what} must hold numbers, got {leaf!r}")
+    return value
+
+
 def _read_json(data: bytes) -> Template:
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -304,16 +320,23 @@ def _read_json(data: bytes) -> Template:
         raise DecodeError(f"template is neither FPT1 binary nor JSON: {exc}", 0) from exc
     try:
         recs = doc["minutiae"]
-        embs = [rec["emb"] for rec in recs]
+        embs = json_numbers([rec["emb"] for rec in recs], "minutia emb")
         dims = {len(e) for e in embs}
         if len(dims) > 1:
             raise DecodeError(f"minutia embeddings differ in dimension: {sorted(dims)}")
         d_m = dims.pop() if dims else 0
-        xyt = np.array([(rec["x"], rec["y"], rec["theta"]) for rec in recs], dtype=np.float64)
-        h, w = doc["image_size"]
-        return _ingest(np.asarray(doc["global"], dtype=np.float32), xyt.reshape(-1, 3),
+        xyt = json_numbers([[rec["x"], rec["y"], rec["theta"]] for rec in recs],
+                           "minutia x, y and theta")
+        h, w = size = doc["image_size"]
+        if not all(type(v) is int for v in size):
+            raise ValueError(f"image_size must hold two integers, got {size!r}")
+        source_id = doc.get("source_id", "")
+        if not isinstance(source_id, str):
+            raise ValueError(f"source_id must be a string, got {source_id!r}")
+        return _ingest(np.asarray(json_numbers(doc["global"], "global"), dtype=np.float32),
+                       np.array(xyt, dtype=np.float64).reshape(-1, 3),
                        np.array(embs, dtype=np.float32).reshape(len(embs), d_m),
-                       (int(h), int(w)), str(doc.get("source_id", "")))
+                       (h, w), source_id)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DecodeError):
             raise

@@ -185,10 +185,9 @@ def test_angular_distance_symmetry_and_bound():
     assert angular_distance(0.1, 2 * math.pi - 0.1) == pytest.approx(0.2)
 
 
-def pair_cost(p, g, w=CorrespondenceWeights(), circular_orientation=True):
+def pair_cost(p, g, w=CorrespondenceWeights()):
     """Cost of one (x, y, theta, embedding) row against another."""
-    return float(correspondence_cost_matrix(*as_arrays([p]), *as_arrays([g]), w,
-                                            circular_orientation)[0, 0])
+    return float(correspondence_cost_matrix(*as_arrays([p]), *as_arrays([g]), w)[0, 0])
 
 
 def test_minutia_cost_identity_is_zero():
@@ -215,10 +214,7 @@ def test_minutia_cost_literal_orientation_flag():
     e = unit([1.0, 0.0])
     p = (0, 0, 0.1, e)
     g = (0, 0, 2 * math.pi - 0.1, e)
-    w = CorrespondenceWeights(1, 1, 1)
-    literal = pair_cost(p, g, w, circular_orientation=False)
-    assert literal == pytest.approx(2 * math.pi - 0.2, abs=1e-5)
-    assert pair_cost(p, g, w) == pytest.approx(0.2, abs=1e-6)
+    assert pair_cost(p, g, CorrespondenceWeights(1, 1, 1)) == pytest.approx(0.2, abs=1e-6)
 
 
 def test_minutia_cost_dimension_mismatch():

@@ -429,6 +429,12 @@ def test_losses_weights_not_an_object_exits_2(tmp_path, capsys):
      "intermediates[0].positions"),
     ("weights", {"global_weight": 10 ** 400}, "global_weight must be"),
     ("pred", {"global": [10 ** 400, 0.0, 0.0, 0.0]}, "global_embedding"),
+    ("pred", {"global": ["1.0", 0.0, 0.0, 0.0]}, "global must hold numbers"),
+    ("gt", {"positions": [[True, 0.0, 0.0]] * 3}, "positions must hold numbers"),
+    ("pred", {"embeddings": [["1", "0"]] * 3}, "embeddings must hold numbers"),
+    ("pred", {"intermediates": [{"positions": [[0.0, 0.0, False]] * 3,
+                                 "embeddings": [[1.0, 0.0]] * 3}]},
+     "intermediates[0].positions must hold numbers"),
 ])
 def test_losses_bad_numbers_exit_2(tmp_path, capsys, which, patch, key):
     paths = dict(zip(("pred", "gt"), loss_fixture(tmp_path)))

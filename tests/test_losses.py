@@ -187,10 +187,7 @@ def test_strict_mse_flag_differs_at_wraparound():
     e = np.ones((1, 2))
     pred = PredictionRecord(np.zeros(3), po, e)
     gt = GroundTruthRecord(np.zeros(3), gt_po, e)
-    circular = total_loss(pred, gt, circular_orientation=True)
-    literal = total_loss(pred, gt, circular_orientation=False)
-    assert circular.position_loss == pytest.approx(0.1 ** 2 / 3, abs=1e-9)
-    assert literal.position_loss == pytest.approx((2 * math.pi - 0.1) ** 2 / 3, abs=1e-9)
+    assert total_loss(pred, gt).position_loss == pytest.approx(0.1 ** 2 / 3, abs=1e-9)
 
 
 def test_loss_weights_validation():

@@ -8,6 +8,7 @@ import pytest
 from fpfuse import (DecodeError, SynthSpec, Template, canonicalize_angle,
                     generate_corpus, read_corpus, read_template, validate,
                     write_corpus, write_template)
+from fpfuse.templates import MAX_IMAGE_SIDE
 
 from conftest import as_arrays, basis_template, make_template, random_minutia
 
@@ -246,6 +247,38 @@ def test_json_reader_rejects_integers_beyond_float_range(field):
     else:
         doc[field][0] = 10 ** 400
     with pytest.raises(DecodeError, match="malformed JSON template"):
+        read_template(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("path, value", [
+    (("image_size",), ["384", 384.9]),
+    (("image_size",), [384.0, 384]),
+    (("image_size",), [True, 384]),
+    (("minutiae", 0, "x"), "10"),
+    (("minutiae", 0, "theta"), True),
+    (("minutiae", 0, "emb"), ["1.0", 0.0]),
+    (("global",), ["1.0"] + [0.0] * 7),
+    (("source_id",), 7),
+])
+def test_json_reader_rejects_non_numbers(path, value):
+    doc = json.loads(write_template(basis_template(minutiae=[(5.0, 5.0, 0.5, [1.0, 0.0])]),
+                                    format="json"))
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    with pytest.raises(DecodeError, match="malformed JSON template"):
+        read_template(json.dumps(doc).encode())
+
+
+def test_image_side_beyond_uint32_is_invalid():
+    wide = make_template(np.eye(8)[0], image_size=(MAX_IMAGE_SIDE + 1, 384))
+    assert [v.field for v in validate(wide)] == ["image_size"]
+    assert validate(make_template(np.eye(8)[0], image_size=(MAX_IMAGE_SIDE, 384))) == []
+    doc = json.loads(write_template(basis_template(), format="json"))
+    doc["image_size"] = [5_000_000_000, 384]
+    with pytest.raises(DecodeError, match="image_size"):
         read_template(json.dumps(doc).encode())
 
 
