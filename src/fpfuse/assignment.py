@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .templates import TWO_PI
+from .templates import TWO_PI, number
 
 
 class InfeasibleAssignmentError(ValueError):
@@ -43,8 +43,8 @@ class CorrespondenceWeights:
     w_emb: float = 20.0
 
     def __post_init__(self):
-        if self.w_loc < 0 or self.w_ori < 0 or self.w_emb < 0:
-            raise ValueError("correspondence weights must be nonnegative")
+        for name in ("w_loc", "w_ori", "w_emb"):
+            number(getattr(self, name), name, lo=0.0)
         if self.w_loc == 0 and self.w_ori == 0 and self.w_emb == 0:
             raise ValueError("correspondence weights must not all be zero")
 

@@ -24,7 +24,7 @@ from .evaluation import (Protocol, apply_pipeline, enumerate_pairs,
 from .losses import GroundTruthRecord, LossWeights, PredictionRecord, total_loss
 from .pipeline import UNGATED, PipelineConfig, infer_pair_with_config
 from .synth import SynthSpec, generate_corpus, write_bundle
-from .templates import read_corpus, read_template
+from .templates import number, read_corpus, read_template
 
 
 class CliError(Exception):
@@ -180,9 +180,13 @@ def _parse_grid(text: str, cfg: PipelineConfig) -> List[PipelineConfig]:
 
 
 def cmd_bench(args) -> int:
+    try:
+        far_targets = [number(float(t), "a FAR target", 0.0, 1.0)
+                       for t in args.far.split(",")]
+    except ValueError as exc:
+        raise CliError(f"bad --far {args.far!r}: {exc}") from exc
     corpus, _, pairs, n_gen = _load_eval_inputs(args)
     cfg = _load_config(args.config)
-    far_targets = [float(t) for t in args.far.split(",")]
 
     rows = []
     if args.sweep_minutiae:

@@ -92,24 +92,39 @@ class RocPoint:
     frr: float
 
 
-def _score_grid(genuine: np.ndarray, impostor: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.unique(np.concatenate([genuine, impostor])), [np.inf]])
-
-
-def _far_frr(genuine: np.ndarray, impostor: np.ndarray, thresholds: np.ndarray):
-    # score >= threshold -> accept
-    g = np.sort(genuine)
-    i = np.sort(impostor)
-    far = 1.0 - np.searchsorted(i, thresholds, side="left") / i.size
-    frr = np.searchsorted(g, thresholds, side="left") / g.size
-    return far, frr
-
-
 def _as_scores(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.sort(np.asarray(values, dtype=np.float64))
     if arr.size == 0:
         raise ValueError(f"{name} score list is empty")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} scores must be finite")
     return arr
+
+
+def _operating_points(genuine_scores, impostor_scores):
+    """``(grid, far, frr)``: the threshold grid and the FAR and FRR at each of
+    its thresholds under ``score >= threshold -> accept``.  FAR falls from 1
+    to 0 along the grid and FRR rises from 0 to 1."""
+    genuine = _as_scores(genuine_scores, "genuine")
+    impostor = _as_scores(impostor_scores, "impostor")
+    grid = np.concatenate([np.unique(np.concatenate([genuine, impostor])), [np.inf]])
+    far = 1.0 - np.searchsorted(impostor, grid, side="left") / impostor.size
+    frr = np.searchsorted(genuine, grid, side="left") / genuine.size
+    return grid, far, frr
+
+
+def _frr_at(points, far_target: float) -> Tuple[float, float]:
+    grid, far, frr = points
+    idx = int(np.flatnonzero(far <= far_target)[0])  # the last point has FAR 0
+    return float(frr[idx]), float(grid[idx])
+
+
+def _eer(points) -> float:
+    _, far, frr = points
+    diff = far - frr  # 1 at the first point and -1 at the last
+    k = int(np.flatnonzero((diff[:-1] > 0) & (diff[1:] <= 0))[0])
+    alpha = diff[k] / (diff[k] - diff[k + 1])
+    return float(far[k] + alpha * (far[k + 1] - far[k]))
 
 
 def frr_at_far(genuine_scores, impostor_scores, far_target: float) -> Tuple[float, float]:
@@ -120,39 +135,18 @@ def frr_at_far(genuine_scores, impostor_scores, far_target: float) -> Tuple[floa
     """
     if not 0.0 <= far_target <= 1.0:
         raise ValueError("far_target must lie in [0, 1]")
-    genuine = _as_scores(genuine_scores, "genuine")
-    impostor = _as_scores(impostor_scores, "impostor")
-    grid = _score_grid(genuine, impostor)
-    far, frr = _far_frr(genuine, impostor, grid)
-    ok = np.flatnonzero(far <= far_target)
-    idx = int(ok[0])  # far is non-increasing in the threshold, so ok is never empty
-    return float(frr[idx]), float(grid[idx])
+    return _frr_at(_operating_points(genuine_scores, impostor_scores), far_target)
 
 
 def roc_curve(genuine_scores, impostor_scores) -> List[RocPoint]:
     """One operating point per distinct observed score (plus +inf)."""
-    genuine = _as_scores(genuine_scores, "genuine")
-    impostor = _as_scores(impostor_scores, "impostor")
-    grid = _score_grid(genuine, impostor)
-    far, frr = _far_frr(genuine, impostor, grid)
-    return [RocPoint(float(t), float(fa), float(fr)) for t, fa, fr in zip(grid, far, frr)]
+    return [RocPoint(float(t), float(fa), float(fr))
+            for t, fa, fr in zip(*_operating_points(genuine_scores, impostor_scores))]
 
 
 def eer(genuine_scores, impostor_scores) -> float:
     """Operating point where FAR and FRR meet (linear interpolation)."""
-    genuine = _as_scores(genuine_scores, "genuine")
-    impostor = _as_scores(impostor_scores, "impostor")
-    grid = _score_grid(genuine, impostor)
-    far, frr = _far_frr(genuine, impostor, grid)
-    diff = far - frr
-    sign_change = np.flatnonzero((diff[:-1] > 0) & (diff[1:] <= 0))
-    if sign_change.size:
-        k = int(sign_change[0])
-        denom = diff[k] - diff[k + 1]
-        alpha = diff[k] / denom if denom > 0 else 0.0
-        return float(far[k] + alpha * (far[k + 1] - far[k]))
-    k = int(np.argmin(np.abs(diff)))
-    return float(0.5 * (far[k] + frr[k]))
+    return _eer(_operating_points(genuine_scores, impostor_scores))
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +320,15 @@ def evaluate_scores(genuine: np.ndarray, impostor: np.ndarray,
                     gate_stats: Dict[str, int], work_total: int,
                     quality: Optional[MinutiaeQuality] = None) -> dict:
     """The report document of one pipeline run over the protocol's pairs."""
-    frr_map = {}
-    thr_map = {}
-    for target in FAR_TARGETS:
-        frr, thr = frr_at_far(genuine, impostor, target)
-        key = f"{target:g}"
-        frr_map[key] = frr
-        thr_map[key] = thr
+    points = _operating_points(genuine, impostor)
+    at_far = {f"{target:g}": _frr_at(points, target) for target in FAR_TARGETS}
     return {
         "counts": {"genuine": int(genuine.size), "impostor": int(impostor.size)},
-        "frr_at_far": frr_map,
-        "thresholds": thr_map,
-        "eer": eer(genuine, impostor),
-        "roc": [{"thr": p.threshold, "far": p.far, "frr": p.frr}
-                for p in roc_curve(genuine, impostor)],
+        "frr_at_far": {key: frr for key, (frr, _) in at_far.items()},
+        "thresholds": {key: thr for key, (_, thr) in at_far.items()},
+        "eer": _eer(points),
+        "roc": [{"thr": float(t), "far": float(fa), "frr": float(fr)}
+                for t, fa, fr in zip(*points)],
         "gate_stats": dict(gate_stats),
         "work_units_total": int(work_total),
         "minutiae_quality": None if quality is None else asdict(quality),

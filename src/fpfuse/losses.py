@@ -12,7 +12,6 @@ plain arrays, not a training loop.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Tuple
 
@@ -20,8 +19,7 @@ import numpy as np
 
 from .assignment import (CorrespondenceWeights, correspondence_cost_matrix,
                          angular_distance, solve_assignment)
-from .pipeline import as_float
-from .templates import json_numbers
+from .templates import json_numbers, number
 
 
 @dataclass(frozen=True)
@@ -109,10 +107,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            # A finite number that is not a bool; NaN fails the comparison.
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not 0 <= as_float(value) < math.inf):
-                raise ValueError(f"{name} must be a nonnegative finite number, got {value!r}")
+            number(value, name, lo=0.0)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LossWeights":

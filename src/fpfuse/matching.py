@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .assignment import angular_distance, solve_assignment
-from .templates import Template
+from .templates import Template, number
 
 # Cosines within one part in 1e12 of 1 are snapped to exactly 1 so that a
 # self match scores exactly the minutiae count.
@@ -38,12 +38,12 @@ class LocalMatchConfig:
     max_minutiae_used: Optional[int] = None
 
     def __post_init__(self):
-        if not -1.0 <= self.emb_sim_floor <= 1.0:
-            raise ValueError("emb_sim_floor must lie in [-1, 1]")
-        if not (self.geo_tolerance_px >= 0 and self.ori_tolerance_rad >= 0):
-            raise ValueError("tolerances must be nonnegative")
-        if self.max_minutiae_used is not None and self.max_minutiae_used <= 0:
-            raise ValueError("max_minutiae_used must be positive or None")
+        for name, lo, hi in (("emb_sim_floor", -1.0, 1.0), ("geo_tolerance_px", 0.0, math.inf),
+                             ("ori_tolerance_rad", 0.0, math.inf)):
+            object.__setattr__(self, name, number(getattr(self, name), name, lo, hi))
+        if self.max_minutiae_used is not None:
+            object.__setattr__(self, "max_minutiae_used",
+                               number(self.max_minutiae_used, "max_minutiae_used", 1, integer=True))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,16 @@ pair inside (a disabled gate).  The gate-and-fuse rule lives here once, as
 scalar code (:func:`band_gate`, then :func:`gated_fuse`).  :func:`infer_pair`
 applies it to one pair and ``evaluation.apply_pipeline`` maps it over a
 corpus, bit-identically.
+
+Every config checks its fields when it is built, through the one number
+rule :func:`fpfuse.templates.number`, so a config built in code and one read
+from JSON pass the same checks, and every config that constructs survives a
+JSON round trip.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -27,7 +31,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .matching import LocalMatchConfig, global_match, local_match
-from .templates import Template
+from .templates import Template, number
 
 GATE_CONFIDENT_GENUINE = "confident_genuine"
 GATE_CONFIDENT_IMPOSTOR = "confident_impostor"
@@ -51,6 +55,8 @@ class DoubleSigmoidParams:
     right_width: float
 
     def __post_init__(self):
+        for name in ("center", "left_width", "right_width"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
         if self.left_width <= 0 or self.right_width <= 0:
             raise ValueError("double sigmoid widths must be positive")
 
@@ -184,20 +190,19 @@ _NORM_PARAMS = {
 NORM_KINDS = tuple(_NORM_PARAMS)
 
 
-def make_normalizer(kind: str, params: Optional[dict] = None) -> Callable:
+def make_normalizer(kind: str, params: dict) -> Callable:
     """Build a score-normalizing callable from a config entry.  ``params``
-    must hold exactly the kind's parameters, each a finite number; anything
-    else raises ``ValueError`` here, not at the first score."""
+    must be a dict holding exactly the kind's parameters, each a finite
+    number; anything else raises ``ValueError`` here, not at the first score."""
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown normalizer kind {kind!r}; expected one of {NORM_KINDS}")
     names = _NORM_PARAMS[kind]
-    values = _section_fields(params or {}, f"{kind} normalizer params",
-                             {name: (name, _NUMBER) for name in names})
+    values = _section_fields(params, f"{kind} normalizer params", {name: name for name in names})
     missing = [name for name in names if name not in values]
     if missing:
         raise ValueError(f"{kind} normalizer needs params {', '.join(names)}; "
                          f"missing {', '.join(missing)}")
-    args = [values[name] for name in names]
+    args = [number(values[name], f"{kind} normalizer param {name}") for name in names]
     if kind == "identity":
         return identity_norm
     if kind == "double_sigmoid":
@@ -210,45 +215,12 @@ def make_normalizer(kind: str, params: Optional[dict] = None) -> Callable:
     return norm
 
 
-def _json_type(what: str, *types: type, convert: Callable = lambda v: v) -> Callable:
-    """Conversion of a config value that must have one of the JSON ``types``;
-    no key takes a boolean, so one is never taken for a number."""
-    def check(value):
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise ValueError(f"must be {what}, got {value!r}")
-        return convert(value)
-    return check
-
-
-def as_float(value) -> float:
-    """``float(value)``, with an integer beyond the float range taken as infinite."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
-def _finite(value) -> float:
-    # json.loads takes NaN and Infinity, which strict JSON has not.
-    value = as_float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"must be a finite number, got {value!r}")
-    return value
-
-
-_NUMBER = _json_type("a finite number", int, float, convert=_finite)
-
-# Config-file keys per section: key -> (dataclass field, conversion).  Keys
-# left out of a file keep the dataclass defaults.
-_TOP_KEYS = {"theta_t": ("theta_t", _NUMBER), "theta_f": ("theta_f", _NUMBER),
-             "fusion": ("fusion", _json_type("a string", str))}
-_NORM_KEYS = {"kind": ("norm_kind", _json_type("a string", str)),
-              "params": ("norm_params", _json_type("an object", dict, convert=dict))}
-_LOCAL_KEYS = {"emb_sim_floor": ("emb_sim_floor", _NUMBER),
-               "geo_tolerance_px": ("geo_tolerance_px", _NUMBER),
-               "ori_tolerance_rad": ("ori_tolerance_rad", _NUMBER),
-               "max_minutiae": ("max_minutiae_used",
-                                _json_type("an integer or null", int, type(None)))}
+# Config-file keys per section: key -> dataclass field.  Keys left out of a
+# file keep the dataclass defaults; the dataclasses check the values.
+_TOP_KEYS = {"theta_t": "theta_t", "theta_f": "theta_f", "fusion": "fusion"}
+_NORM_KEYS = {"kind": "norm_kind", "params": "norm_params"}
+_LOCAL_KEYS = {"emb_sim_floor": "emb_sim_floor", "geo_tolerance_px": "geo_tolerance_px",
+               "ori_tolerance_rad": "ori_tolerance_rad", "max_minutiae": "max_minutiae_used"}
 
 
 def _section_fields(doc, section: str, keys: dict) -> dict:
@@ -258,18 +230,11 @@ def _section_fields(doc, section: str, keys: dict) -> dict:
     if unknown:
         raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
                          f"expected {', '.join(keys) or 'none'}")
-    fields = {}
-    for key, value in doc.items():
-        name, convert = keys[key]
-        try:
-            fields[name] = convert(value)
-        except ValueError as exc:
-            raise ValueError(f"{section} key {key} {exc}") from None
-    return fields
+    return {keys[key]: value for key, value in doc.items()}
 
 
 def _section_doc(obj, keys: dict) -> dict:
-    return {k: getattr(obj, name) for k, (name, _) in keys.items()}
+    return {k: getattr(obj, name) for k, name in keys.items()}
 
 
 @dataclass(frozen=True)
@@ -284,10 +249,14 @@ class PipelineConfig:
     local: LocalMatchConfig = field(default_factory=LocalMatchConfig)
 
     def __post_init__(self):
+        for name in ("theta_t", "theta_f"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
         if self.fusion not in FUSION_RULES:
             raise ValueError(f"unknown fusion rule {self.fusion!r}")
-        if not -math.inf < self.theta_f <= self.theta_t < math.inf:  # NaN fails it too
-            raise ValueError(f"the band needs finite theta_f <= theta_t, "
+        if not isinstance(self.local, LocalMatchConfig):
+            raise ValueError(f"local must be a LocalMatchConfig, got {self.local!r}")
+        if not self.theta_f <= self.theta_t:
+            raise ValueError(f"the band needs theta_f <= theta_t, "
                              f"got theta_f={self.theta_f!r} and theta_t={self.theta_t!r}")
         # Built once: norm_params is read at construction only.
         object.__setattr__(self, "_norm", make_normalizer(self.norm_kind, self.norm_params))
@@ -307,8 +276,8 @@ class PipelineConfig:
         if not isinstance(doc, dict):
             raise ValueError(f"config must be a JSON object, got {doc!r}")
         top = dict(doc)
-        norm = _section_fields(top.pop("norm", None) or {}, "config norm", _NORM_KEYS)
-        local = _section_fields(top.pop("local", None) or {}, "config local", _LOCAL_KEYS)
+        norm = _section_fields(top.pop("norm", {}), "config norm", _NORM_KEYS)
+        local = _section_fields(top.pop("local", {}), "config local", _LOCAL_KEYS)
         return cls(**_section_fields(top, "config", _TOP_KEYS), **norm,
                    local=LocalMatchConfig(**local))
 

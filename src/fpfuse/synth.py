@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .pipeline import as_float
-from .templates import MAX_IMAGE_SIDE, Corpus, Template, canonicalize_angle, write_corpus
+from .templates import (MAX_IMAGE_SIDE, Corpus, Template, canonicalize_angle, number,
+                        write_corpus)
 
 # Field tags for RNG stream keys.
 _F_GLOBAL = 0
@@ -37,6 +36,10 @@ _F_COLLIDE = 6
 _F_DISTORT = 7
 _F_WEAK = 8
 _IDENTITY_IMPRESSION = 0xFFFF  # impression slot for per-identity streams
+
+# The SynthSpec knobs that are probabilities.
+_PROBABILITIES = ("drop_probability", "global_collision_rate", "distortion_rate",
+                  "distortion_drop_fraction", "weak_global_rate")
 
 
 @dataclass(frozen=True)
@@ -76,33 +79,15 @@ class SynthSpec:
         # Integer knobs and their least value.
         for name, least in (("seed", 0), ("subjects", 1), ("impressions", 1),
                             ("global_dim", 1), ("minutia_dim", 1), ("minutiae_per_identity", 0)):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+            number(getattr(self, name), name, lo=least, integer=True)
         size = self.image_size
-        if not (isinstance(size, tuple) and len(size) == 2
-                and all(_is_int(v) and 1 <= v <= MAX_IMAGE_SIDE for v in size)):
-            raise ValueError(
-                f"image_size must be two integers in [1, {MAX_IMAGE_SIDE}], got {size!r}")
-        # Float knobs: finite real numbers, not bools.
+        if not (isinstance(size, tuple) and len(size) == 2):
+            raise ValueError(f"image_size must be a pair of integers, got {size!r}")
+        for side in size:
+            number(side, "image_size", 1, MAX_IMAGE_SIDE, integer=True)
+        # Float knobs: probabilities in [0, 1], the rest nonnegative.
         for name in (f.name for f in fields(self) if isinstance(f.default, float)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(as_float(value))):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("drop_probability", "global_collision_rate", "distortion_rate",
-                     "distortion_drop_fraction", "weak_global_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value} must lie in [0, 1]")
-        for name in ("rotation_range_rad", "translation_range_px", "position_jitter_px",
-                     "orientation_jitter_rad", "embedding_jitter", "global_jitter",
-                     "weak_global_jitter", "spurious_rate", "collision_offset",
-                     "distortion_embedding_jitter", "distortion_jitter_scale"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
+            number(getattr(self, name), name, 0.0, 1.0 if name in _PROBABILITIES else math.inf)
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -119,10 +104,6 @@ class SynthSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthSpec":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _rng(spec_seed: int, subject: int, impression: int, field_tag: int) -> np.random.Generator:
@@ -156,8 +137,7 @@ def generate_identity(spec: SynthSpec, subject_index: int) -> Identity:
     positions = np.column_stack([rng.uniform(0.0, w, size=n), rng.uniform(0.0, h, size=n)])
     orientations = rng.uniform(0.0, 2.0 * math.pi, size=n)
     embeddings = rng.normal(size=(n, spec.minutia_dim))
-    if n:
-        embeddings /= np.linalg.norm(embeddings, axis=1, keepdims=True)
+    embeddings /= np.linalg.norm(embeddings, axis=1, keepdims=True)
     return Identity(subject_index=subject_index, global_direction=direction,
                     positions=positions, orientations=orientations, embeddings=embeddings)
 
@@ -239,15 +219,12 @@ def generate_impression(identity: Identity, spec: SynthSpec, impression_index: i
     n = identity.positions.shape[0]
 
     rng = _rng(spec.seed, subject, impression_index, _F_DROP)
-    if n:
-        if distorted:
-            n_drop = int(round(spec.distortion_drop_fraction * n))
-            dropped = np.zeros(n, dtype=bool)
-            dropped[rng.permutation(n)[:n_drop]] = True
-        else:
-            dropped = rng.random(n) < spec.drop_probability
+    if distorted:
+        n_drop = int(round(spec.distortion_drop_fraction * n))
+        dropped = np.zeros(n, dtype=bool)
+        dropped[rng.permutation(n)[:n_drop]] = True
     else:
-        dropped = np.zeros(0, dtype=bool)
+        dropped = rng.random(n) < spec.drop_probability
 
     global_jitter = spec.global_jitter
     if spec.weak_global_rate > 0.0 and impression_index >= 1:
@@ -256,10 +233,9 @@ def generate_impression(identity: Identity, spec: SynthSpec, impression_index: i
             global_jitter = spec.weak_global_jitter
 
     rng = _rng(spec.seed, subject, impression_index, _F_JITTER)
-    positions = positions + rng.normal(scale=pos_jitter, size=(n, 2)) if n else positions
-    orientations = orientations + rng.normal(scale=ori_jitter, size=n) if n else orientations
-    embeddings = identity.embeddings + rng.normal(scale=emb_jitter, size=(n, spec.minutia_dim)) \
-        if n else identity.embeddings
+    positions = positions + rng.normal(scale=pos_jitter, size=(n, 2))
+    orientations = orientations + rng.normal(scale=ori_jitter, size=n)
+    embeddings = identity.embeddings + rng.normal(scale=emb_jitter, size=(n, spec.minutia_dim))
     global_embedding = _unit(identity.global_direction
                              + rng.normal(scale=global_jitter, size=spec.global_dim))
 

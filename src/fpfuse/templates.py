@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -172,7 +173,10 @@ def _violations(t: Template, global_norm: float, norms: np.ndarray) -> List[Viol
     x, y = t.positions.astype(np.float64).T
     theta = t.theta.astype(np.float64)
     finite = np.isfinite(x) & np.isfinite(y)
-    inside = (0.0 <= x) & (x <= w) & (0.0 <= y) & (y <= h)
+    # Finite float32 positions lie within 2**128, so sides clamped there
+    # compare alike, also when they lie beyond the float range.
+    x_max, y_max = (min(max(side, -2.0 ** 128), 2.0 ** 128) for side in (w, h))
+    inside = (0.0 <= x) & (x <= x_max) & (0.0 <= y) & (y <= y_max)
     found = [(i, Violation(f"minutiae[{i}]", "finite coordinates", f"({x[i]}, {y[i]})"))
              for i in np.flatnonzero(~finite)]
     found += [(i, Violation(f"minutiae[{i}]", "within image",
@@ -313,6 +317,26 @@ def json_numbers(value, what: str):
     return value
 
 
+def number(value, what: str, lo: float = -math.inf, hi: float = math.inf,
+           integer: bool = False):
+    """``value`` as a float, or as an int with ``integer``, after checking that
+    it is a real number (an integral one with ``integer``) that is not a bool,
+    is finite and lies in ``[lo, hi]``.  An int beyond the float range counts
+    as infinite.  Anything else raises ``ValueError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer
+                                                  else numbers.Real):
+        raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, "
+                         f"got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not (finite and lo <= value <= hi):
+        span = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo}, {hi}]"
+        raise ValueError(f"{what} must be a finite number{span}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _read_json(data: bytes) -> Template:
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -327,9 +351,7 @@ def _read_json(data: bytes) -> Template:
         d_m = dims.pop() if dims else 0
         xyt = json_numbers([[rec["x"], rec["y"], rec["theta"]] for rec in recs],
                            "minutia x, y and theta")
-        h, w = size = doc["image_size"]
-        if not all(type(v) is int for v in size):
-            raise ValueError(f"image_size must hold two integers, got {size!r}")
+        h, w = (number(side, "image_size", integer=True) for side in doc["image_size"])
         source_id = doc.get("source_id", "")
         if not isinstance(source_id, str):
             raise ValueError(f"source_id must be a string, got {source_id!r}")

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import fpfuse.cli
 from fpfuse import write_template
 from fpfuse.cli import corpus_checksum, main
 
@@ -313,6 +314,15 @@ def test_bench_non_finite_grid_exits_2(synth_dir, capsys, grid):
     assert main(["bench", "--corpus", str(synth_dir), "--protocol", "4x3",
                  "--grid", grid]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("far", ["2", "nan", "-0.1", "x", "0.01,inf"])
+def test_bench_bad_far_exits_2_before_scoring(synth_dir, capsys, monkeypatch, far):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored a corpus with a bad --far")
+    monkeypatch.setattr(fpfuse.cli, "score_pairs", no_scoring)
+    assert main(["bench", "--corpus", str(synth_dir), "--protocol", "4x3", "--far", far]) == 2
+    assert "--far" in capsys.readouterr().err
 
 
 def test_bench_minutiae_sweep(synth_dir, capsys):

@@ -146,6 +146,16 @@ def test_eer_handcrafted():
     assert eer([0.9, 0.8, 0.3], [0.85, 0.2, 0.1]) == pytest.approx(1.0 / 3.0)
 
 
+@pytest.mark.parametrize("metric", [
+    lambda: frr_at_far([0.5], [math.nan], 0.0),
+    lambda: eer([math.nan, 0.5], [0.2]),
+    lambda: roc_curve([0.5], [math.inf]),
+])
+def test_score_metrics_reject_non_finite_scores(metric):
+    with pytest.raises(ValueError, match="finite"):
+        metric()
+
+
 # ---------------------------------------------------------------------------
 # minutiae quality
 

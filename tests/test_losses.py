@@ -181,7 +181,7 @@ def test_total_loss_nonnegative_components():
                    b.intermediate_position_loss, b.intermediate_embedding_loss) >= 0.0
 
 
-def test_strict_mse_flag_differs_at_wraparound():
+def test_position_loss_is_circular_at_wraparound():
     po = np.array([[10.0, 10.0, 0.05]])
     gt_po = np.array([[10.0, 10.0, 2 * math.pi - 0.05]])
     e = np.ones((1, 2))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fpfuse import (UNGATED, DoubleSigmoidParams, LocalMatchConfig,
+from fpfuse import (UNGATED, CorrespondenceWeights, DoubleSigmoidParams, LocalMatchConfig,
                     PipelineConfig, double_sigmoid, fit_double_sigmoid, fuse,
                     infer_pair, infer_pair_with_config, make_normalizer,
                     minmax_norm, tanh_norm, zscore_norm)
@@ -266,6 +266,9 @@ def test_infer_with_config_matches_manual(small_bundle):
     {"norm": {"kind": "identity", "scale": 2.0}},
     {"thresholds": [0.7, 0.2]},
     {"local": [1, 2]},
+    {"local": 0},
+    {"norm": []},
+    {"norm": None},
     [],
     {"norm": {"apply_to_global": "false"}},
 ])
@@ -293,8 +296,32 @@ def test_pipeline_config_rejects_unknown_keys(doc):
                "params": {"center": math.nan, "left_width": 1.0, "right_width": 1.0}}}, "center"),
 ])
 def test_pipeline_config_rejects_wrong_json_types(doc, key):
-    with pytest.raises(ValueError, match=rf"key {key} must be"):
+    with pytest.raises(ValueError, match=key):
         PipelineConfig.from_dict(doc)
+    # The same value given in code fails the same check.
+    norm, local = doc.get("norm", {}), dict(doc.get("local", {}))
+    if "max_minutiae" in local:
+        local["max_minutiae_used"] = local.pop("max_minutiae")
+    top = {k: v for k, v in doc.items() if k not in ("norm", "local")}
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig(**top, norm_kind=norm.get("kind", "identity"),
+                       norm_params=norm.get("params", {}), local=LocalMatchConfig(**local))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LocalMatchConfig(geo_tolerance_px=math.inf),
+    lambda: LocalMatchConfig(emb_sim_floor=True),
+    lambda: LocalMatchConfig(max_minutiae_used=2.5),
+    lambda: PipelineConfig(theta_t=True, theta_f=0),
+    lambda: PipelineConfig(local={"emb_sim_floor": 0.3}),
+    lambda: CorrespondenceWeights(w_loc=math.nan),
+    lambda: CorrespondenceWeights(w_ori=math.inf),
+    lambda: DoubleSigmoidParams(center=math.nan, left_width=1.0, right_width=1.0),
+    lambda: DoubleSigmoidParams(center=0.0, left_width=math.inf, right_width=1.0),
+])
+def test_configs_built_in_code_check_their_numbers(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_pipeline_config_takes_json_integers_as_numbers():

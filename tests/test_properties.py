@@ -2,13 +2,14 @@
 
 import json
 import math
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpfuse import (DecodeError, LocalMatchConfig, PipelineConfig, Protocol,
+from fpfuse import (DecodeError, LocalMatchConfig, LossWeights, PipelineConfig, Protocol,
                     SynthSpec, Template, apply_pipeline, canonicalize_angle,
                     enumerate_pairs, generate_corpus, infer_pair_with_config,
                     read_template, score_pairs, validate, write_template)
@@ -151,6 +152,54 @@ def configs(draw, bands=st.tuples(finite, finite), norm_kinds=norms, locals_=loc
 @given(configs())
 def test_config_json_round_trip(cfg):
     assert PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+# Values a config field may be given: numbers JSON holds, numbers it cannot
+# (NaN, infinities, integers beyond the float range) and non-numbers.
+edge_values = st.one_of(
+    st.floats(), st.integers(), st.tuples(st.integers(-1, 2 ** 33), st.integers(-1, 2 ** 33)),
+    st.sampled_from([True, False, None, "1", -0.0, 2.5, 10 ** 400, -10 ** 400, 2 ** 64]),
+)
+LOCAL_FIELDS = tuple(f.name for f in fields(LocalMatchConfig))
+PIPELINE_EDITS = ("theta_t", "theta_f", "fusion", "norm_kind", "norm_params") + LOCAL_FIELDS
+
+
+def _edited(cfg, edits):
+    """``cfg`` with the ``edits`` fields replaced; ``norm_params`` sets every parameter."""
+    local = replace(cfg.local, **{k: v for k, v in edits.items() if k in LOCAL_FIELDS})
+    top = {k: v for k, v in edits.items() if k not in LOCAL_FIELDS}
+    if "norm_params" in top:
+        top["norm_params"] = dict.fromkeys(cfg.norm_params, top["norm_params"])
+    return replace(cfg, **top, local=local)
+
+
+def _round_trip(build, to_doc, from_doc):
+    """A config that constructs equals itself read back from its JSON."""
+    try:
+        config = build()
+    except ValueError:
+        return
+    assert from_doc(json.loads(json.dumps(to_doc(config)))) == config
+
+
+@PROPERTY
+@given(configs(), st.dictionaries(st.sampled_from(PIPELINE_EDITS), edge_values, max_size=2))
+def test_every_pipeline_config_that_constructs_survives_json(cfg, edits):
+    _round_trip(lambda: _edited(cfg, edits), PipelineConfig.to_dict, PipelineConfig.from_dict)
+
+
+@PROPERTY
+@given(st.dictionaries(st.sampled_from([f.name for f in fields(SynthSpec)]), edge_values,
+                       max_size=3))
+def test_every_synth_spec_that_constructs_survives_json(edits):
+    _round_trip(lambda: SynthSpec(**edits), SynthSpec.to_dict, SynthSpec.from_dict)
+
+
+@PROPERTY
+@given(st.dictionaries(st.sampled_from([f.name for f in fields(LossWeights)]), edge_values,
+                       max_size=3))
+def test_every_loss_weights_that_constructs_survives_json(edits):
+    _round_trip(lambda: LossWeights(**edits), asdict, LossWeights.from_dict)
 
 
 # ---------------------------------------------------------------------------

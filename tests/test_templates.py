@@ -276,6 +276,10 @@ def test_image_side_beyond_uint32_is_invalid():
     wide = make_template(np.eye(8)[0], image_size=(MAX_IMAGE_SIDE + 1, 384))
     assert [v.field for v in validate(wide)] == ["image_size"]
     assert validate(make_template(np.eye(8)[0], image_size=(MAX_IMAGE_SIDE, 384))) == []
+    # Sides beyond the float range are violations too, not an OverflowError.
+    for side in (10 ** 400, -10 ** 400):
+        huge = make_template(np.eye(8)[0], [(5.0, 5.0, 0.5, np.eye(8)[1])], image_size=(side, 384))
+        assert [v.field for v in validate(huge)][0] == "image_size"
     doc = json.loads(write_template(basis_template(), format="json"))
     doc["image_size"] = [5_000_000_000, 384]
     with pytest.raises(DecodeError, match="image_size"):
