@@ -5,9 +5,11 @@ Prints the score distributions at each pipeline stage for a small seeded
 corpus (all pairs / in-band global / in-band local / final fused).
 """
 
+from dataclasses import asdict
+
 import numpy as np
 
-from fpfuse import (LocalMatchConfig, PipelineConfig, Protocol, SynthSpec,
+from fpfuse import (LocalMatchConfig, Normalizer, PipelineConfig, Protocol, SynthSpec,
                     apply_pipeline, enumerate_pairs, fit_double_sigmoid,
                     generate_corpus, global_match, infer_pair_with_config,
                     local_match, score_pairs)
@@ -34,9 +36,7 @@ n_gen = len(genuine_pairs)
 raw = score_pairs(corpus, genuine_pairs + impostor_pairs)
 
 params = fit_double_sigmoid(raw.s_l_raw[:n_gen], raw.s_l_raw[n_gen:])
-norm = {"kind": "double_sigmoid", "params": {
-    "center": params.center, "left_width": params.left_width,
-    "right_width": params.right_width}}
+norm = Normalizer("double_sigmoid", asdict(params))
 print(f"\nfitted local-score normalization: center={params.center:.1f} "
       f"widths=({params.left_width:.1f}, {params.right_width:.1f})")
 
@@ -52,8 +52,7 @@ def histogram(title, genuine, impostor, lo=0.0, hi=1.0, bins=10):
         print(f"  [{edges[k]:4.2f},{edges[k + 1]:4.2f})  {bar_g:<42}{bar_i}")
 
 
-cfg = PipelineConfig.from_dict({"theta_t": 0.75, "theta_f": 0.15,
-                                "fusion": "mean", "norm": norm})
+cfg = PipelineConfig(theta_t=0.75, theta_f=0.15, fusion="mean", norm=norm)
 derived = apply_pipeline(raw, cfg)
 
 histogram("stage 1: raw global scores (all pairs)",
@@ -62,8 +61,8 @@ in_band = (raw.s_g_raw >= cfg.theta_f) & (raw.s_g_raw <= cfg.theta_t)
 histogram("stage 2: global scores where the gate permits local matching",
           raw.s_g_raw[:n_gen][in_band[:n_gen]], raw.s_g_raw[n_gen:][in_band[n_gen:]])
 histogram("stage 3: normalized local scores on those in-band pairs",
-          np.atleast_1d(cfg.local_normalizer()(raw.s_l_raw[:n_gen][in_band[:n_gen]])),
-          np.atleast_1d(cfg.local_normalizer()(raw.s_l_raw[n_gen:][in_band[n_gen:]])))
+          np.atleast_1d(cfg.norm(raw.s_l_raw[:n_gen][in_band[:n_gen]])),
+          np.atleast_1d(cfg.norm(raw.s_l_raw[n_gen:][in_band[n_gen:]])))
 histogram("stage 4: final fused scores (all pairs)",
           derived.final[:n_gen], derived.final[n_gen:])
 

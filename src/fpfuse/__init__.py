@@ -19,15 +19,15 @@ from .losses import (GroundTruthRecord, LossBreakdown, LossWeights,
                      total_loss)
 from .matching import (LocalMatchConfig, LocalMatchResult, global_match,
                        local_match)
-from .pipeline import (UNGATED, DoubleSigmoidParams, MatchResult,
+from .pipeline import (UNGATED, DoubleSigmoidParams, MatchResult, Normalizer,
                        PipelineConfig, double_sigmoid, fit_double_sigmoid,
                        fuse, infer_pair, infer_pair_with_config,
-                       make_normalizer, minmax_norm, tanh_norm, zscore_norm)
+                       minmax_norm, tanh_norm, zscore_norm)
 from .synth import (CorpusBundle, Identity, InjectionManifest, SynthSpec,
                     generate_corpus, generate_identity, generate_impression,
                     write_bundle)
 from .templates import (Corpus, DecodeError, Template, Violation,
-                        canonicalize_angle, read_corpus, read_template,
+                        canonicalize_angle, from_json, read_corpus, read_template,
                         validate, write_corpus, write_template)
 
 __version__ = "0.1.0"
@@ -38,14 +38,14 @@ __all__ = [
     "DoubleSigmoidParams", "GroundTruthRecord", "Identity",
     "InfeasibleAssignmentError", "InjectionManifest", "LocalMatchConfig",
     "LocalMatchResult", "LossBreakdown", "LossWeights", "MatchResult",
-    "MinutiaeQuality", "PipelineConfig", "PredictionRecord",
+    "MinutiaeQuality", "Normalizer", "PipelineConfig", "PredictionRecord",
     "Protocol", "RocPoint", "SynthSpec", "Template", "UNGATED",
     "Violation", "aggregate_minutiae_quality", "angular_distance",
     "apply_pipeline", "canonicalize_angle", "correspondence_cost_matrix",
     "double_sigmoid", "eer", "enumerate_pairs", "evaluate_scores",
-    "fit_double_sigmoid", "frr_at_far", "fuse", "generate_corpus",
+    "fit_double_sigmoid", "frr_at_far", "from_json", "fuse", "generate_corpus",
     "generate_identity", "generate_impression", "global_match", "infer_pair",
-    "infer_pair_with_config", "local_match", "make_normalizer",
+    "infer_pair_with_config", "local_match",
     "minmax_norm", "minutiae_quality", "mse", "mse_gradient",
     "read_corpus", "read_template", "reorder_ground_truth", "roc_curve",
     "score_pairs", "solve_assignment", "tanh_norm", "total_loss", "validate",

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -24,7 +24,7 @@ from .evaluation import (Protocol, apply_pipeline, enumerate_pairs,
 from .losses import GroundTruthRecord, LossWeights, PredictionRecord, total_loss
 from .pipeline import UNGATED, PipelineConfig, infer_pair_with_config
 from .synth import SynthSpec, generate_corpus, write_bundle
-from .templates import number, read_corpus, read_template
+from .templates import from_json, number, read_corpus, read_template
 
 
 class CliError(Exception):
@@ -44,7 +44,7 @@ def _load_config(path: Optional[str]) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     try:
-        return PipelineConfig.from_file(path)
+        return from_json(PipelineConfig, json.loads(Path(path).read_text()), "config")
     except (OSError, TypeError, ValueError) as exc:
         raise CliError(f"bad pipeline config {path}: {exc}") from exc
 
@@ -75,7 +75,8 @@ def _cell(value) -> str:
 
 def cmd_synth(args) -> int:
     try:
-        spec = SynthSpec.from_file(args.spec) if args.spec else SynthSpec()
+        spec = (from_json(SynthSpec, json.loads(Path(args.spec).read_text()), "synth spec")
+                if args.spec else SynthSpec())
     except (OSError, ValueError, TypeError) as exc:
         raise CliError(f"bad synth spec: {exc}") from exc
     env_seed = os.environ.get("FPFUSE_SEED")
@@ -86,6 +87,9 @@ def cmd_synth(args) -> int:
             raise CliError(f"FPFUSE_SEED must be an integer, got {env_seed!r}") from exc
         spec = replace(spec, seed=seed)
     out = Path(args.out)
+    # A corpus written over an old one would mix their subjects and refs/.
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise CliError(f"--out {out} must be a new or empty directory")
     bundle = generate_corpus(spec)
     write_bundle(bundle, out, spec=spec, include_references=not args.no_refs)
     checksum = corpus_checksum(out)
@@ -102,7 +106,7 @@ def cmd_match(args) -> int:
         b = read_template(Path(args.b).read_bytes())
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read template: {exc}") from exc
-    _emit(infer_pair_with_config(a, b, cfg).to_dict(), args.pretty)
+    _emit(asdict(infer_pair_with_config(a, b, cfg)), args.pretty)
     return 0
 
 
@@ -137,7 +141,7 @@ def cmd_eval(args) -> int:
     doc = evaluate_scores(derived.final[:n_gen], derived.final[n_gen:],
                           derived.gate_stats, int(derived.work_units.sum()),
                           quality=quality)
-    doc["config"] = cfg.to_dict()
+    doc["config"] = asdict(cfg)
     doc["protocol"] = {"subjects": protocol.subjects, "impressions": protocol.impressions}
     payload = json.dumps(doc, sort_keys=True)
     if args.out:
@@ -191,15 +195,16 @@ def cmd_bench(args) -> int:
     rows = []
     if args.sweep_minutiae:
         try:
-            ks = [int(k) for k in args.sweep_minutiae.split(",")]
+            sweep = [replace(cfg, **UNGATED, local=replace(cfg.local, max_minutiae=int(k)))
+                     for k in args.sweep_minutiae.split(",")]
         except ValueError as exc:
-            raise CliError(f"bad --sweep-minutiae {args.sweep_minutiae!r}") from exc
-        for k in ks:
-            ungated = replace(cfg, **UNGATED, local=replace(cfg.local, max_minutiae_used=k))
+            raise CliError(f"bad --sweep-minutiae {args.sweep_minutiae!r}: {exc}") from exc
+        for ungated in sweep:
             raw = score_pairs(corpus, pairs, ungated.local, jobs=args.jobs)
             fused = apply_pipeline(raw, ungated)
-            local_only = np.clip(ungated.local_normalizer()(raw.s_l_raw), 0.0, 1.0)
-            row = {"max_minutiae": k, "work_units": int(fused.work_units.sum())}
+            local_only = np.clip(ungated.norm(raw.s_l_raw), 0.0, 1.0)
+            row = {"max_minutiae": ungated.local.max_minutiae,
+                   "work_units": int(fused.work_units.sum())}
             for target in far_targets:
                 row[f"frr_fused@far={target:g}"] = frr_at_far(
                     fused.final[:n_gen], fused.final[n_gen:], target)[0]
@@ -251,7 +256,7 @@ def cmd_losses(args) -> int:
             # An inline object is never taken for a path: it may be too long for one.
             if not text.lstrip().startswith("{") and Path(text).is_file():
                 text = Path(text).read_text()
-            weights = LossWeights.from_dict(_json_object(text, "--weights"))
+            weights = from_json(LossWeights, json.loads(text), "--weights")
         except (OSError, TypeError, ValueError) as exc:
             raise CliError(f"bad loss weights: {exc}") from exc
     _emit(total_loss(pred, gt, weights).to_dict(), args.pretty)

@@ -307,7 +307,7 @@ def apply_pipeline(scores: ChannelScores, cfg: PipelineConfig) -> PipelineScores
     scores are bit-identical to ``infer_pair``'s.
     """
     s_g = scores.s_g_raw.tolist()
-    s_l_norm = np.asarray(cfg.local_normalizer()(scores.s_l_raw), dtype=np.float64)
+    s_l_norm = np.asarray(cfg.norm(scores.s_l_raw), dtype=np.float64)
     gates = [band_gate(s, cfg) for s in s_g]
     final = [gated_fuse(gate, g, l, cfg.fusion)[2]
              for gate, g, l in zip(gates, s_g, s_l_norm.tolist())]

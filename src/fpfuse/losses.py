@@ -109,10 +109,6 @@ class LossWeights:
         for name, value in asdict(self).items():
             number(value, name, lo=0.0)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LossWeights":
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
 class LossBreakdown:

@@ -35,15 +35,15 @@ class LocalMatchConfig:
     emb_sim_floor: float = 0.3
     geo_tolerance_px: float = 20.0
     ori_tolerance_rad: float = 0.35
-    max_minutiae_used: Optional[int] = None
+    max_minutiae: Optional[int] = None
 
     def __post_init__(self):
         for name, lo, hi in (("emb_sim_floor", -1.0, 1.0), ("geo_tolerance_px", 0.0, math.inf),
                              ("ori_tolerance_rad", 0.0, math.inf)):
             object.__setattr__(self, name, number(getattr(self, name), name, lo, hi))
-        if self.max_minutiae_used is not None:
-            object.__setattr__(self, "max_minutiae_used",
-                               number(self.max_minutiae_used, "max_minutiae_used", 1, integer=True))
+        if self.max_minutiae is not None:
+            object.__setattr__(self, "max_minutiae",
+                               number(self.max_minutiae, "max_minutiae", 1, integer=True))
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def _best_pairing(cos: np.ndarray, survivors: np.ndarray):
 def local_match(a: Template, b: Template, cfg: LocalMatchConfig = LocalMatchConfig()) -> LocalMatchResult:
     """Pair minutiae one-to-one and score the match by summed cosines.
 
-    Steps: truncate each side to ``max_minutiae_used`` (template order),
+    Steps: truncate each side to ``max_minutiae`` (template order),
     collect candidate pairs above the cosine floor, estimate one rigid
     alignment from the highest-cosine candidate (the first in row-major
     order on ties), drop candidates that are geometrically inconsistent with
@@ -113,7 +113,7 @@ def local_match(a: Template, b: Template, cfg: LocalMatchConfig = LocalMatchConf
         raise ValueError(f"minutia dimension mismatch: {a.minutia_dim} != {b.minutia_dim}")
     pos_a, ori_a, emb_a = a.minutiae_arrays()
     pos_b, ori_b, emb_b = b.minutiae_arrays()
-    k = cfg.max_minutiae_used
+    k = cfg.max_minutiae
     if k is not None:
         pos_a, ori_a, emb_a = pos_a[:k], ori_a[:k], emb_a[:k]
         pos_b, ori_b, emb_b = pos_b[:k], ori_b[:k], emb_b[:k]

@@ -14,19 +14,20 @@ scalar code (:func:`band_gate`, then :func:`gated_fuse`).  :func:`infer_pair`
 applies it to one pair and ``evaluation.apply_pipeline`` maps it over a
 corpus, bit-identically.
 
-Every config checks its fields when it is built, through the one number
-rule :func:`fpfuse.templates.number`, so a config built in code and one read
-from JSON pass the same checks, and every config that constructs survives a
-JSON round trip.
+A config file is its dataclass: each field name is a JSON key, a nested
+config (``norm``, ``local``) is a nested object, :func:`fpfuse.templates.from_json`
+reads it and ``dataclasses.asdict`` writes it.  Every config checks its
+fields when it is built, through the one number rule
+:func:`fpfuse.templates.number`, so a config built in code and one read from
+JSON pass the same checks, and every config that constructs survives a JSON
+round trip.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -168,16 +169,9 @@ class MatchResult:
     gate: str
     work_units: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def identity_norm(s):
-    return s
-
 
 # ---------------------------------------------------------------------------
-# Configurable normalizers and the pipeline config file
+# Configurable normalizers and the pipeline config
 
 # Normalizer kinds and the parameters each reads from its config entry.
 _NORM_PARAMS = {
@@ -190,62 +184,49 @@ _NORM_PARAMS = {
 NORM_KINDS = tuple(_NORM_PARAMS)
 
 
-def make_normalizer(kind: str, params: dict) -> Callable:
-    """Build a score-normalizing callable from a config entry.  ``params``
-    must be a dict holding exactly the kind's parameters, each a finite
-    number; anything else raises ``ValueError`` here, not at the first score."""
-    if kind not in NORM_KINDS:
-        raise ValueError(f"unknown normalizer kind {kind!r}; expected one of {NORM_KINDS}")
-    names = _NORM_PARAMS[kind]
-    values = _section_fields(params, f"{kind} normalizer params", {name: name for name in names})
-    missing = [name for name in names if name not in values]
-    if missing:
-        raise ValueError(f"{kind} normalizer needs params {', '.join(names)}; "
-                         f"missing {', '.join(missing)}")
-    args = [number(values[name], f"{kind} normalizer param {name}") for name in names]
-    if kind == "identity":
-        return identity_norm
-    if kind == "double_sigmoid":
-        return partial(double_sigmoid, p=DoubleSigmoidParams(*args))
-    if kind == "minmax":
-        norm = partial(minmax_norm, observed_min=args[0], observed_max=args[1])
-    else:
-        norm = partial(zscore_norm if kind == "zscore" else tanh_norm, mean=args[0], std=args[1])
-    norm(0.0)  # these normalizers check their parameters on every call
-    return norm
+@dataclass(frozen=True)
+class Normalizer:
+    """The local-score normalizer's config entry, callable on scores.
+    ``params`` holds exactly the kind's parameters, each a finite number;
+    anything else raises ``ValueError`` here, not at the first score."""
 
+    kind: str = "identity"
+    params: dict = field(default_factory=dict)
 
-# Config-file keys per section: key -> dataclass field.  Keys left out of a
-# file keep the dataclass defaults; the dataclasses check the values.
-_TOP_KEYS = {"theta_t": "theta_t", "theta_f": "theta_f", "fusion": "fusion"}
-_NORM_KEYS = {"kind": "norm_kind", "params": "norm_params"}
-_LOCAL_KEYS = {"emb_sim_floor": "emb_sim_floor", "geo_tolerance_px": "geo_tolerance_px",
-               "ori_tolerance_rad": "ori_tolerance_rad", "max_minutiae": "max_minutiae_used"}
+    def __post_init__(self):
+        if self.kind not in NORM_KINDS:
+            raise ValueError(f"unknown normalizer kind {self.kind!r}; expected one of {NORM_KINDS}")
+        names = _NORM_PARAMS[self.kind]
+        if not isinstance(self.params, dict) or set(self.params) != set(names):
+            raise ValueError(f"{self.kind} normalizer params must be a JSON object with keys "
+                             f"{', '.join(names) or 'none'}, got {self.params!r}")
+        args = [number(self.params[name], f"{self.kind} normalizer param {name}")
+                for name in names]
+        norm = None
+        if self.kind == "double_sigmoid":
+            norm = partial(double_sigmoid, p=DoubleSigmoidParams(*args))
+        elif self.kind == "minmax":
+            norm = partial(minmax_norm, observed_min=args[0], observed_max=args[1])
+        elif self.kind != "identity":
+            norm = partial(zscore_norm if self.kind == "zscore" else tanh_norm,
+                           mean=args[0], std=args[1])
+        if norm is not None:
+            norm(0.0)  # checks the parameters now, not at the first score
+        # Built once: params is read at construction only.
+        object.__setattr__(self, "_map", norm)
 
-
-def _section_fields(doc, section: str, keys: dict) -> dict:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{section} must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
-                         f"expected {', '.join(keys) or 'none'}")
-    return {keys[key]: value for key, value in doc.items()}
-
-
-def _section_doc(obj, keys: dict) -> dict:
-    return {k: getattr(obj, name) for k, name in keys.items()}
+    def __call__(self, scores):
+        return scores if self._map is None else self._map(scores)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Full inference configuration, mirroring the JSON config file."""
+    """Full inference configuration, field for field its config file."""
 
     theta_t: float = 0.75
     theta_f: float = 0.15
     fusion: str = "mean"
-    norm_kind: str = "identity"
-    norm_params: dict = field(default_factory=dict)
+    norm: Normalizer = field(default_factory=Normalizer)
     local: LocalMatchConfig = field(default_factory=LocalMatchConfig)
 
     def __post_init__(self):
@@ -253,37 +234,12 @@ class PipelineConfig:
             object.__setattr__(self, name, number(getattr(self, name), name))
         if self.fusion not in FUSION_RULES:
             raise ValueError(f"unknown fusion rule {self.fusion!r}")
-        if not isinstance(self.local, LocalMatchConfig):
-            raise ValueError(f"local must be a LocalMatchConfig, got {self.local!r}")
+        for name, kind in (("norm", Normalizer), ("local", LocalMatchConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if not self.theta_f <= self.theta_t:
             raise ValueError(f"the band needs theta_f <= theta_t, "
                              f"got theta_f={self.theta_f!r} and theta_t={self.theta_t!r}")
-        # Built once: norm_params is read at construction only.
-        object.__setattr__(self, "_norm", make_normalizer(self.norm_kind, self.norm_params))
-
-    def local_normalizer(self) -> Callable:
-        return self._norm
-
-    def to_dict(self) -> dict:
-        doc = _section_doc(self, _TOP_KEYS)
-        doc["norm"] = dict(_section_doc(self, _NORM_KEYS), params=dict(self.norm_params))
-        doc["local"] = _section_doc(self.local, _LOCAL_KEYS)
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PipelineConfig":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"config must be a JSON object, got {doc!r}")
-        top = dict(doc)
-        norm = _section_fields(top.pop("norm", {}), "config norm", _NORM_KEYS)
-        local = _section_fields(top.pop("local", {}), "config local", _LOCAL_KEYS)
-        return cls(**_section_fields(top, "config", _TOP_KEYS), **norm,
-                   local=LocalMatchConfig(**local))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def infer_pair(a: Template, b: Template, cfg: PipelineConfig = PipelineConfig()) -> MatchResult:
@@ -293,7 +249,7 @@ def infer_pair(a: Template, b: Template, cfg: PipelineConfig = PipelineConfig())
     s_l_raw, s_l_norm, work = None, None, 0
     if gate == GATE_LOCAL_EVALUATED:
         local = local_match(a, b, cfg.local)
-        s_l_raw, s_l_norm, work = local.score, cfg.local_normalizer()(local.score), local.work_units
+        s_l_raw, s_l_norm, work = local.score, cfg.norm(local.score), local.work_units
     return MatchResult(s_g_raw, s_l_raw, *gated_fuse(gate, s_g_raw, s_l_norm, cfg.fusion),
                        gate=gate, work_units=work)
 

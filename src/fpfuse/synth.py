@@ -81,29 +81,14 @@ class SynthSpec:
                             ("global_dim", 1), ("minutia_dim", 1), ("minutiae_per_identity", 0)):
             number(getattr(self, name), name, lo=least, integer=True)
         size = self.image_size
-        if not (isinstance(size, tuple) and len(size) == 2):
+        if not (isinstance(size, (list, tuple)) and len(size) == 2):
             raise ValueError(f"image_size must be a pair of integers, got {size!r}")
         for side in size:
             number(side, "image_size", 1, MAX_IMAGE_SIDE, integer=True)
+        object.__setattr__(self, "image_size", tuple(size))
         # Float knobs: probabilities in [0, 1], the rest nonnegative.
         for name in (f.name for f in fields(self) if isinstance(f.default, float)):
             number(getattr(self, name), name, 0.0, 1.0 if name in _PROBABILITIES else math.inf)
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["image_size"] = list(self.image_size)
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SynthSpec":
-        doc = dict(doc)
-        if isinstance(doc.get("image_size"), list):
-            doc["image_size"] = tuple(doc["image_size"])
-        return cls(**doc)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SynthSpec":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def _rng(spec_seed: int, subject: int, impression: int, field_tag: int) -> np.random.Generator:
@@ -282,12 +267,6 @@ class InjectionManifest:
     collided_subject_pairs: Tuple[Tuple[str, str], ...]
     distorted_impressions: Tuple[Tuple[str, int], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "collided_subject_pairs": [list(p) for p in self.collided_subject_pairs],
-            "distorted_impressions": [[s, k] for s, k in self.distorted_impressions],
-        }
-
 
 @dataclass(frozen=True)
 class CorpusBundle:
@@ -337,9 +316,9 @@ def write_bundle(bundle: CorpusBundle, out_dir: str | Path, spec: Optional[Synth
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     write_corpus(bundle.corpus, root)
-    doc = bundle.manifest.to_dict()
+    doc = asdict(bundle.manifest)
     if spec is not None:
-        doc["spec"] = spec.to_dict()
+        doc["spec"] = asdict(spec)
     (root / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
     if include_references:
         write_corpus(bundle.references, root / "refs")

@@ -20,6 +20,9 @@ Reader contract: :func:`read_template` returns a template that passes
 ingest step that renormalizes slightly drifted embeddings, wraps
 orientations, and rejects any other violation, NaN or out-of-frame
 coordinates included.
+
+The JSON checks every config shares live here too: :func:`number` is the
+one number rule and :func:`from_json` the one config reader.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -335,6 +338,26 @@ def number(value, what: str, lo: float = -math.inf, hi: float = math.inf,
         span = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo}, {hi}]"
         raise ValueError(f"{what} must be a finite number{span}, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def from_json(cls, doc, what: str):
+    """The dataclass config ``cls`` built from ``doc``, a JSON object whose
+    keys are its field names.  A key left out keeps its default, and a field
+    whose default is a dataclass takes a nested object.  A non-object or an
+    unknown key raises ``ValueError`` naming ``what``; ``cls`` checks the
+    values."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must hold a JSON object, got {type(doc).__name__}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {', '.join(unknown)}; "
+                         f"expected {', '.join(names)}")
+    args = dict(doc)
+    for f in fields(cls):
+        if f.name in doc and is_dataclass(f.default_factory):
+            args[f.name] = from_json(f.default_factory, doc[f.name], f"{what} {f.name}")
+    return cls(**args)
 
 
 def _read_json(data: bytes) -> Template:

@@ -15,7 +15,7 @@ import pytest
 from fpfuse import (CorrespondenceWeights, DoubleSigmoidParams,
                     PipelineConfig, Protocol, SynthSpec, angular_distance,
                     apply_pipeline, double_sigmoid, enumerate_pairs,
-                    fit_double_sigmoid, frr_at_far, generate_corpus,
+                    fit_double_sigmoid, frr_at_far, from_json, generate_corpus,
                     minmax_norm, minutiae_quality, mse, mse_gradient,
                     reorder_ground_truth, roc_curve, score_pairs,
                     solve_assignment, tanh_norm, total_loss, zscore_norm)
@@ -50,7 +50,7 @@ def _config(fitted_norm, theta_t, theta_f, **local):
            "norm": fitted_norm}
     if local:
         doc["local"] = local
-    return PipelineConfig.from_dict(doc)
+    return from_json(PipelineConfig, doc, "config")
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def test_fusion_advantage(fitted_norm):
     cfg = _config(fitted_norm, 2.0, -1.0)  # ungated
     fused = apply_pipeline(raw, cfg)
     global_only = raw.s_g_raw
-    local_only = np.clip(cfg.local_normalizer()(raw.s_l_raw), 0.0, 1.0)
+    local_only = np.clip(cfg.norm(raw.s_l_raw), 0.0, 1.0)
 
     frr_fused, thr_fused = frr_at_far(fused.final[:n_gen], fused.final[n_gen:], 0.01)
     frr_global, _ = frr_at_far(global_only[:n_gen], global_only[n_gen:], 0.01)
@@ -193,7 +193,7 @@ def test_minutiae_subset_tradeoff(fitted_norm):
         cfg = _config(fitted_norm, 2.0, -1.0, max_minutiae=k)
         raw = score_pairs(corpus, genuine_pairs + impostor_pairs, cfg.local)
         fused = apply_pipeline(raw, cfg)
-        local_only = np.clip(cfg.local_normalizer()(raw.s_l_raw), 0.0, 1.0)
+        local_only = np.clip(cfg.norm(raw.s_l_raw), 0.0, 1.0)
         work.append(int(fused.work_units.sum()))
         frr_fused.append(frr_at_far(fused.final[:n_gen], fused.final[n_gen:], 0.01)[0])
         frr_local.append(frr_at_far(local_only[:n_gen], local_only[n_gen:], 0.01)[0])

@@ -1,12 +1,13 @@
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import fpfuse.cli
-from fpfuse import write_template
+from fpfuse import PipelineConfig, from_json, write_template
 from fpfuse.cli import corpus_checksum, main
 
 from conftest import basis_template, make_template
@@ -102,6 +103,27 @@ def test_synth_bad_spec_exits_2(tmp_path, capsys, doc, key):
     assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[]", '[["subjects", 2], ["impressions", 2]]'])
+def test_synth_spec_not_an_object_exits_2(tmp_path, capsys, text):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    out = tmp_path / "z"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert "synth spec must hold a JSON object, got list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_refuses_an_out_directory_with_entries(synth_dir, tmp_path, capsys):
+    out = synth_dir  # 4 subjects, with refs/
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    spec_path = tmp_path / "spec3.json"
+    spec_path.write_text(json.dumps({"subjects": 3, "impressions": 2}))
+    capsys.readouterr()
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out), "--no-refs"]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_synth_seeds_beyond_64_bits_stay_distinct(tmp_path, capsys):
@@ -203,6 +225,22 @@ def test_eval_report_document(synth_dir, tmp_path, capsys):
     assert set(doc["frr_at_far"]) == set(doc["thresholds"]) == {"0.001", "0.01"}
     assert doc["minutiae_quality"]["avg_positional_error_px"] < 6.0
     assert doc["protocol"] == {"subjects": 4, "impressions": 3}
+
+
+def test_eval_report_config_block_is_the_config_file(synth_dir, tmp_path):
+    doc = {"theta_t": 1, "fusion": "max", "norm": {"kind": "zscore",
+                                                   "params": {"mean": 12, "std": 7.5}},
+           "local": {"max_minutiae": 30}}
+    config, report = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps(doc))
+    assert main(["eval", "--corpus", str(synth_dir), "--config", str(config),
+                 "--out", str(report)]) == 0
+    block = json.loads(report.read_text())["config"]
+    assert block == {"theta_t": 1.0, "theta_f": 0.15, "fusion": "max",
+                     "norm": {"kind": "zscore", "params": {"mean": 12, "std": 7.5}},
+                     "local": {"emb_sim_floor": 0.3, "geo_tolerance_px": 20.0,
+                               "ori_tolerance_rad": 0.35, "max_minutiae": 30}}
+    assert block == asdict(from_json(PipelineConfig, doc, "config"))
 
 
 def test_eval_protocol_mismatch_exits_2(synth_dir):
@@ -323,6 +361,16 @@ def test_bench_bad_far_exits_2_before_scoring(synth_dir, capsys, monkeypatch, fa
     monkeypatch.setattr(fpfuse.cli, "score_pairs", no_scoring)
     assert main(["bench", "--corpus", str(synth_dir), "--protocol", "4x3", "--far", far]) == 2
     assert "--far" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", ["50,0", "50,-3", "50,x", "50,2.5"])
+def test_bench_bad_sweep_exits_2_before_scoring(synth_dir, capsys, monkeypatch, sweep):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored a corpus with a bad --sweep-minutiae")
+    monkeypatch.setattr(fpfuse.cli, "score_pairs", no_scoring)
+    assert main(["bench", "--corpus", str(synth_dir), "--protocol", "4x3",
+                 "--sweep-minutiae", sweep]) == 2
+    assert "--sweep-minutiae" in capsys.readouterr().err
 
 
 def test_bench_minutiae_sweep(synth_dir, capsys):

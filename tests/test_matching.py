@@ -140,7 +140,7 @@ def test_truncation_reduces_work_monotonically():
     b = rigid_copy(a, 0.05, 3.0, 2.0)
     works = []
     for k in (12, 8, 4, 2):
-        r = local_match(a, b, LocalMatchConfig(max_minutiae_used=k))
+        r = local_match(a, b, LocalMatchConfig(max_minutiae=k))
         works.append(r.work_units)
         assert r.work_units <= k * k
     assert works == sorted(works, reverse=True)
@@ -149,7 +149,7 @@ def test_truncation_reduces_work_monotonically():
 def test_truncation_uses_first_k():
     a = grid_template(6, seed=13)
     b = rigid_copy(a, 0.0, 0.0, 0.0)
-    r = local_match(a, b, LocalMatchConfig(max_minutiae_used=3))
+    r = local_match(a, b, LocalMatchConfig(max_minutiae=3))
     assert {p[0] for p in r.matched_pairs} <= {0, 1, 2}
     assert {p[1] for p in r.matched_pairs} <= {0, 1, 2}
 
@@ -186,7 +186,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LocalMatchConfig(geo_tolerance_px=-1.0)
     with pytest.raises(ValueError):
-        LocalMatchConfig(max_minutiae_used=0)
+        LocalMatchConfig(max_minutiae=0)
     for knob in ("geo_tolerance_px", "ori_tolerance_rad"):
         with pytest.raises(ValueError):
             LocalMatchConfig(**{knob: math.nan})

@@ -1,12 +1,14 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from fpfuse import (UNGATED, CorrespondenceWeights, DoubleSigmoidParams, LocalMatchConfig,
-                    PipelineConfig, double_sigmoid, fit_double_sigmoid, fuse,
-                    infer_pair, infer_pair_with_config, make_normalizer,
+                    LossWeights, Normalizer, PipelineConfig, SynthSpec,
+                    double_sigmoid, fit_double_sigmoid,
+                    from_json, fuse, infer_pair, infer_pair_with_config,
                     minmax_norm, tanh_norm, zscore_norm)
 from fpfuse.pipeline import (GATE_CONFIDENT_GENUINE, GATE_CONFIDENT_IMPOSTOR,
                              GATE_LOCAL_EVALUATED)
@@ -160,7 +162,7 @@ def test_midband_runs_local():
     b = make_template([0.5, math.sqrt(0.75), 0.0, 0.0])  # dot = 0.5
     # minutia-free templates score 0 locally, which this minmax maps to 0.9
     cfg = PipelineConfig(theta_t=0.75, theta_f=0.15, fusion="mean",
-                         norm_kind="minmax", norm_params={"min": -9, "max": 1})
+                         norm=Normalizer("minmax", {"min": -9, "max": 1}))
     r = infer_pair(a, b, cfg)
     assert r.gate == GATE_LOCAL_EVALUATED
     assert r.s_g_raw == pytest.approx(0.5, abs=1e-6)
@@ -188,10 +190,9 @@ def test_gate_partition_boundaries():
 def test_disabled_gate_equals_ungated(small_bundle):
     corpus = small_bundle.corpus
     ids = corpus.subject_ids
-    cfg = PipelineConfig(**UNGATED, norm_kind="double_sigmoid",
-                         norm_params={"center": 20.0, "left_width": 18.0, "right_width": 18.0},
-                         local=LocalMatchConfig())
-    norm_l = make_normalizer("double_sigmoid", cfg.norm_params)
+    cfg = PipelineConfig(**UNGATED, norm=Normalizer("double_sigmoid", {
+        "center": 20.0, "left_width": 18.0, "right_width": 18.0}), local=LocalMatchConfig())
+    norm_l = Normalizer("double_sigmoid", cfg.norm.params)
     from fpfuse import global_match, local_match
     for a, b in [(corpus.template(ids[0], 0), corpus.template(ids[0], 1)),
                  (corpus.template(ids[0], 0), corpus.template(ids[1], 0))]:
@@ -207,7 +208,7 @@ def test_unbounded_normalizer_clamped():
     b = make_template([0.5, math.sqrt(0.75)])
     # minutia-free templates score 0 locally, which this zscore maps to 5.0
     cfg = PipelineConfig(theta_t=0.75, theta_f=0.15,
-                         norm_kind="zscore", norm_params={"mean": -5, "std": 1})
+                         norm=Normalizer("zscore", {"mean": -5, "std": 1}))
     r = infer_pair(a, b, cfg)
     assert r.s_l_effective == 1.0
     assert 0.0 <= r.s_final <= 1.0
@@ -225,35 +226,51 @@ def test_threshold_validation():
 def test_pipeline_config_round_trip(tmp_path):
     cfg = PipelineConfig(
         theta_t=0.8, theta_f=0.1, fusion="max",
-        norm_kind="double_sigmoid",
-        norm_params={"center": 19.0, "left_width": 17.0, "right_width": 18.0},
+        norm=Normalizer("double_sigmoid",
+                        {"center": 19.0, "left_width": 17.0, "right_width": 18.0}),
         local=LocalMatchConfig(emb_sim_floor=0.25, geo_tolerance_px=15.0,
-                               ori_tolerance_rad=0.3, max_minutiae_used=40),
+                               ori_tolerance_rad=0.3, max_minutiae=40),
     )
     path = tmp_path / "pipeline.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    back = PipelineConfig.from_file(path)
+    path.write_text(json.dumps(asdict(cfg)))
+    back = from_json(PipelineConfig, json.loads(path.read_text()), "config")
     assert back == cfg
 
 
+@pytest.mark.parametrize("cls, doc, what, error", [
+    (PipelineConfig, {"norm": {"kind": "identity", "scale": 2.0}}, "config",
+     "unknown config norm key(s) scale; expected kind, params"),
+    (PipelineConfig, {"local": {"max_minutiae_used": 7}}, "config",
+     "unknown config local key(s) max_minutiae_used; expected emb_sim_floor"),
+    (SynthSpec, {"subjects": 2, "collision_similarity_floor": 0.5}, "synth spec",
+     "unknown synth spec key(s) collision_similarity_floor; expected seed"),
+    (LossWeights, {"global_weight": 1.0, "orientation_weight": 1.0}, "--weights",
+     "unknown --weights key(s) orientation_weight; expected global_weight"),
+])
+def test_from_json_names_unknown_keys(cls, doc, what, error):
+    with pytest.raises(ValueError) as err:
+        from_json(cls, doc, what)
+    assert str(err.value).startswith(error)
+
+
 def test_pipeline_config_defaults():
-    cfg = PipelineConfig.from_dict({})
+    cfg = from_json(PipelineConfig, {}, "config")
     assert cfg.theta_t == 0.75 and cfg.theta_f == 0.15
-    assert cfg.fusion == "mean" and cfg.norm_kind == "identity"
-    assert cfg.local.max_minutiae_used is None
+    assert cfg.fusion == "mean" and cfg.norm.kind == "identity"
+    assert cfg.local.max_minutiae is None
 
 
 def test_pipeline_config_rejects_unknown():
     with pytest.raises(ValueError):
-        PipelineConfig.from_dict({"fusion": "geometric"})
+        from_json(PipelineConfig, {"fusion": "geometric"}, "config")
     with pytest.raises(ValueError):
-        make_normalizer("rank", {})
+        Normalizer("rank", {})
 
 
 def test_infer_with_config_matches_manual(small_bundle):
     corpus = small_bundle.corpus
     ids = corpus.subject_ids
-    cfg = PipelineConfig(norm_kind="tanh", norm_params={"mean": 20.0, "std": 10.0})
+    cfg = PipelineConfig(norm=Normalizer("tanh", {"mean": 20.0, "std": 10.0}))
     a, b = corpus.template(ids[0], 0), corpus.template(ids[0], 1)
     r1 = infer_pair_with_config(a, b, cfg)
     r2 = infer_pair(a, b, cfg)
@@ -274,7 +291,7 @@ def test_infer_with_config_matches_manual(small_bundle):
 ])
 def test_pipeline_config_rejects_unknown_keys(doc):
     with pytest.raises(ValueError):
-        PipelineConfig.from_dict(doc)
+        from_json(PipelineConfig, doc, "config")
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -297,23 +314,21 @@ def test_pipeline_config_rejects_unknown_keys(doc):
 ])
 def test_pipeline_config_rejects_wrong_json_types(doc, key):
     with pytest.raises(ValueError, match=key):
-        PipelineConfig.from_dict(doc)
+        from_json(PipelineConfig, doc, "config")
     # The same value given in code fails the same check.
-    norm, local = doc.get("norm", {}), dict(doc.get("local", {}))
-    if "max_minutiae" in local:
-        local["max_minutiae_used"] = local.pop("max_minutiae")
     top = {k: v for k, v in doc.items() if k not in ("norm", "local")}
     with pytest.raises(ValueError, match=key):
-        PipelineConfig(**top, norm_kind=norm.get("kind", "identity"),
-                       norm_params=norm.get("params", {}), local=LocalMatchConfig(**local))
+        PipelineConfig(**top, norm=Normalizer(**doc.get("norm", {})),
+                       local=LocalMatchConfig(**doc.get("local", {})))
 
 
 @pytest.mark.parametrize("build", [
     lambda: LocalMatchConfig(geo_tolerance_px=math.inf),
     lambda: LocalMatchConfig(emb_sim_floor=True),
-    lambda: LocalMatchConfig(max_minutiae_used=2.5),
+    lambda: LocalMatchConfig(max_minutiae=2.5),
     lambda: PipelineConfig(theta_t=True, theta_f=0),
     lambda: PipelineConfig(local={"emb_sim_floor": 0.3}),
+    lambda: PipelineConfig(norm={"kind": "identity"}),
     lambda: CorrespondenceWeights(w_loc=math.nan),
     lambda: CorrespondenceWeights(w_ori=math.inf),
     lambda: DoubleSigmoidParams(center=math.nan, left_width=1.0, right_width=1.0),
@@ -325,8 +340,9 @@ def test_configs_built_in_code_check_their_numbers(build):
 
 
 def test_pipeline_config_takes_json_integers_as_numbers():
-    cfg = PipelineConfig.from_dict({"theta_t": 1, "theta_f": 0, "local": {"max_minutiae": 7}})
-    assert (cfg.theta_t, cfg.theta_f, cfg.local.max_minutiae_used) == (1.0, 0.0, 7)
+    cfg = from_json(PipelineConfig, {"theta_t": 1, "theta_f": 0, "local": {"max_minutiae": 7}},
+                    "config")
+    assert (cfg.theta_t, cfg.theta_f, cfg.local.max_minutiae) == (1.0, 0.0, 7)
     assert isinstance(cfg.theta_t, float)
 
 
@@ -341,7 +357,7 @@ def test_pipeline_config_takes_json_integers_as_numbers():
 ])
 def test_pipeline_config_checks_normalizer_params(kind, params):
     with pytest.raises(ValueError, match=kind):
-        PipelineConfig(norm_kind=kind, norm_params=params)
+        Normalizer(kind, params)
 
 
 def test_pipeline_config_checks_band():

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpfuse import (DecodeError, LocalMatchConfig, LossWeights, PipelineConfig, Protocol,
-                    SynthSpec, Template, apply_pipeline, canonicalize_angle,
-                    enumerate_pairs, generate_corpus, infer_pair_with_config,
+from fpfuse import (DecodeError, LocalMatchConfig, LossWeights, Normalizer, PipelineConfig,
+                    Protocol, SynthSpec, Template, apply_pipeline, canonicalize_angle,
+                    enumerate_pairs, from_json, generate_corpus, infer_pair_with_config,
                     read_template, score_pairs, validate, write_template)
 from fpfuse.pipeline import FUSION_RULES, GATES
 
@@ -136,7 +136,7 @@ norms = st.one_of(
 local_configs = st.builds(LocalMatchConfig, emb_sim_floor=st.floats(-1.0, 1.0),
                           geo_tolerance_px=st.floats(0.0, 1e3),
                           ori_tolerance_rad=st.floats(0.0, 4.0),
-                          max_minutiae_used=st.none() | st.integers(1, 10 ** 6))
+                          max_minutiae=st.none() | st.integers(1, 10 ** 6))
 
 
 @st.composite
@@ -145,13 +145,17 @@ def configs(draw, bands=st.tuples(finite, finite), norm_kinds=norms, locals_=loc
     kind, params = draw(norm_kinds)
     return PipelineConfig(theta_t=theta_t, theta_f=theta_f,
                           fusion=draw(st.sampled_from(FUSION_RULES)),
-                          norm_kind=kind, norm_params=params, local=draw(locals_))
+                          norm=Normalizer(kind, params), local=draw(locals_))
+
+
+def _from_its_json(config):
+    return from_json(type(config), json.loads(json.dumps(asdict(config))), "config")
 
 
 @PROPERTY
 @given(configs())
 def test_config_json_round_trip(cfg):
-    assert PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert _from_its_json(cfg) == cfg
 
 
 # Values a config field may be given: numbers JSON holds, numbers it cannot
@@ -160,46 +164,48 @@ edge_values = st.one_of(
     st.floats(), st.integers(), st.tuples(st.integers(-1, 2 ** 33), st.integers(-1, 2 ** 33)),
     st.sampled_from([True, False, None, "1", -0.0, 2.5, 10 ** 400, -10 ** 400, 2 ** 64]),
 )
+NORM_FIELDS = tuple(f.name for f in fields(Normalizer))
 LOCAL_FIELDS = tuple(f.name for f in fields(LocalMatchConfig))
-PIPELINE_EDITS = ("theta_t", "theta_f", "fusion", "norm_kind", "norm_params") + LOCAL_FIELDS
+PIPELINE_EDITS = ("theta_t", "theta_f", "fusion") + NORM_FIELDS + LOCAL_FIELDS
 
 
 def _edited(cfg, edits):
-    """``cfg`` with the ``edits`` fields replaced; ``norm_params`` sets every parameter."""
-    local = replace(cfg.local, **{k: v for k, v in edits.items() if k in LOCAL_FIELDS})
-    top = {k: v for k, v in edits.items() if k not in LOCAL_FIELDS}
-    if "norm_params" in top:
-        top["norm_params"] = dict.fromkeys(cfg.norm_params, top["norm_params"])
-    return replace(cfg, **top, local=local)
+    """``cfg`` with the ``edits`` fields replaced; ``params`` sets every parameter."""
+    norm = {k: v for k, v in edits.items() if k in NORM_FIELDS}
+    if "params" in norm:
+        norm["params"] = dict.fromkeys(cfg.norm.params, norm["params"])
+    local = {k: v for k, v in edits.items() if k in LOCAL_FIELDS}
+    top = {k: v for k, v in edits.items() if k not in NORM_FIELDS + LOCAL_FIELDS}
+    return replace(cfg, **top, norm=replace(cfg.norm, **norm), local=replace(cfg.local, **local))
 
 
-def _round_trip(build, to_doc, from_doc):
+def _round_trip(build):
     """A config that constructs equals itself read back from its JSON."""
     try:
         config = build()
     except ValueError:
         return
-    assert from_doc(json.loads(json.dumps(to_doc(config)))) == config
+    assert _from_its_json(config) == config
 
 
 @PROPERTY
 @given(configs(), st.dictionaries(st.sampled_from(PIPELINE_EDITS), edge_values, max_size=2))
 def test_every_pipeline_config_that_constructs_survives_json(cfg, edits):
-    _round_trip(lambda: _edited(cfg, edits), PipelineConfig.to_dict, PipelineConfig.from_dict)
+    _round_trip(lambda: _edited(cfg, edits))
 
 
 @PROPERTY
 @given(st.dictionaries(st.sampled_from([f.name for f in fields(SynthSpec)]), edge_values,
                        max_size=3))
 def test_every_synth_spec_that_constructs_survives_json(edits):
-    _round_trip(lambda: SynthSpec(**edits), SynthSpec.to_dict, SynthSpec.from_dict)
+    _round_trip(lambda: SynthSpec(**edits))
 
 
 @PROPERTY
 @given(st.dictionaries(st.sampled_from([f.name for f in fields(LossWeights)]), edge_values,
                        max_size=3))
 def test_every_loss_weights_that_constructs_survives_json(edits):
-    _round_trip(lambda: LossWeights(**edits), asdict, LossWeights.from_dict)
+    _round_trip(lambda: LossWeights(**edits))
 
 
 # ---------------------------------------------------------------------------

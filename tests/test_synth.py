@@ -1,10 +1,11 @@
+import json
 import math
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from fpfuse import (LocalMatchConfig, SynthSpec, generate_corpus,
+from fpfuse import (LocalMatchConfig, SynthSpec, from_json, generate_corpus,
                     generate_identity, generate_impression, global_match,
                     local_match, minutiae_quality, validate, write_template)
 
@@ -164,8 +165,8 @@ def test_weak_global_rate_spares_enrollment():
 def test_spec_round_trip(tmp_path):
     spec = SynthSpec(seed=3, subjects=5, impressions=2, distortion_rate=0.1)
     path = tmp_path / "spec.json"
-    path.write_text(__import__("json").dumps(spec.to_dict()))
-    assert SynthSpec.from_file(path) == spec
+    path.write_text(json.dumps(asdict(spec)))
+    assert from_json(SynthSpec, json.loads(path.read_text()), "synth spec") == spec
 
 
 def test_spec_validation():
