@@ -23,7 +23,7 @@ from .evaluation import (Protocol, apply_pipeline, enumerate_pairs,
                          frr_at_far, score_pairs)
 from .losses import GroundTruthRecord, LossWeights, PredictionRecord, total_loss
 from .pipeline import UNGATED, PipelineConfig, infer_pair_with_config
-from .synth import SynthSpec, generate_corpus, write_bundle
+from .synth import SynthSpec, check_out_dir, generate_corpus, write_bundle
 from .templates import from_json, number, read_corpus, read_template
 
 
@@ -86,10 +86,10 @@ def cmd_synth(args) -> int:
         except ValueError as exc:
             raise CliError(f"FPFUSE_SEED must be an integer, got {env_seed!r}") from exc
         spec = replace(spec, seed=seed)
-    out = Path(args.out)
-    # A corpus written over an old one would mix their subjects and refs/.
-    if out.exists() and (not out.is_dir() or any(out.iterdir())):
-        raise CliError(f"--out {out} must be a new or empty directory")
+    try:
+        out = check_out_dir(args.out)  # before generating, which can take long
+    except ValueError as exc:
+        raise CliError(f"--out: {exc}") from exc
     bundle = generate_corpus(spec)
     write_bundle(bundle, out, spec=spec, include_references=not args.no_refs)
     checksum = corpus_checksum(out)
@@ -136,7 +136,7 @@ def cmd_eval(args) -> int:
             quality = aggregate_minutiae_quality(corpus, read_corpus(refs_dir))
         except (OSError, ValueError) as exc:
             raise CliError(f"bad references {refs_dir}: {exc}") from exc
-    raw = score_pairs(corpus, pairs, cfg.local, jobs=args.jobs)
+    raw = score_pairs(corpus, pairs, cfg.local, jobs=args.jobs, bands=[cfg])
     derived = apply_pipeline(raw, cfg)
     doc = evaluate_scores(derived.final[:n_gen], derived.final[n_gen:],
                           derived.gate_stats, int(derived.work_units.sum()),
@@ -214,7 +214,7 @@ def cmd_bench(args) -> int:
         rows.sort(key=lambda r: -r["max_minutiae"])
     else:
         grid = _parse_grid(args.grid, cfg)
-        raw = score_pairs(corpus, pairs, cfg.local, jobs=args.jobs)
+        raw = score_pairs(corpus, pairs, cfg.local, jobs=args.jobs, bands=grid)
         for band in grid:
             derived = apply_pipeline(raw, band)
             row = {

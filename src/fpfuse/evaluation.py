@@ -223,7 +223,11 @@ def aggregate_minutiae_quality(corpus: Corpus, references: Corpus,
 
 @dataclass(frozen=True)
 class ChannelScores:
-    """Raw per-pair channel scores, computed once and reusable across configs."""
+    """Raw per-pair channel scores, computed once and reusable across configs.
+
+    A pair that :func:`score_pairs` did not match locally carries
+    ``s_l_raw = NaN`` and ``work_units = 0``.
+    """
 
     pairs: Tuple[PairKey, ...]
     s_g_raw: np.ndarray
@@ -236,51 +240,60 @@ class ChannelScores:
 _SCORING_CONTEXT: dict = {}
 
 
-def _score_chunk(pairs, corpus: Corpus, local_cfg: LocalMatchConfig):
-    s_g = np.empty(len(pairs))
+def _local_chunk(pairs, corpus: Corpus, local_cfg: LocalMatchConfig):
     s_l = np.empty(len(pairs))
     work = np.empty(len(pairs), dtype=np.int64)
-    for idx, ((sid_a, imp_a), (sid_b, imp_b)) in enumerate(pairs):
-        a = corpus.template(sid_a, imp_a)
-        b = corpus.template(sid_b, imp_b)
-        s_g[idx] = global_match(a, b)
-        local = local_match(a, b, local_cfg)
+    for idx, (key_a, key_b) in enumerate(pairs):
+        local = local_match(corpus.template(*key_a), corpus.template(*key_b), local_cfg)
         s_l[idx] = local.score
         work[idx] = local.work_units
-    return s_g, s_l, work
+    return s_l, work
 
 
-def _score_chunk_from_context(pairs):
-    return _score_chunk(pairs, _SCORING_CONTEXT["corpus"], _SCORING_CONTEXT["local_cfg"])
+def _local_chunk_from_context(pairs):
+    return _local_chunk(pairs, _SCORING_CONTEXT["corpus"], _SCORING_CONTEXT["local_cfg"])
 
 
 def score_pairs(corpus: Corpus, pairs: Sequence[PairKey],
                 local_cfg: LocalMatchConfig = LocalMatchConfig(),
-                jobs: int = 1) -> ChannelScores:
-    """Raw global and local scores for every pair (local always evaluated).
+                jobs: int = 1, bands: Sequence[PipelineConfig] = ()) -> ChannelScores:
+    """Raw global scores for every pair, and raw local scores for the pairs
+    that some config of ``bands`` sends to the local matcher (every pair
+    when ``bands`` is empty).  A skipped pair carries ``s_l_raw = NaN`` and
+    0 work units; :func:`apply_pipeline` accepts the scores for any config
+    whose band lies within the union of ``bands``.
 
-    With ``jobs > 1`` the pair list is chunked across worker processes;
-    chunks are reassembled in order, so results do not depend on the worker
-    count.
+    With ``jobs > 1`` the local matches are chunked across worker
+    processes and scattered back by index, so results do not depend on the
+    worker count.
     """
     pairs = list(pairs)
-    if jobs <= 1 or len(pairs) < 2 * jobs:
-        s_g, s_l, work = _score_chunk(pairs, corpus, local_cfg)
+    s_g = np.array([global_match(corpus.template(*key_a), corpus.template(*key_b))
+                    for key_a, key_b in pairs], dtype=np.float64)
+    todo = np.array([k for k, s in enumerate(s_g.tolist())
+                     if not bands or any(band_gate(s, cfg) == GATE_LOCAL_EVALUATED
+                                         for cfg in bands)], dtype=np.intp)
+    todo_pairs = [pairs[k] for k in todo]
+    if jobs <= 1 or len(todo_pairs) < 2 * jobs:
+        s_l_todo, work_todo = _local_chunk(todo_pairs, corpus, local_cfg)
     else:
         import multiprocessing as mp
-        bounds = np.linspace(0, len(pairs), jobs * 4 + 1).astype(int)
-        chunks = [pairs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        bounds = np.linspace(0, len(todo_pairs), jobs * 4 + 1).astype(int)
+        chunks = [todo_pairs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         _SCORING_CONTEXT["corpus"] = corpus
         _SCORING_CONTEXT["local_cfg"] = local_cfg
         try:
             ctx = mp.get_context("fork")
             with ctx.Pool(jobs) as pool:
-                parts = pool.map(_score_chunk_from_context, chunks)
+                parts = pool.map(_local_chunk_from_context, chunks)
         finally:
             _SCORING_CONTEXT.clear()
-        s_g = np.concatenate([p[0] for p in parts])
-        s_l = np.concatenate([p[1] for p in parts])
-        work = np.concatenate([p[2] for p in parts])
+        s_l_todo = np.concatenate([p[0] for p in parts])
+        work_todo = np.concatenate([p[1] for p in parts])
+    s_l = np.full(len(pairs), np.nan)
+    work = np.zeros(len(pairs), dtype=np.int64)
+    s_l[todo] = s_l_todo
+    work[todo] = work_todo
     return ChannelScores(pairs=tuple(pairs), s_g_raw=s_g, s_l_raw=s_l, work_units=work)
 
 
@@ -304,15 +317,25 @@ def apply_pipeline(scores: ChannelScores, cfg: PipelineConfig) -> PipelineScores
     """Derive a pipeline's final scores from precomputed raw channel scores.
 
     Maps the gate-and-fuse rule of ``infer_pair`` over the pairs, so the
-    scores are bit-identical to ``infer_pair``'s.
+    scores are bit-identical to ``infer_pair``'s.  Only the pairs the config
+    sends to the local matcher are normalized; if one of them was not
+    matched locally (``cfg``'s band is wider than the bands ``scores`` was
+    made for), raises ``ValueError``.
     """
     s_g = scores.s_g_raw.tolist()
-    s_l_norm = np.asarray(cfg.norm(scores.s_l_raw), dtype=np.float64)
     gates = [band_gate(s, cfg) for s in s_g]
+    codes = np.array([GATES.index(gate) for gate in gates], dtype=np.int64)
+    local = codes == _LOCAL
+    s_l_raw = scores.s_l_raw[local]
+    missing = int(np.isnan(s_l_raw).sum())
+    if missing:
+        raise ValueError(f"{missing} pairs inside the band [{cfg.theta_f!r}, {cfg.theta_t!r}] "
+                         f"were not matched locally: the scores were made for narrower bands")
+    s_l_norm = np.full(len(s_g), np.nan)
+    s_l_norm[local] = cfg.norm(s_l_raw)
     final = [gated_fuse(gate, g, l, cfg.fusion)[2]
              for gate, g, l in zip(gates, s_g, s_l_norm.tolist())]
-    codes = np.array([GATES.index(gate) for gate in gates], dtype=np.int64)
-    work = np.where(codes == _LOCAL, scores.work_units, 0)
+    work = np.where(local, scores.work_units, 0)
     return PipelineScores(final=np.array(final, dtype=np.float64), gates=codes, work_units=work)
 
 

@@ -310,10 +310,21 @@ def generate_corpus(spec: SynthSpec) -> CorpusBundle:
     return CorpusBundle(corpus=Corpus(subjects), manifest=manifest, references=Corpus(refs))
 
 
+def check_out_dir(out_dir: str | Path) -> Path:
+    """``out_dir`` as a path if it is a new or empty directory, else
+    ``ValueError``: a corpus written over another would mix their subjects
+    and refs/."""
+    root = Path(out_dir)
+    if root.exists() and (not root.is_dir() or any(root.iterdir())):
+        raise ValueError(f"{root} must be a new or empty directory")
+    return root
+
+
 def write_bundle(bundle: CorpusBundle, out_dir: str | Path, spec: Optional[SynthSpec] = None,
                  include_references: bool = True) -> None:
-    """Write corpus, manifest.json and (optionally) refs/ under ``out_dir``."""
-    root = Path(out_dir)
+    """Write corpus, manifest.json and (optionally) refs/ under ``out_dir``,
+    which must pass :func:`check_out_dir`."""
+    root = check_out_dir(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     write_corpus(bundle.corpus, root)
     doc = asdict(bundle.manifest)

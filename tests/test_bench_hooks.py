@@ -8,6 +8,7 @@ otherwise only show up in a traced benchmark run.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import fpfuse.pipeline
@@ -38,26 +39,38 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch):
     assert Template.minutiae_arrays is original_arrays
 
 
-def test_traced_eval_times_every_stage(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    spans = importlib.import_module("spans")
-    write_bundle(generate_corpus(SynthSpec(seed=7, subjects=4, impressions=3)), tmp_path)
-    assert (tmp_path / "refs").is_dir()
-
+def _traced(spans, argv):
     tracer = spans.Tracer().install()
     tracer.round = 0
     try:
-        assert main(["eval", "--corpus", str(tmp_path)]) == 0
+        assert main(argv) == 0
     finally:
         tracer.close()
+    return tracer.per_layer([0], 1, 0.0)
 
-    layers = tracer.per_layer([0], 1, 0.0)
+
+def test_traced_eval_times_every_stage(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    corpus = tmp_path / "corpus"
+    write_bundle(generate_corpus(SynthSpec(seed=7, subjects=4, impressions=3)), corpus)
+    assert (corpus / "refs").is_dir()
+
+    layers = _traced(spans, ["eval", "--corpus", str(corpus)])
     for stage in ("enumerate_pairs", "score_pairs", "apply_pipeline", "metrics",
                   "minutiae_quality"):
         assert layers[f"evaluation.{stage}_s"] > 0, stage
-    assert layers["matching.local_match_s"] > 0
     gates = sum(v for k, v in layers.items() if k.startswith("pipeline.gate."))
     assert gates == 4 * 3 + 6
+    # Gate-first scoring: the local matcher runs on the in-band pairs only.
+    assert layers["matching.local_match_calls"] == sum(
+        layers[f"pipeline.gate.local_evaluated.{c}"] for c in ("genuine", "impostor"))
+
+    config = tmp_path / "ungated.json"
+    config.write_text(json.dumps(UNGATED))
+    layers = _traced(spans, ["eval", "--corpus", str(corpus), "--config", str(config)])
+    assert layers["matching.local_match_s"] > 0
+    assert layers["matching.local_used_ratio"] == 1.0
 
 
 def test_traced_request_counts_its_gate(monkeypatch):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import fpfuse.cli
-from fpfuse import PipelineConfig, from_json, write_template
+from fpfuse import (PipelineConfig, SynthSpec, from_json, generate_corpus, write_bundle,
+                    write_template)
 from fpfuse.cli import corpus_checksum, main
 
 from conftest import basis_template, make_template
@@ -124,6 +125,13 @@ def test_synth_refuses_an_out_directory_with_entries(synth_dir, tmp_path, capsys
     assert main(["synth", "--spec", str(spec_path), "--out", str(out), "--no-refs"]) == 2
     assert "--out" in capsys.readouterr().err
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_synth_refuses_an_out_directory_before_generating(synth_dir, monkeypatch):
+    def no_generating(*args, **kwargs):
+        raise AssertionError("generated a corpus for an --out that holds entries")
+    monkeypatch.setattr(fpfuse.cli, "generate_corpus", no_generating)
+    assert main(["synth", "--out", str(synth_dir)]) == 2
 
 
 def test_synth_seeds_beyond_64_bits_stay_distinct(tmp_path, capsys):
@@ -255,6 +263,30 @@ def test_eval_jobs_byte_identical(synth_dir, tmp_path):
                      "--out", str(path), "--jobs", str(jobs)]) == 0
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_eval_jobs_byte_identical_with_pairs_in_band(tmp_path):
+    """Enough in-band pairs that ``--jobs 4`` chunks the local matches out to
+    the worker pool and scatters them back."""
+    corpus = tmp_path / "corpus"
+    write_bundle(generate_corpus(SynthSpec(seed=42, subjects=8, impressions=3,
+                                           weak_global_rate=0.5, global_collision_rate=0.3)),
+                 corpus)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "theta_t": 0.9, "theta_f": 0.01, "fusion": "max",
+        "norm": {"kind": "double_sigmoid",
+                 "params": {"center": 20.0, "left_width": 10.0, "right_width": 15.0}}}))
+    outputs = []
+    for jobs in (1, 4):
+        report, scores = tmp_path / f"r{jobs}.json", tmp_path / f"s{jobs}.csv"
+        assert main(["eval", "--corpus", str(corpus), "--config", str(config),
+                     "--out", str(report), "--scores-csv", str(scores),
+                     "--jobs", str(jobs)]) == 0
+        outputs.append((report.read_bytes(), scores.read_bytes()))
+    report = json.loads(outputs[0][0])
+    assert 2 * 4 <= report["gate_stats"]["local_evaluated"] < sum(report["counts"].values())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["eval", "bench"])

@@ -13,7 +13,7 @@ from fpfuse import (DecodeError, LocalMatchConfig, LossWeights, Normalizer, Pipe
                     Protocol, SynthSpec, Template, apply_pipeline, canonicalize_angle,
                     enumerate_pairs, from_json, generate_corpus, infer_pair_with_config,
                     read_template, score_pairs, validate, write_template)
-from fpfuse.pipeline import FUSION_RULES, GATES
+from fpfuse.pipeline import FUSION_RULES, GATES, UNGATED
 
 from conftest import as_arrays
 
@@ -252,3 +252,44 @@ def test_per_pair_equals_batch(scored_corpus, data):
         assert single.s_final == batch.final[k]
         assert GATES.index(single.gate) == batch.gates[k]
         assert single.work_units == batch.work_units[k]
+    # scored gate-first: the local matcher runs on the band's pairs only
+    gated = apply_pipeline(score_pairs(corpus, raw.pairs, raw_local, bands=[cfg]), cfg)
+    _assert_same_scores(gated, batch)
+
+
+def _assert_same_scores(got, want):
+    assert got.final.tobytes() == want.final.tobytes()
+    assert np.array_equal(got.gates, want.gates)
+    assert np.array_equal(got.work_units, want.work_units)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_grid_scored_on_the_union_of_its_bands(scored_corpus, data):
+    """``bench --grid`` scores the union of its bands once; each band's
+    result equals the one scored on every pair."""
+    corpus, raw = scored_corpus
+    edge = st.sampled_from(raw.s_g_raw.tolist()) | st.floats(-0.5, 1.5)
+    base = data.draw(configs(norm_kinds=score_norms, locals_=st.just(raw_local)))
+    grid = [replace(base, theta_f=min(band), theta_t=max(band))
+            for band in data.draw(st.lists(st.tuples(edge, edge), min_size=1, max_size=4))]
+    union = score_pairs(corpus, raw.pairs, raw_local, bands=grid)
+    for band in grid:
+        _assert_same_scores(apply_pipeline(union, band), apply_pipeline(raw, band))
+
+
+@pytest.mark.parametrize("norm", [Normalizer(),
+                                  Normalizer("double_sigmoid", {"center": 20.0, "left_width": 10.0,
+                                                                "right_width": 15.0})])
+def test_scores_of_a_narrower_band_are_refused(scored_corpus, norm):
+    """A config whose band reaches pairs that were not matched locally raises,
+    rather than fusing a NaN local score (``identity`` would clamp it to 0)."""
+    corpus, raw = scored_corpus
+    lo, hi = np.quantile(raw.s_g_raw, [0.4, 0.6])
+    narrow = PipelineConfig(theta_t=hi, theta_f=lo, norm=norm)
+    wide = PipelineConfig(**UNGATED, norm=norm)
+    scores = score_pairs(corpus, raw.pairs, raw_local, bands=[narrow])
+    assert 0 < np.isnan(scores.s_l_raw).sum() < len(raw.pairs)
+    apply_pipeline(scores, narrow)
+    with pytest.raises(ValueError, match="not matched locally"):
+        apply_pipeline(scores, wide)

@@ -7,7 +7,8 @@ import pytest
 
 from fpfuse import (LocalMatchConfig, SynthSpec, from_json, generate_corpus,
                     generate_identity, generate_impression, global_match,
-                    local_match, minutiae_quality, validate, write_template)
+                    local_match, minutiae_quality, read_corpus, validate, write_bundle,
+                    write_template)
 
 
 def test_identity_deterministic():
@@ -167,6 +168,15 @@ def test_spec_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(asdict(spec)))
     assert from_json(SynthSpec, json.loads(path.read_text()), "synth spec") == spec
+
+
+def test_write_bundle_refuses_a_directory_with_entries(tmp_path):
+    write_bundle(generate_corpus(SynthSpec(seed=3, subjects=4, impressions=2)), tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    with pytest.raises(ValueError, match="new or empty directory"):
+        write_bundle(generate_corpus(SynthSpec(seed=4, subjects=3, impressions=2)), tmp_path)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert len(read_corpus(tmp_path).subject_ids) == 4
 
 
 def test_spec_validation():
