@@ -66,43 +66,59 @@ _TIE_TOL_SCALE = 1e-9
 def _augmenting_path_solve(cost: np.ndarray):
     """Match every row of ``cost`` (n <= m required) to a distinct column.
 
-    Shortest augmenting paths with potentials, O(n * m^2).  Returns
-    ``(col_of_row, row_of_col, u, v)`` where the potentials satisfy
+    Returns ``(col_of_row, row_of_col, u, v)`` where the potentials satisfy
     ``cost[i, j] - u[i] - v[j] >= 0`` with equality on matched pairs,
     and ``v <= 0`` with ``v == 0`` on unmatched columns.
+
+    Warm start by row reduction, the first phase of Jonker & Volgenant, "A
+    shortest augmenting path algorithm for dense and sparse linear
+    assignment problems" (Computing 38, 1987): ``u`` is each row's minimum
+    and ``v = 0``, and in row order each row takes its first argmin column
+    unless an earlier row holds it.  Shortest augmenting paths (Dijkstra on
+    reduced costs, O(m^2) each) then match only the rows left over.
     """
     n, m = cost.shape
-    u = np.zeros(n)
+    u = cost.min(axis=1)
+    blocked = np.flatnonzero(np.isinf(u))
+    if blocked.size:  # an all-+inf row would turn its reduced costs into NaN
+        raise InfeasibleAssignmentError(
+            f"row {blocked[0]} cannot be matched: every entry is forbidden")
     v = np.zeros(m)
     col_of_row = np.full(n, -1, dtype=np.int64)
     row_of_col = np.full(m, -1, dtype=np.int64)
-    for start in range(n):
-        minv = cost[start] - u[start] - v  # tentative distance to each column
+    for i, j in enumerate(cost.argmin(axis=1).tolist()):
+        if row_of_col[j] < 0:
+            row_of_col[j] = i
+            col_of_row[i] = j
+    for start in np.flatnonzero(col_of_row < 0).tolist():
+        minv = cost[start] - u[start] - v  # tentative distance to each unscanned column
         way = np.full(m, -1, dtype=np.int64)  # previous column on the cheapest known path
-        used = np.zeros(m, dtype=bool)
-        scanned: List[int] = []
+        unused = np.ones(m, dtype=bool)
+        better = np.empty(m, dtype=bool)
+        scanned: List[Tuple[int, float]] = []  # (column, its distance)
         while True:
-            cand = np.where(used, np.inf, minv)
-            j = int(np.argmin(cand))
-            dist = cand[j]
+            j = int(np.argmin(minv))
+            dist = minv[j]
             if not np.isfinite(dist):
                 raise InfeasibleAssignmentError(
                     f"row {start} cannot be matched: forbidden entries block every maximal pairing")
-            used[j] = True
             if row_of_col[j] < 0:
                 sink, total = j, dist
                 break
-            scanned.append(j)
+            scanned.append((j, dist))
+            unused[j] = False
+            minv[j] = np.inf
             i = row_of_col[j]
             relaxed = dist + cost[i] - u[i] - v
-            better = ~used & (relaxed < minv)
-            minv = np.where(better, relaxed, minv)
-            way = np.where(better, j, way)
+            np.less(relaxed, minv, out=better)
+            better &= unused
+            np.copyto(minv, relaxed, where=better)
+            way[better] = j
         # Dual update keeps reduced costs nonnegative and the path tight.
         u[start] += total
-        for j in scanned:
-            u[row_of_col[j]] += total - minv[j]
-            v[j] += minv[j] - total
+        for j, dist in scanned:
+            u[row_of_col[j]] += total - dist
+            v[j] += dist - total
         # Augment along the recorded path.
         j = sink
         while True:
@@ -114,17 +130,6 @@ def _augmenting_path_solve(cost: np.ndarray):
                 break
             j = pcol
     return col_of_row, row_of_col, u, v
-
-
-def _is_unique_optimum(cost, col_of_row, u, v, tol) -> bool:
-    """True when every off-solution entry has strictly positive reduced cost.
-
-    Under that condition any other maximal pairing costs strictly more, so
-    the solution is the unique optimum and already canonical.
-    """
-    red = cost - u[:, None] - v[None, :]
-    red[np.arange(cost.shape[0]), col_of_row] = np.inf
-    return bool((red > tol).all())
 
 
 def _reroute(tight, fixed, r, c, col_of_row, row_of_col) -> bool:
@@ -153,39 +158,47 @@ def _reroute(tight, fixed, r, c, col_of_row, row_of_col) -> bool:
     return False
 
 
-def _canonical_pairs(cost: np.ndarray, tol: float, col_of_row: np.ndarray,
-                     row_of_col: np.ndarray, u: np.ndarray, v: np.ndarray) -> List[Tuple[int, int]]:
+def _canonical_pairs(tight: np.ndarray, u: np.ndarray, v: np.ndarray, tol: float,
+                     col_of_row: np.ndarray, row_of_col: np.ndarray) -> List[Tuple[int, int]]:
     """Lexicographically smallest optimal maximal pairing.
 
-    Starts from an optimal matching of ``cost`` (-1 marks an unmatched row
-    or column) and the potentials :func:`_augmenting_path_solve` leaves:
-    ``v <= 0``, and 0 where unmatched.  Pads to a square matrix with
-    zero-cost dummy rows/columns of potential 0 (a dummy column stands for
-    "row unmatched") and pairs the free rows and columns, which keeps the
-    solution optimal.  Every perfect matching of tight (zero reduced cost)
-    edges is then optimal, and one holds edge (r, c) exactly when an
-    alternating cycle runs through it.  So each real row in turn takes and
-    fixes the first of its tight, unfixed columns, ascending with the
-    dummies last, that is its own or that :func:`_reroute` reaches.
+    Starts from an optimal matching (-1 marks an unmatched row or column),
+    the potentials :func:`_augmenting_path_solve` leaves (``v <= 0``, and 0
+    where unmatched) and the n x m mask of their tight (zero reduced cost)
+    entries.  Pads to a square matrix with zero-cost dummy rows/columns of
+    potential 0 (a dummy column stands for "row unmatched") and pairs the
+    free rows and columns, which keeps the solution optimal.  Every perfect
+    matching of tight edges is then optimal, and one holds edge (r, c)
+    exactly when an alternating cycle runs through it.  So each real row in
+    turn takes and fixes the first of its tight, unfixed columns, ascending
+    with the dummies last, that is its own or that :func:`_reroute` reaches.
+
+    A row whose own column is the first tight column of its whole row keeps
+    it without a search: no earlier column can be taken, and its own column
+    is never fixed, since only the columns of earlier rows are.
     """
-    n, m = cost.shape
+    n, m = tight.shape
     s = max(n, m)
-    sq = np.pad(cost, ((0, s - n), (0, s - m)))
-    u = np.pad(u, (0, s - n))
-    v = np.pad(v, (0, s - m))
-    col_of_row = np.pad(col_of_row, (0, s - n), constant_values=-1)
-    row_of_col = np.pad(row_of_col, (0, s - m), constant_values=-1)
+    # Padded reduced costs: real rows x dummy columns are 0 - u, dummy rows x
+    # real columns 0 - v.  There is no dummy x dummy block, as s = max(n, m).
+    square = np.empty((s, s), dtype=bool)
+    square[:n, :m] = tight
+    square[:n, m:] = (-u <= tol)[:, None]
+    square[n:, :m] = -v <= tol
+    col_of_row = np.concatenate([col_of_row, np.full(s - n, -1)])
+    row_of_col = np.concatenate([row_of_col, np.full(s - m, -1)])
     free_rows = np.flatnonzero(col_of_row < 0)
     free_cols = np.flatnonzero(row_of_col < 0)
     col_of_row[free_rows] = free_cols
     row_of_col[free_cols] = free_rows
-    # Finite potentials leave every reduced cost finite or +inf, never NaN.
-    tight = sq - u[:, None] - v[None, :] <= tol
+    first_tight = square[:n].argmax(axis=1).tolist()
     fixed = np.zeros(s, dtype=bool)
     for r in range(n):
-        for c in np.flatnonzero(tight[r] & ~fixed):
-            if c == col_of_row[r] or _reroute(tight, fixed, r, c, col_of_row, row_of_col):
-                break
+        c = col_of_row[r]
+        if first_tight[r] != c:
+            for c in np.flatnonzero(square[r] & ~fixed):
+                if c == col_of_row[r] or _reroute(square, fixed, r, c, col_of_row, row_of_col):
+                    break
         fixed[c] = True
     return [(r, int(col_of_row[r])) for r in range(n) if col_of_row[r] < m]
 
@@ -214,15 +227,17 @@ def solve_assignment(c: np.ndarray | Sequence[Sequence[float]]) -> Assignment:
     tol = _TIE_TOL_SCALE * (1.0 + (float(np.abs(finite).max()) if finite.size else 0.0))
     if n <= m:
         col_of_row, row_of_col, u, v = _augmenting_path_solve(cost)
-        pairs = [(i, int(col_of_row[i])) for i in range(n)]
-        unique = _is_unique_optimum(cost, col_of_row, u, v, tol)
     else:
         # Solve the transpose; its row potentials belong to our columns.
         row_of_col, col_of_row, v, u = _augmenting_path_solve(cost.T)
-        pairs = sorted((int(row_of_col[j]), j) for j in range(m))
-        unique = _is_unique_optimum(cost.T, row_of_col, v, u, tol)
-    if not unique:
-        pairs = _canonical_pairs(cost, tol, col_of_row, row_of_col, u, v)
+    # Finite potentials leave every reduced cost finite or +inf, never NaN.
+    tight = cost - u[:, None] - v[None, :] <= tol
+    if np.count_nonzero(tight) == min(n, m):
+        # Only the matched pairs are tight, so any other maximal pairing
+        # costs strictly more: the optimum is unique and already canonical.
+        pairs = [(i, int(j)) for i, j in enumerate(col_of_row) if j >= 0]
+    else:
+        pairs = _canonical_pairs(tight, u, v, tol, col_of_row, row_of_col)
     total = math.fsum(cost[i, j] for i, j in pairs)
     return Assignment(tuple(pairs), total)
 

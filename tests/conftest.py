@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,27 @@ def basis_template(d_g=8, axis=0, minutiae=(), source_id="t"):
     g = np.zeros(d_g)
     g[axis] = 1.0
     return make_template(g, minutiae, source_id=source_id)
+
+
+def brute_force(cost):
+    """Exhaustive minimum plus lexicographic tie-break; None when infeasible."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n, m = cost.shape
+    best = None
+    if n <= m:
+        candidates = (tuple((i, c) for i, c in enumerate(cols))
+                      for cols in itertools.permutations(range(m), n))
+    else:
+        candidates = (tuple(sorted(zip(rows, perm)))
+                      for rows in itertools.combinations(range(n), m)
+                      for perm in itertools.permutations(range(m)))
+    for seq in candidates:
+        total = math.fsum(cost[i, j] for i, j in seq)
+        if math.isinf(total):
+            continue
+        if best is None or total < best[0] or (total == best[0] and seq < best[1]):
+            best = (total, seq)
+    return best
 
 
 @pytest.fixture(scope="session")

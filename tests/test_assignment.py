@@ -8,28 +8,7 @@ from fpfuse import (CorrespondenceWeights, InfeasibleAssignmentError,
                     angular_distance, correspondence_cost_matrix,
                     reorder_ground_truth, solve_assignment)
 
-from conftest import as_arrays, random_minutia, unit
-
-
-def brute_force(cost):
-    """Exhaustive minimum plus lexicographic tie-break; None when infeasible."""
-    cost = np.asarray(cost, dtype=np.float64)
-    n, m = cost.shape
-    best = None
-    if n <= m:
-        candidates = (tuple((i, c) for i, c in enumerate(cols))
-                      for cols in itertools.permutations(range(m), n))
-    else:
-        candidates = (tuple(sorted(zip(rows, perm)))
-                      for rows in itertools.combinations(range(n), m)
-                      for perm in itertools.permutations(range(m)))
-    for seq in candidates:
-        total = math.fsum(cost[i, j] for i, j in seq)
-        if math.isinf(total):
-            continue
-        if best is None or total < best[0] or (total == best[0] and seq < best[1]):
-            best = (total, seq)
-    return best
+from conftest import as_arrays, brute_force, random_minutia, unit
 
 
 def test_single_entry():
@@ -56,10 +35,16 @@ def test_empty_matrix():
 
 
 def test_infeasible_raises():
-    with pytest.raises(InfeasibleAssignmentError):
-        solve_assignment([[np.inf]])
-    with pytest.raises(InfeasibleAssignmentError):
-        solve_assignment([[1.0, np.inf], [np.inf, np.inf]])
+    # The all-+inf rows and the all-+inf column (a row of the transposed
+    # solve) would get a row-reduction potential of +inf and NaN reduced
+    # costs; they must be refused, not matched on NaN comparisons.
+    for cost in ([[np.inf]],
+                 [[1.0, np.inf], [np.inf, np.inf]],
+                 [[1.0, 2.0, 3.0], [np.inf] * 3],                  # n < m
+                 [[np.inf] * 3, [0.0, 1.0, 2.0], [1.0, 0.0, 2.0]],  # n == m, the first row
+                 [[1.0, np.inf], [-2.0, np.inf], [3.0, np.inf]]):  # n > m, a column
+        with pytest.raises(InfeasibleAssignmentError):
+            solve_assignment(cost)
 
 
 def test_cost_matrix_validation():

@@ -10,6 +10,7 @@ import fpfuse.cli
 from fpfuse import (PipelineConfig, SynthSpec, from_json, generate_corpus, write_bundle,
                     write_template)
 from fpfuse.cli import corpus_checksum, main
+from fpfuse.evaluation import POOL_MIN_PAIRS_PER_JOB
 
 from conftest import basis_template, make_template
 
@@ -266,26 +267,27 @@ def test_eval_jobs_byte_identical(synth_dir, tmp_path):
 
 
 def test_eval_jobs_byte_identical_with_pairs_in_band(tmp_path):
-    """Enough in-band pairs that ``--jobs 4`` chunks the local matches out to
+    """Enough in-band pairs that ``--jobs 2`` chunks the local matches out to
     the worker pool and scatters them back."""
     corpus = tmp_path / "corpus"
-    write_bundle(generate_corpus(SynthSpec(seed=42, subjects=8, impressions=3,
+    write_bundle(generate_corpus(SynthSpec(seed=42, subjects=16, impressions=3,
                                            weak_global_rate=0.5, global_collision_rate=0.3)),
                  corpus)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "theta_t": 0.9, "theta_f": 0.01, "fusion": "max",
+        "theta_t": 0.95, "theta_f": -0.1, "fusion": "max",
         "norm": {"kind": "double_sigmoid",
                  "params": {"center": 20.0, "left_width": 10.0, "right_width": 15.0}}}))
     outputs = []
-    for jobs in (1, 4):
+    for jobs in (1, 2):
         report, scores = tmp_path / f"r{jobs}.json", tmp_path / f"s{jobs}.csv"
         assert main(["eval", "--corpus", str(corpus), "--config", str(config),
                      "--out", str(report), "--scores-csv", str(scores),
                      "--jobs", str(jobs)]) == 0
         outputs.append((report.read_bytes(), scores.read_bytes()))
     report = json.loads(outputs[0][0])
-    assert 2 * 4 <= report["gate_stats"]["local_evaluated"] < sum(report["counts"].values())
+    in_band = report["gate_stats"]["local_evaluated"]
+    assert POOL_MIN_PAIRS_PER_JOB * 2 <= in_band < sum(report["counts"].values())
     assert outputs[0] == outputs[1]
 
 

@@ -1,4 +1,5 @@
-"""Property tests of the reader contract, the config schema and the gate rule."""
+"""Property tests of the reader contract, the config schema, the gate rule and
+the assignment solver."""
 
 import json
 import math
@@ -8,14 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from fpfuse import (DecodeError, LocalMatchConfig, LossWeights, Normalizer, PipelineConfig,
-                    Protocol, SynthSpec, Template, apply_pipeline, canonicalize_angle,
-                    enumerate_pairs, from_json, generate_corpus, infer_pair_with_config,
-                    read_template, score_pairs, validate, write_template)
+from fpfuse import (DecodeError, InfeasibleAssignmentError, LocalMatchConfig, LossWeights,
+                    Normalizer, PipelineConfig, Protocol, SynthSpec, Template, apply_pipeline,
+                    canonicalize_angle, enumerate_pairs, from_json, generate_corpus,
+                    infer_pair_with_config, read_template, score_pairs, solve_assignment,
+                    validate, write_template)
+from fpfuse.assignment import _augmenting_path_solve
 from fpfuse.pipeline import FUSION_RULES, GATES, UNGATED
 
-from conftest import as_arrays
+from conftest import as_arrays, brute_force
 
 TWO_PI = 2 * math.pi
 SIZE = (64, 48)  # (h, w)
@@ -293,3 +297,43 @@ def test_scores_of_a_narrower_band_are_refused(scored_corpus, norm):
     apply_pipeline(scores, narrow)
     with pytest.raises(ValueError, match="not matched locally"):
         apply_pipeline(scores, wide)
+
+
+# ---------------------------------------------------------------------------
+# the assignment solver against the exhaustive oracle
+
+small_costs = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
+                     elements=st.integers(-3, 3).map(float) | st.just(math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_costs)
+def test_solver_equals_the_exhaustive_oracle(cost):
+    best = brute_force(cost)
+    if best is None:
+        with pytest.raises(InfeasibleAssignmentError):
+            solve_assignment(cost)
+    else:
+        got = solve_assignment(cost)
+        assert (got.total_cost, got.pairs) == best
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_costs)
+def test_warm_started_potentials_meet_the_canonical_pass_invariants(cost):
+    """What ``_canonical_pairs`` relies on: reduced costs >= 0 and 0 on the
+    matched pairs, ``v <= 0``, and ``v == 0`` on the unmatched columns.
+    Small integers keep the potentials exact, so the checks are too."""
+    cost = cost if cost.shape[0] <= cost.shape[1] else cost.T
+    if brute_force(cost) is None:
+        with pytest.raises(InfeasibleAssignmentError):
+            _augmenting_path_solve(cost)
+        return
+    col_of_row, row_of_col, u, v = _augmenting_path_solve(cost)
+    rows = np.arange(cost.shape[0])
+    assert np.array_equal(row_of_col[col_of_row], rows)
+    assert (row_of_col >= 0).sum() == len(rows)
+    reduced = cost - u[:, None] - v[None, :]
+    assert (reduced >= 0).all()
+    assert (reduced[rows, col_of_row] == 0).all()
+    assert (v <= 0).all() and (v[row_of_col < 0] == 0).all()
