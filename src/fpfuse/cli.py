@@ -3,6 +3,7 @@
 All outputs are machine-readable JSON (CSV for raw scores); ``--pretty``
 renders human tables instead.  Exit code 0 on success, 2 on usage or data
 errors.  ``FPFUSE_SEED`` overrides the generator seed from the spec file.
+``bench`` takes either ``--grid`` or ``--sweep-minutiae``, never both.
 """
 
 from __future__ import annotations
@@ -184,6 +185,8 @@ def _parse_grid(text: str, cfg: PipelineConfig) -> List[PipelineConfig]:
 
 
 def cmd_bench(args) -> int:
+    if args.grid is not None and args.sweep_minutiae is not None:
+        raise CliError("--grid and --sweep-minutiae exclude each other; give one")
     try:
         far_targets = [number(float(t), "a FAR target", 0.0, 1.0)
                        for t in args.far.split(",")]
@@ -213,7 +216,7 @@ def cmd_bench(args) -> int:
             rows.append(row)
         rows.sort(key=lambda r: -r["max_minutiae"])
     else:
-        grid = _parse_grid(args.grid, cfg)
+        grid = _parse_grid("disabled,0.75:0.15" if args.grid is None else args.grid, cfg)
         raw = score_pairs(corpus, pairs, cfg.local, jobs=args.jobs, bands=grid)
         for band in grid:
             derived = apply_pipeline(raw, band)
@@ -300,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--protocol")
     p.add_argument("--config")
-    p.add_argument("--grid", default="disabled,0.75:0.15",
-                   help="comma list of theta_t:theta_f pairs or 'disabled'")
+    p.add_argument("--grid", help="comma list of theta_t:theta_f pairs or 'disabled' "
+                   "(default: disabled,0.75:0.15); excludes --sweep-minutiae")
     p.add_argument("--sweep-minutiae", help="comma list of max_minutiae values")
     p.add_argument("--far", default="0.01", help="comma list of FAR targets")
     p.add_argument("--out", help="table JSON path")

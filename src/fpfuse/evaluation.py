@@ -49,10 +49,10 @@ class Protocol:
     @classmethod
     def parse(cls, text: str) -> "Protocol":
         try:
-            s, i = text.lower().split("x")
-            return cls(subjects=int(s), impressions=int(i))
+            subjects, impressions = (int(v) for v in text.lower().split("x"))
         except (ValueError, AttributeError) as exc:
             raise ValueError(f"protocol must look like '100x8', got {text!r}") from exc
+        return cls(subjects=subjects, impressions=impressions)
 
 
 def enumerate_pairs(protocol: Protocol,
@@ -173,26 +173,24 @@ def minutiae_quality(pred_positions, gt_positions,
     pred = np.asarray(pred_positions, dtype=np.float64).reshape(-1, 2)
     gt = np.asarray(gt_positions, dtype=np.float64).reshape(-1, 2)
     n_pred, n_gt = pred.shape[0], gt.shape[0]
-    paired = 0
-    errors: List[float] = []
-    if n_pred and n_gt:
-        diff = pred[:, None, :] - gt[None, :, :]
-        cost = np.sqrt((diff ** 2).sum(axis=2))
-        for r, c in solve_assignment(cost).pairs:
-            d = float(cost[r, c])
-            if d <= dist_threshold_px:
-                paired += 1
-                errors.append(d)
-    missed = n_gt - paired
-    spurious = n_pred - paired
-    gi = (paired - missed - spurious) / n_gt if n_gt else 0.0
-    avg_err = float(np.mean(errors)) if errors else 0.0
+    diff = pred[:, None, :] - gt[None, :, :]
+    cost = np.sqrt((diff ** 2).sum(axis=2))
+    errors = [float(cost[r, c]) for r, c in solve_assignment(cost).pairs
+              if cost[r, c] <= dist_threshold_px]
+    paired = len(errors)
+    return _quality(paired, n_gt - paired, n_pred - paired, float(np.sum(errors)))
+
+
+def _quality(paired: int, missed: int, spurious: int, error_sum: float) -> MinutiaeQuality:
+    """Goodness index (0 for an empty reference) and mean error of the pairs."""
+    total_gt = paired + missed
+    gi = (paired - missed - spurious) / total_gt if total_gt else 0.0
+    avg_err = error_sum / paired if paired else 0.0
     return MinutiaeQuality(paired=paired, missed=missed, spurious=spurious,
                            goodness_index=gi, avg_positional_error_px=avg_err)
 
 
-def aggregate_minutiae_quality(corpus: Corpus, references: Corpus,
-                               dist_threshold_px: float = 20.0) -> MinutiaeQuality:
+def aggregate_minutiae_quality(corpus: Corpus, references: Corpus) -> MinutiaeQuality:
     """Pool per-impression quality counts across a corpus.  ``references``
     must hold the same subjects and impression counts, else ``ValueError``."""
     shape = {sid: len(t) for sid, t in corpus.subjects.items()}
@@ -205,17 +203,12 @@ def aggregate_minutiae_quality(corpus: Corpus, references: Corpus,
     weighted_err = 0.0
     for sid in corpus.subject_ids:
         for k, t in enumerate(corpus.subjects[sid]):
-            q = minutiae_quality(t.positions, references.subjects[sid][k].positions,
-                                 dist_threshold_px)
+            q = minutiae_quality(t.positions, references.subjects[sid][k].positions)
             paired += q.paired
             missed += q.missed
             spurious += q.spurious
             weighted_err += q.avg_positional_error_px * q.paired
-    total_gt = paired + missed
-    gi = (paired - missed - spurious) / total_gt if total_gt else 0.0
-    avg_err = weighted_err / paired if paired else 0.0
-    return MinutiaeQuality(paired=paired, missed=missed, spurious=spurious,
-                           goodness_index=gi, avg_positional_error_px=avg_err)
+    return _quality(paired, missed, spurious, weighted_err)
 
 
 # ---------------------------------------------------------------------------

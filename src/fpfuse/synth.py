@@ -6,6 +6,9 @@ spurious additions.  Two mutually exclusive failure modes can be injected:
 subject clusters that share a near-identical global embedding (high global
 similarity between different identities) and distorted impressions whose
 local features are heavily corrupted while the global embedding survives.
+Embedding sizes and failure strengths are module constants, not spec knobs:
+``_GLOBAL_DIM``, ``_MINUTIA_DIM``, ``_WEAK_GLOBAL_JITTER``, ``_COLLISION_OFFSET``,
+``_DISTORTION_DROP_FRACTION``, ``_DISTORTION_EMBEDDING_JITTER``, ``_DISTORTION_JITTER_SCALE``.
 
 Every random draw comes from a counter-based generator keyed by
 ``(seed, subject, impression, field)``, so corpora are bit-reproducible
@@ -37,20 +40,29 @@ _F_DISTORT = 7
 _F_WEAK = 8
 _IDENTITY_IMPRESSION = 0xFFFF  # impression slot for per-identity streams
 
+_GLOBAL_DIM = 192                   # global embedding size
+_MINUTIA_DIM = 64                   # minutia embedding size
+_WEAK_GLOBAL_JITTER = 0.045         # global jitter of a weak capture
+_COLLISION_OFFSET = 0.012           # spread of a collided cluster around its direction
+_DISTORTION_DROP_FRACTION = 0.5     # share of minutiae a distorted impression drops
+_DISTORTION_EMBEDDING_JITTER = 0.6  # embedding jitter of a distorted impression
+_DISTORTION_JITTER_SCALE = 4.0      # position/orientation jitter factor when distorted
+
 # The SynthSpec knobs that are probabilities.
 _PROBABILITIES = ("drop_probability", "global_collision_rate", "distortion_rate",
-                  "distortion_drop_fraction", "weak_global_rate")
+                  "weak_global_rate")
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """All generator knobs.  Probabilities in [0, 1], spreads >= 0."""
+    """All generator knobs.  Probabilities in [0, 1], spreads >= 0.  Fixed, not knobs:
+    ``_GLOBAL_DIM``, ``_MINUTIA_DIM``, ``_WEAK_GLOBAL_JITTER``, ``_COLLISION_OFFSET``,
+    ``_DISTORTION_DROP_FRACTION``, ``_DISTORTION_EMBEDDING_JITTER`` and
+    ``_DISTORTION_JITTER_SCALE``."""
 
     seed: int = 0
     subjects: int = 10
     impressions: int = 4
-    global_dim: int = 192
-    minutia_dim: int = 64
     minutiae_per_identity: int = 50
     image_size: Tuple[int, int] = (384, 384)
     # Impression noise.
@@ -66,19 +78,14 @@ class SynthSpec:
     # embedding is much noisier while the minutiae stay clean.  Models
     # low-quality acquisitions; enrollment impressions are quality-gated.
     weak_global_rate: float = 0.0
-    weak_global_jitter: float = 0.045
     # Failure injection.
     global_collision_rate: float = 0.0
-    collision_offset: float = 0.012
     distortion_rate: float = 0.0
-    distortion_drop_fraction: float = 0.5
-    distortion_embedding_jitter: float = 0.6
-    distortion_jitter_scale: float = 4.0
 
     def __post_init__(self):
         # Integer knobs and their least value.
         for name, least in (("seed", 0), ("subjects", 1), ("impressions", 1),
-                            ("global_dim", 1), ("minutia_dim", 1), ("minutiae_per_identity", 0)):
+                            ("minutiae_per_identity", 0)):
             number(getattr(self, name), name, lo=least, integer=True)
         size = self.image_size
         if not (isinstance(size, (list, tuple)) and len(size) == 2):
@@ -115,13 +122,13 @@ class Identity:
 def generate_identity(spec: SynthSpec, subject_index: int) -> Identity:
     """Deterministic latent identity for ``(spec.seed, subject_index)``."""
     rng = _rng(spec.seed, subject_index, _IDENTITY_IMPRESSION, _F_GLOBAL)
-    direction = _unit(rng.normal(size=spec.global_dim))
+    direction = _unit(rng.normal(size=_GLOBAL_DIM))
     rng = _rng(spec.seed, subject_index, _IDENTITY_IMPRESSION, _F_MINUTIAE)
     n = spec.minutiae_per_identity
     h, w = spec.image_size
     positions = np.column_stack([rng.uniform(0.0, w, size=n), rng.uniform(0.0, h, size=n)])
     orientations = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    embeddings = rng.normal(size=(n, spec.minutia_dim))
+    embeddings = rng.normal(size=(n, _MINUTIA_DIM))
     embeddings /= np.linalg.norm(embeddings, axis=1, keepdims=True)
     return Identity(subject_index=subject_index, global_direction=direction,
                     positions=positions, orientations=orientations, embeddings=embeddings)
@@ -155,8 +162,8 @@ def _apply_collisions(spec: SynthSpec, identities: List[Identity]):
         center = identities[cluster[0]].global_direction
         for subject in cluster:
             noise_rng = _rng(spec.seed, subject, _IDENTITY_IMPRESSION, _F_COLLIDE)
-            direction = _unit(center + noise_rng.normal(scale=spec.collision_offset,
-                                                        size=spec.global_dim))
+            direction = _unit(center + noise_rng.normal(scale=_COLLISION_OFFSET,
+                                                        size=_GLOBAL_DIM))
             out[subject] = replace(identities[subject], global_direction=direction)
         for i, a in enumerate(cluster):
             for b in cluster[i + 1:]:
@@ -195,17 +202,17 @@ def generate_impression(identity: Identity, spec: SynthSpec, impression_index: i
     subject = identity.subject_index
     h, w = spec.image_size
 
-    scale = spec.distortion_jitter_scale if distorted else 1.0
+    scale = _DISTORTION_JITTER_SCALE if distorted else 1.0
     pos_jitter = spec.position_jitter_px * scale
     ori_jitter = spec.orientation_jitter_rad * scale
-    emb_jitter = spec.distortion_embedding_jitter if distorted else spec.embedding_jitter
+    emb_jitter = _DISTORTION_EMBEDDING_JITTER if distorted else spec.embedding_jitter
 
     positions, orientations = _impression_transform(identity, spec, impression_index)
     n = identity.positions.shape[0]
 
     rng = _rng(spec.seed, subject, impression_index, _F_DROP)
     if distorted:
-        n_drop = int(round(spec.distortion_drop_fraction * n))
+        n_drop = int(round(_DISTORTION_DROP_FRACTION * n))
         dropped = np.zeros(n, dtype=bool)
         dropped[rng.permutation(n)[:n_drop]] = True
     else:
@@ -215,14 +222,14 @@ def generate_impression(identity: Identity, spec: SynthSpec, impression_index: i
     if spec.weak_global_rate > 0.0 and impression_index >= 1:
         weak_rng = _rng(spec.seed, subject, impression_index, _F_WEAK)
         if weak_rng.random() < spec.weak_global_rate:
-            global_jitter = spec.weak_global_jitter
+            global_jitter = _WEAK_GLOBAL_JITTER
 
     rng = _rng(spec.seed, subject, impression_index, _F_JITTER)
     positions = positions + rng.normal(scale=pos_jitter, size=(n, 2))
     orientations = orientations + rng.normal(scale=ori_jitter, size=n)
-    embeddings = identity.embeddings + rng.normal(scale=emb_jitter, size=(n, spec.minutia_dim))
+    embeddings = identity.embeddings + rng.normal(scale=emb_jitter, size=(n, _MINUTIA_DIM))
     global_embedding = _unit(identity.global_direction
-                             + rng.normal(scale=global_jitter, size=spec.global_dim))
+                             + rng.normal(scale=global_jitter, size=_GLOBAL_DIM))
 
     keep = ~dropped & _in_frame(positions, spec)
     kept_embeddings = embeddings[keep]
@@ -231,9 +238,9 @@ def generate_impression(identity: Identity, spec: SynthSpec, impression_index: i
     rng = _rng(spec.seed, subject, impression_index, _F_SPURIOUS)
     n_spurious = int(rng.poisson(spec.spurious_rate)) if spec.spurious_rate > 0 else 0
     spurious = np.empty((n_spurious, 3))  # x, y, theta
-    spurious_embeddings = np.empty((n_spurious, spec.minutia_dim))
+    spurious_embeddings = np.empty((n_spurious, _MINUTIA_DIM))
     for k in range(n_spurious):  # draw order per minutia: embedding, x, y, theta
-        spurious_embeddings[k] = _unit(rng.normal(size=spec.minutia_dim))
+        spurious_embeddings[k] = _unit(rng.normal(size=_MINUTIA_DIM))
         spurious[k] = rng.uniform(0.0, w), rng.uniform(0.0, h), rng.uniform(0.0, 2.0 * math.pi)
 
     return Template(

@@ -275,10 +275,7 @@ def _ingest(global_embedding: np.ndarray, xyt: np.ndarray, embeddings: np.ndarra
 
 
 def _read_binary(data: bytes) -> Template:
-    if data[:4] != BINARY_MAGIC:
-        raise DecodeError(f"bad magic {data[:4]!r}, expected {BINARY_MAGIC!r}", 0)
-    offset = 4
-    raw, offset = _take(data, offset, _HEADER.size, "header")
+    raw, offset = _take(data, 4, _HEADER.size, "header")  # read_template checked BINARY_MAGIC
     version, d_g, d_m, n_minutiae, h, w, src_len = _HEADER.unpack(raw)
     if version != BINARY_VERSION:
         raise DecodeError(f"unsupported version {version}", 4)

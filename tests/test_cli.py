@@ -147,6 +147,14 @@ def test_synth_seeds_beyond_64_bits_stay_distinct(tmp_path, capsys):
     assert sums[0] != sums[1]
 
 
+def test_synth_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FPFUSE_SEED", "1.5")
+    out = tmp_path / "z"
+    assert main(["synth", "--out", str(out)]) == 2
+    assert "FPFUSE_SEED must be an integer, got '1.5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_negative_env_seed_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FPFUSE_SEED", "-1")
     out = tmp_path / "z"
@@ -254,6 +262,20 @@ def test_eval_report_config_block_is_the_config_file(synth_dir, tmp_path):
 
 def test_eval_protocol_mismatch_exits_2(synth_dir):
     assert main(["eval", "--corpus", str(synth_dir), "--protocol", "9x9"]) == 2
+
+
+@pytest.mark.parametrize("protocol", ["0x4", "4x0"])
+def test_eval_empty_protocol_exits_2_with_its_own_error(synth_dir, capsys, protocol):
+    assert main(["eval", "--corpus", str(synth_dir), "--protocol", protocol]) == 2
+    err = capsys.readouterr().err
+    assert "protocol needs at least one subject and one impression" in err
+    assert "must look like" not in err
+
+
+def test_eval_missing_corpus_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["eval", "--corpus", str(missing)]) == 2
+    assert f"cannot read corpus {missing}" in capsys.readouterr().err
 
 
 def test_eval_jobs_byte_identical(synth_dir, tmp_path):
@@ -407,6 +429,16 @@ def test_bench_bad_sweep_exits_2_before_scoring(synth_dir, capsys, monkeypatch, 
     assert "--sweep-minutiae" in capsys.readouterr().err
 
 
+def test_bench_grid_and_sweep_exit_2_before_reading_the_corpus(synth_dir, capsys, monkeypatch):
+    def no_reading(*args, **kwargs):
+        raise AssertionError("read a corpus for --grid with --sweep-minutiae")
+    monkeypatch.setattr(fpfuse.cli, "read_corpus", no_reading)
+    assert main(["bench", "--corpus", str(synth_dir), "--protocol", "4x3",
+                 "--grid", "0.9:0.1", "--sweep-minutiae", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and "--sweep-minutiae" in err
+
+
 def test_bench_minutiae_sweep(synth_dir, capsys):
     code, doc = run_json(capsys, [
         "bench", "--corpus", str(synth_dir), "--protocol", "4x3",
@@ -485,6 +517,21 @@ def test_losses_one_hot_weights(tmp_path, capsys):
     assert doc["global_loss"] == pytest.approx(1.0)
 
 
+def test_losses_weights_from_a_file(tmp_path, capsys):
+    pred_path, gt_path = loss_fixture(tmp_path)
+    pred = json.loads(pred_path.read_text())
+    pred["global"] = [v + 1.0 for v in pred["global"]]
+    pred_path.write_text(json.dumps(pred))
+    weights = {"global_weight": 3.0, "position_weight": 0.0}
+    weights_path = tmp_path / "weights.json"
+    weights_path.write_text(json.dumps(weights))
+    argv = ["losses", "--pred", str(pred_path), "--gt", str(gt_path), "--weights"]
+    code, from_file = run_json(capsys, argv + [str(weights_path)])
+    assert code == 0
+    assert from_file["total"] == pytest.approx(3.0 * from_file["global_loss"])
+    assert run_json(capsys, argv + [json.dumps(weights)]) == (0, from_file)
+
+
 def test_losses_shape_mismatch_exits_2(tmp_path, capsys):
     pred_path, gt_path = loss_fixture(tmp_path)
     gt = json.loads(gt_path.read_text())
@@ -546,3 +593,11 @@ def test_pretty_output_renders_table(synth_dir, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "theta_t" in out and "local_evaluated" in out
+
+
+def test_pretty_output_without_a_table_is_indented_json(synth_dir, capsys):
+    assert main(["eval", "--corpus", str(synth_dir)]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(["--pretty", "eval", "--corpus", str(synth_dir)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("{\n  ") and json.loads(out) == plain

@@ -172,6 +172,14 @@ def test_total_loss_shape_mismatch():
         total_loss(pred, bad_gt)
 
 
+def test_total_loss_global_shape_mismatch():
+    rng = np.random.default_rng(41)
+    pred, gt = random_record_pair(rng, d_g=6)
+    short_gt = GroundTruthRecord(gt.global_embedding[:5], gt.positions, gt.embeddings)
+    with pytest.raises(ValueError, match="global embedding shape mismatch"):
+        total_loss(pred, short_gt)
+
+
 def test_total_loss_nonnegative_components():
     rng = np.random.default_rng(41)
     for _ in range(10):

@@ -9,6 +9,7 @@ from fpfuse import (LocalMatchConfig, SynthSpec, from_json, generate_corpus,
                     generate_identity, generate_impression, global_match,
                     local_match, minutiae_quality, read_corpus, validate, write_bundle,
                     write_template)
+from fpfuse.synth import _DISTORTION_DROP_FRACTION
 
 
 def test_identity_deterministic():
@@ -130,7 +131,7 @@ def test_distortion_manifest_sound():
         ref = bundle.references.subjects[sid][k]
         q = minutiae_quality(impression.positions, ref.positions)
         kept_fraction = q.paired / len(ref.theta)
-        assert kept_fraction <= 1.0 - spec.distortion_drop_fraction + 0.05
+        assert kept_fraction <= 1.0 - _DISTORTION_DROP_FRACTION + 0.05
 
 
 def test_distorted_pairs_score_below_clean_median():

@@ -141,6 +141,13 @@ def test_ingest_rejects_large_drift():
         read_template(bytes(payload))
 
 
+def test_json_reader_rejects_an_empty_global():
+    doc = json.loads(write_template(basis_template(), format="json"))
+    doc["global"] = []
+    with pytest.raises(DecodeError, match="global_embedding: non-empty"):
+        read_template(json.dumps(doc).encode())
+
+
 def test_reader_canonicalizes_theta():
     t = basis_template(minutiae=[(1.0, 1.0, 0.5, [1.0, 0.0])])
     payload = bytearray(write_template(t))
