@@ -17,9 +17,16 @@ Corpora live on disk as ``subject_<id>/impression_<k>.fpt`` directories.
 
 Reader contract: :func:`read_template` returns a template that passes
 :func:`validate`, or raises :class:`DecodeError`.  Both formats share one
-ingest step that renormalizes slightly drifted embeddings, wraps
-orientations, and rejects any other violation, NaN or out-of-frame
-coordinates included.
+ingest step.  It first decides in one cheap whole-array test per invariant
+whether the template is valid as read; the common case, a valid template,
+is returned then, the binary reader's record block adopted without a copy.
+Only a template that fails the test takes the full path: slightly drifted
+embeddings are renormalized and orientations wrapped on a copy, and any
+other violation, NaN or out-of-frame coordinates included, is listed in
+the ``DecodeError``.  :func:`read_corpus` reads each file with its own
+:func:`read_template` call, requires each subject's impressions to be
+numbered 0 to k-1, and puts the failing file's path in front of a
+``DecodeError``.
 
 The JSON checks every config shares live here too: :func:`number` is the
 one number rule and :func:`from_json` the one config reader.
@@ -27,6 +34,7 @@ one number rule and :func:`from_json` the one config reader.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -63,19 +71,22 @@ class DecodeError(ValueError):
 def canonicalize_angle(theta):
     """Map angles in radians onto [0, 2*pi), also after float32 rounding.
 
-    Takes a scalar (returns a float) or an array (returns a float64 array).
+    Takes a scalar (returns a float) or an array (returns a float64 array,
+    ``theta`` itself when that is a float64 array already in range).
     Non-finite angles are returned unchanged, for :func:`validate` to flag.
     """
     t = np.asarray(theta, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        wrapped = np.fmod(t, TWO_PI)
-    wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
-    # float32 rounds values just below 2*pi up to it
-    wrapped = np.where(wrapped.astype(np.float32) >= np.float64(TWO_PI), 0.0, wrapped)
-    wrapped = np.where(np.isfinite(t), wrapped, t)
-    return float(wrapped) if wrapped.ndim == 0 else wrapped
+    with np.errstate(invalid="ignore", over="ignore"):
+        # float32 rounds values just below 2*pi up to it
+        if not ((0.0 <= t) & (t.astype(np.float32) < np.float64(TWO_PI))).all():
+            wrapped = np.fmod(t, TWO_PI)
+            wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
+            wrapped = np.where(wrapped.astype(np.float32) >= np.float64(TWO_PI), 0.0, wrapped)
+            t = np.where(np.isfinite(t), wrapped, t)
+    return float(t) if t.ndim == 0 else t
 
 
+@functools.lru_cache(maxsize=None)
 def _record_dtype(d_m: int) -> np.dtype:
     """One FPT1 minutia record: x, y, theta, then the local embedding."""
     return np.dtype([("xyt", "<f4", 3), ("emb", "<f4", d_m)])
@@ -115,13 +126,23 @@ class Template:
         records["xyt"][:, 2] = theta
         if n:
             records["emb"] = emb
-        g.flags.writeable = False
+        self._adopt(g, records, self.image_size, self.source_id)
+
+    def _adopt(self, global_embedding: np.ndarray, records: np.ndarray,
+               image_size: Tuple[int, int], source_id: str) -> "Template":
+        """Set every field, the minutia arrays as views of ``records``, an FPT1
+        record array that becomes read-only and is not copied.  The binary
+        reader calls this on a bare ``object.__new__(Template)``."""
+        global_embedding.flags.writeable = False
         records.flags.writeable = False
-        h, w = self.image_size
-        for name, value in (("global_embedding", g), ("positions", records["xyt"][:, :2]),
-                            ("theta", records["xyt"][:, 2]), ("embeddings", records["emb"]),
-                            ("image_size", (int(h), int(w))), ("records", records)):
+        xyt = records["xyt"]
+        h, w = image_size
+        for name, value in (("global_embedding", global_embedding), ("positions", xyt[:, :2]),
+                            ("theta", xyt[:, 2]), ("embeddings", records["emb"]),
+                            ("image_size", (int(h), int(w))), ("source_id", source_id),
+                            ("records", records)):
             object.__setattr__(self, name, value)
+        return self
 
     @property
     def global_dim(self) -> int:
@@ -158,7 +179,26 @@ class Violation:
 
 def validate(t: Template) -> List[Violation]:
     """Check every template invariant; an empty list means the template is valid."""
-    return _violations(t, _norms(t.global_embedding[None, :])[0], _norms(t.embeddings))
+    g_norm, norms = _norms(t.global_embedding[None, :])[0], _norms(t.embeddings)
+    return [] if _valid(t, g_norm, norms) else _violations(t, g_norm, norms)
+
+
+# The largest float32 below 2*pi (float32 rounds 2*pi itself up): a float32
+# angle lies in [0, 2*pi) exactly when it lies in [0, _THETA_MAX].
+_THETA_MAX = float(np.nextafter(np.float32(TWO_PI), np.float32(0.0)))
+
+
+def _valid(t: Template, global_norm: float, norms: np.ndarray) -> bool:
+    """Whether ``t`` is valid, in a handful of whole-array operations: the
+    same answer as ``not _violations(t, global_norm, norms)`` without
+    building the report."""
+    h, w = t.image_size
+    xyt = t.records["xyt"]
+    return bool(abs(global_norm - 1.0) <= NORM_VALID_TOL  # False for an empty global (norm 0)
+                and 0 < h <= MAX_IMAGE_SIDE and 0 < w <= MAX_IMAGE_SIDE
+                and np.abs(norms - 1.0).max(initial=0.0) <= NORM_VALID_TOL
+                # every x, y and theta in range at once; NaN compares False
+                and ((0.0 <= xyt) & (xyt <= np.array((w, h, _THETA_MAX)))).all())
 
 
 def _violations(t: Template, global_norm: float, norms: np.ndarray) -> List[Violation]:
@@ -251,20 +291,18 @@ def _rescaled(rows: np.ndarray, norms: np.ndarray, fix: np.ndarray) -> np.ndarra
 _SHOWN_VIOLATIONS = 5
 
 
-def _ingest(global_embedding: np.ndarray, xyt: np.ndarray, embeddings: np.ndarray,
-            image_size: Tuple[int, int], source_id: str) -> Template:
-    """Shared tail of both readers; row ``i`` of ``xyt`` holds minutia ``i``'s
-    x, y and theta.  Renormalizes slightly drifted embeddings and wraps theta,
-    computing every norm once.  The result passes ``validate`` or
-    ``DecodeError`` is raised."""
-    t = Template(global_embedding, xyt[:, :2], canonicalize_angle(xyt[:, 2]), embeddings,
-                 image_size, source_id)
+def _ingest(t: Template) -> Template:
+    """Shared tail of both readers.  A valid ``t`` is returned as it is, after
+    one cheap test (:func:`_valid`).  Otherwise theta is wrapped and slightly
+    drifted embeddings are renormalized on a copy, computing every norm once,
+    and the violations left, if any, raise ``DecodeError``."""
     g = t.global_embedding[None, :]
     g_norms, norms = _norms(g), _norms(t.embeddings)
-    g_fix, fix = _drifted(g_norms), _drifted(norms)
-    if g_fix.any() or fix.any():
-        t = replace(t, global_embedding=_rescaled(g, g_norms, g_fix)[0],
-                    embeddings=_rescaled(t.embeddings, norms, fix))
+    if _valid(t, g_norms[0], norms):
+        return t
+    t = replace(t, global_embedding=_rescaled(g, g_norms, _drifted(g_norms))[0],
+                theta=canonicalize_angle(t.theta),
+                embeddings=_rescaled(t.embeddings, norms, _drifted(norms)))
     violations = _violations(t, g_norms[0], norms)
     if violations:
         shown = "; ".join(str(v) for v in violations[:_SHOWN_VIOLATIONS])
@@ -280,15 +318,18 @@ def _read_binary(data: bytes) -> Template:
     if version != BINARY_VERSION:
         raise DecodeError(f"unsupported version {version}", 4)
     raw, offset = _take(data, offset, src_len, "source_id")
-    source_id = raw.decode("utf-8")
+    try:
+        source_id = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"source_id is not UTF-8: {exc}", offset - src_len) from exc
     global_embedding, offset = _take(data, offset, 4 * d_g, "global embedding")
     block, offset = _take(data, offset, n_minutiae * (12 + 4 * d_m),
                           f"{n_minutiae} minutia records")
     if offset != len(data):
         raise DecodeError(f"{len(data) - offset} trailing bytes after template", offset)
     records = np.frombuffer(block, dtype=_record_dtype(d_m if n_minutiae else 0))
-    return _ingest(np.frombuffer(global_embedding, dtype="<f4"), records["xyt"], records["emb"],
-                   (h, w), source_id)
+    return _ingest(object.__new__(Template)._adopt(np.frombuffer(global_embedding, dtype="<f4"),
+                                                   records, (h, w), source_id))
 
 
 def _write_json(t: Template) -> bytes:
@@ -375,10 +416,12 @@ def _read_json(data: bytes) -> Template:
         source_id = doc.get("source_id", "")
         if not isinstance(source_id, str):
             raise ValueError(f"source_id must be a string, got {source_id!r}")
-        return _ingest(np.asarray(json_numbers(doc["global"], "global"), dtype=np.float32),
-                       np.array(xyt, dtype=np.float64).reshape(-1, 3),
-                       np.array(embs, dtype=np.float32).reshape(len(embs), d_m),
-                       (h, w), source_id)
+        g = np.asarray(json_numbers(doc["global"], "global"), dtype=np.float32)
+        xyt = np.array(xyt, dtype=np.float64).reshape(-1, 3)
+        # wrapped before the float32 cast, which may round an angle up to 2*pi
+        return _ingest(Template(g, xyt[:, :2], canonicalize_angle(xyt[:, 2]),
+                                np.array(embs, dtype=np.float32).reshape(len(embs), d_m),
+                                (h, w), source_id))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DecodeError):
             raise
@@ -422,18 +465,41 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> None:
 
 
 def read_corpus(root: str | Path) -> Corpus:
-    """Load a corpus directory written by :func:`write_corpus`."""
+    """Load a corpus directory written by :func:`write_corpus`.
+
+    Each file is decoded by its own :func:`read_template` call.  A subject's
+    files must be numbered ``impression_0.fpt`` up to ``impression_<k-1>.fpt``
+    with no gap, as :func:`write_corpus` writes them; any other numbering
+    raises ``ValueError`` naming the subject directory and the numbers found.
+    A ``DecodeError`` is raised again with the failing file's path, relative
+    to ``root``, in front of its message.
+    """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
     subjects: Dict[str, Tuple[Template, ...]] = {}
     for subject_dir in sorted(root.glob("subject_*")):
         sid = subject_dir.name[len("subject_"):]
-        files = sorted(subject_dir.glob("impression_*.fpt"),
-                       key=lambda p: int(p.stem.split("_")[1]))
-        templates = tuple(read_template(p.read_bytes()) for p in files)
+        found = [p.name[len("impression_"):-len(".fpt")]
+                 for p in subject_dir.glob("impression_*.fpt")]
+        if sorted(found) != sorted(str(k) for k in range(len(found))):
+            raise ValueError(f"{subject_dir.name}: impression files must be numbered 0 to "
+                             f"{len(found) - 1}, found "
+                             f"{', '.join(sorted(found, key=lambda k: (len(k), k)))}")
+        templates = tuple(_read_file(root, subject_dir / f"impression_{k}.fpt")
+                          for k in range(len(found)))
         if templates:
             subjects[sid] = templates
     if not subjects:
         raise FileNotFoundError(f"no subject_*/impression_*.fpt files under {root}")
     return Corpus(subjects)
+
+
+def _read_file(root: Path, path: Path) -> Template:
+    """:func:`read_template` of one corpus file; a ``DecodeError`` names it."""
+    try:
+        return read_template(path.read_bytes())
+    except DecodeError as exc:
+        error = DecodeError(f"{path.relative_to(root).as_posix()}: {exc}")
+        error.offset = exc.offset
+        raise error from exc

@@ -353,6 +353,32 @@ def test_eval_bad_refs_exits_2(synth_dir, tmp_path, capsys, refs_shape):
     assert "references" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("in_refs", [False, True])
+def test_eval_names_the_template_that_fails_to_decode(synth_dir, capsys, in_refs):
+    root = synth_dir / "refs" if in_refs else synth_dir
+    bad = root / "subject_001" / "impression_2.fpt"
+    payload = bytearray(bad.read_bytes())
+    payload[-4:] = np.float32(np.nan).tobytes()  # the last embedding value
+    bad.write_bytes(bytes(payload))
+    capsys.readouterr()
+    assert main(["eval", "--corpus", str(synth_dir)]) == 2
+    err = capsys.readouterr().err
+    prefix = f"bad references {root}" if in_refs else f"cannot read corpus {synth_dir}"
+    assert f"{prefix}: subject_001/impression_2.fpt: invalid template: minutiae[" in err
+    assert "embedding: norm (norm nan" in err
+
+
+@pytest.mark.parametrize("name, found", [("impression_5.fpt", "0, 2, 5"),
+                                         ("impression_x.fpt", "0, 2, x")])
+def test_eval_rejects_gaps_in_impression_numbers(synth_dir, capsys, name, found):
+    subject = synth_dir / "subject_003"
+    (subject / "impression_1.fpt").rename(subject / name)
+    capsys.readouterr()
+    assert main(["eval", "--corpus", str(synth_dir)]) == 2
+    assert (f"cannot read corpus {synth_dir}: subject_003: impression files must be numbered "
+            f"0 to 2, found {found}") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc", [
     {"norm": {"kind": "double_sigmoid", "params": {}}},
     {"local": {"seed_candidates": 3}},

@@ -7,7 +7,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -19,6 +19,7 @@ from fpfuse import (DecodeError, InfeasibleAssignmentError, LocalMatchConfig, Lo
 from fpfuse.assignment import _augmenting_path_solve
 from fpfuse.pipeline import FUSION_RULES, GATES, UNGATED
 
+import ingest_oracle
 from conftest import as_arrays, brute_force
 
 TWO_PI = 2 * math.pi
@@ -118,6 +119,102 @@ def test_every_strict_prefix_of_a_binary_payload_is_rejected(t):
         with pytest.raises(DecodeError) as err:
             read_template(payload[:cut])
         assert err.value.offset is not None
+
+
+# Values a reader must fix or reject, each next to the bound it crosses.
+drifts = st.one_of(st.floats(1 - 2e-3, 1 + 2e-3),
+                   st.sampled_from([1 + 2e-6, 1 - 2e-6, 1 + 5e-4, 1 - 9e-4, 1 + 1.5e-3, 0.5]))
+bad_thetas = st.one_of(st.floats(-50.0, 0.0, exclude_max=True), st.floats(TWO_PI, 50.0),
+                       st.sampled_from([-1e-9, TWO_PI, float(np.nextafter(TWO_PI, 0)),
+                                        TWO_PI + 1e-3, math.nan, math.inf, -math.inf]))
+off_frame = st.one_of(st.floats(-1e6, 0.0, exclude_max=True), st.floats(SIZE[0] + 1.0, 1e6),
+                      st.sampled_from([-1e-9, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def raw_templates(draw):
+    """(global, rows): a valid template's global embedding and (x, y, theta,
+    embedding) rows, then up to three faults, each one value a reader must
+    fix or reject: a drifted norm, an empty global, a theta out of range or
+    a coordinate out of frame."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d_g, d_m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    g = _unit(rng, d_g)
+    rows = [[x, y, theta, _unit(rng, d_m)] for x, y, theta in draw(st.lists(minutia_fields,
+                                                                           max_size=5))]
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["global norm", "empty global", "x", "y", "theta", "norm"]))
+        if fault == "global norm":
+            g = g * draw(drifts)
+        elif fault == "empty global":
+            g = np.zeros(0)
+        elif rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if fault == "norm":
+                row[3] = row[3] * draw(drifts)
+            else:
+                row["xyt".index(fault[0])] = draw(bad_thetas if fault == "theta" else off_frame)
+    return g, [tuple(row) for row in rows]
+
+
+def _outcome(read, data):
+    """What a reader makes of ``data``: the template's bytes, or the error text."""
+    try:
+        t = read(data)
+    except DecodeError as exc:
+        return str(exc)
+    assert ingest_oracle.full_report(t) == []
+    return t.records.dtype, t.records.tobytes(), t.global_embedding.tobytes(), t.image_size, \
+        t.source_id
+
+
+_E = np.eye(3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_templates(), st.sampled_from(["binary", "json"]))
+@example((_E[0], []), "binary")                                               # no minutiae
+@example((np.zeros(0), [(5.0, 5.0, 1.0, _E[1])]), "json")                     # empty global
+@example((_E[0] * (1 + 5e-4), [(5.0, 5.0, 1.0, _E[1])]), "binary")          # drift, fixed
+@example((_E[0], [(5.0, 5.0, 1.0, _E[1] * (1 - 9e-4))]), "json")             # drift, fixed
+@example((_E[0], [(5.0, 5.0, 1.0, _E[1] * (1 + 1.5e-3))]), "binary")         # drift, rejected
+@example((_E[0], [(5.0, 5.0, -1e-9, _E[1])]), "json")                        # theta < 0
+@example((_E[0], [(5.0, 5.0, TWO_PI, _E[1])]), "binary")                     # theta at 2*pi
+@example((_E[0], [(5.0, 5.0, TWO_PI + 1.0, _E[1])]), "binary")               # above 2*pi
+@example((_E[0], [(5.0, 5.0, float(np.nextafter(TWO_PI, 0)), _E[1])]), "json")  # 2*pi in f32
+@example((_E[0], [(5.0, 5.0, -0.0, _E[1]), (SIZE[1], SIZE[0], 0.0, _E[2])]), "json")
+@example((_E[0], [(math.nan, 5.0, 1.0, _E[1])]), "binary")
+@example((_E[0], [(5.0, math.inf, 1.0, _E[1])]), "json")
+@example((_E[0], [(-math.inf, 5.0, 1.0, _E[1])]), "binary")
+@example((_E[0], [(5.0, SIZE[0] + 0.5, 1.0, _E[1])]), "binary")              # out of frame
+def test_reader_gives_what_the_reference_ingest_gives(raw, fmt):
+    g, rows = raw
+    data = write_template(Template(g, *as_arrays(rows), SIZE, "s"), format=fmt)
+    if fmt == "json":  # carry the float64 x, y and theta, not their float32 roundings
+        doc = json.loads(data)
+        for rec, (x, y, theta, _) in zip(doc["minutiae"], rows):
+            rec.update(x=x, y=y, theta=theta)
+        data = json.dumps(doc).encode()
+    assert _outcome(read_template, data) == _outcome(ingest_oracle.read, data)
+
+
+@PROPERTY
+@given(raw_templates())
+def test_validate_gives_the_full_report(raw):
+    g, rows = raw
+    t = Template(g, *as_arrays(rows), SIZE)
+    assert validate(t) == ingest_oracle.full_report(t)
+
+
+@PROPERTY
+@given(st.lists(thetas | bad_thetas | st.floats()), st.booleans())
+def test_canonicalize_angle_gives_what_the_reference_gives(values, as_float32):
+    theta = np.array(values, dtype=np.float64)
+    if as_float32:
+        with np.errstate(over="ignore"):
+            theta = theta.astype(np.float32)
+    assert (canonicalize_angle(theta).tobytes()
+            == ingest_oracle.canonicalize_angle(theta).tobytes())
 
 
 # ---------------------------------------------------------------------------

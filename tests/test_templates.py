@@ -8,6 +8,7 @@ import pytest
 from fpfuse import (DecodeError, SynthSpec, Template, canonicalize_angle,
                     generate_corpus, read_corpus, read_template, validate,
                     write_corpus, write_template)
+from fpfuse import templates
 from fpfuse.templates import MAX_IMAGE_SIDE
 
 from conftest import as_arrays, basis_template, make_template, random_minutia
@@ -119,6 +120,14 @@ def test_decode_trailing_bytes_rejected():
         read_template(payload + b"\x00")
 
 
+def test_decode_source_id_not_utf8():
+    payload = bytearray(write_template(basis_template(source_id="ab")))
+    payload[4 + 23] = 0xFF  # the first source_id byte, after the magic and the header
+    with pytest.raises(DecodeError, match="source_id is not UTF-8") as err:
+        read_template(bytes(payload))
+    assert err.value.offset == 4 + 23
+
+
 def test_ingest_renormalizes_small_drift():
     t = basis_template()
     payload = bytearray(write_template(t))
@@ -159,6 +168,20 @@ def test_reader_canonicalizes_theta():
     assert back.theta[0] == pytest.approx(7.0 - TWO_PI, abs=1e-4)
 
 
+def test_binary_reader_adopts_a_valid_record_block_and_copies_a_fixed_one():
+    rng = np.random.default_rng(9)
+    t = make_template(rng.normal(size=8), [random_minutia(rng) for _ in range(4)])
+    payload = bytearray(write_template(t))
+    back = read_template(bytes(payload))
+    assert not back.records.flags.owndata and not back.records.flags.writeable
+    assert back.records.tobytes() == t.records.tobytes()
+    theta_off = 4 + 23 + 1 + 32 + 8  # header, source_id "t", global, then x and y
+    payload[theta_off:theta_off + 4] = np.float32(7.0).tobytes()
+    wrapped = read_template(bytes(payload))
+    assert wrapped.records.flags.owndata and not wrapped.records.flags.writeable
+    assert wrapped.theta[0] == np.float32(canonicalize_angle(np.float32(7.0)))
+
+
 def test_corpus_round_trip_and_pinned_checksum(tmp_path):
     # 25 subjects x 4 impressions = 100 templates
     spec = SynthSpec(seed=12345, subjects=25, impressions=4)
@@ -183,6 +206,49 @@ def test_corpus_round_trip_and_pinned_checksum(tmp_path):
 def test_read_corpus_missing_dir(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_corpus(tmp_path / "nope")
+
+
+def test_read_corpus_decodes_each_file_with_one_read_template_call(tmp_path, monkeypatch):
+    write_corpus(generate_corpus(SynthSpec(seed=5, subjects=3, impressions=2)).corpus, tmp_path)
+    calls = []
+
+    def counted(data):
+        calls.append(len(data))
+        return read_template(data)
+
+    monkeypatch.setattr(templates, "read_template", counted)
+    assert read_corpus(tmp_path).template_count == len(calls) == 6
+
+
+@pytest.mark.parametrize("names, found", [
+    (["impression_0.fpt", "impression_2.fpt", "impression_3.fpt"], "0, 2, 3"),
+    (["impression_0.fpt", "impression_1.fpt", "impression_10.fpt"], "0, 1, 10"),
+    (["impression_0.fpt", "impression_x.fpt"], "0, x"),
+    (["impression_01.fpt"], "01"),
+    (["impression_1.fpt", "impression_.fpt"], ", 1"),
+])
+def test_read_corpus_requires_impressions_numbered_from_0_without_gaps(tmp_path, names, found):
+    payload = write_template(basis_template())
+    (tmp_path / "subject_000").mkdir()
+    (tmp_path / "subject_000" / "impression_0.fpt").write_bytes(payload)
+    (tmp_path / "subject_001").mkdir()
+    for name in names:
+        (tmp_path / "subject_001" / name).write_bytes(payload)
+    with pytest.raises(ValueError) as info:
+        read_corpus(tmp_path)
+    assert str(info.value) == (f"subject_001: impression files must be numbered 0 to "
+                               f"{len(names) - 1}, found {found}")
+
+
+def test_read_corpus_decode_error_names_the_file(tmp_path):
+    write_corpus(generate_corpus(SynthSpec(seed=5, subjects=3, impressions=2)).corpus, tmp_path)
+    bad = tmp_path / "subject_002" / "impression_1.fpt"
+    bad.write_bytes(bad.read_bytes()[:-3])
+    with pytest.raises(DecodeError) as info:
+        read_corpus(tmp_path)
+    assert str(info.value).startswith("subject_002/impression_1.fpt: truncated template:")
+    assert info.value.offset is not None and str(info.value).endswith(
+        f"(byte offset {info.value.offset})")
 
 
 def test_property_round_trip_random_templates():
