@@ -175,9 +175,8 @@ def minutiae_quality(pred_positions, gt_positions,
     n_pred, n_gt = pred.shape[0], gt.shape[0]
     diff = pred[:, None, :] - gt[None, :, :]
     cost = np.sqrt((diff ** 2).sum(axis=2))
-    rows, cols = np.array(solve_assignment(cost).pairs, dtype=np.intp).reshape(-1, 2).T
-    errors = cost[rows, cols]
-    errors = errors[errors <= dist_threshold_px]
+    errors = [float(cost[r, c]) for r, c in solve_assignment(cost).pairs
+              if cost[r, c] <= dist_threshold_px]
     paired = len(errors)
     return _quality(paired, n_gt - paired, n_pred - paired, float(np.sum(errors)))
 

@@ -71,22 +71,20 @@ class DecodeError(ValueError):
 def canonicalize_angle(theta):
     """Map angles in radians onto [0, 2*pi), also after float32 rounding.
 
-    Takes a scalar (returns a float) or an array (returns a float64 array,
-    ``theta`` itself when that is a float64 array already in range).
+    Takes a scalar (returns a float) or an array (returns a float64 array).
     Non-finite angles are returned unchanged, for :func:`validate` to flag.
     """
     t = np.asarray(theta, dtype=np.float64)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # float32 rounds values just below 2*pi up to it
-        if not ((0.0 <= t) & (t.astype(np.float32) < np.float64(TWO_PI))).all():
-            wrapped = np.fmod(t, TWO_PI)
-            wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
-            wrapped = np.where(wrapped.astype(np.float32) >= np.float64(TWO_PI), 0.0, wrapped)
-            t = np.where(np.isfinite(t), wrapped, t)
-    return float(t) if t.ndim == 0 else t
+    with np.errstate(invalid="ignore"):
+        wrapped = np.fmod(t, TWO_PI)
+    wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
+    # float32 rounds values just below 2*pi up to it
+    wrapped = np.where(wrapped.astype(np.float32) >= np.float64(TWO_PI), 0.0, wrapped)
+    wrapped = np.where(np.isfinite(t), wrapped, t)
+    return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _record_dtype(d_m: int) -> np.dtype:
     """One FPT1 minutia record: x, y, theta, then the local embedding."""
     return np.dtype([("xyt", "<f4", 3), ("emb", "<f4", d_m)])
@@ -179,8 +177,7 @@ class Violation:
 
 def validate(t: Template) -> List[Violation]:
     """Check every template invariant; an empty list means the template is valid."""
-    g_norm, norms = _norms(t.global_embedding[None, :])[0], _norms(t.embeddings)
-    return [] if _valid(t, g_norm, norms) else _violations(t, g_norm, norms)
+    return _violations(t, _norms(t.global_embedding[None, :])[0], _norms(t.embeddings))
 
 
 # The largest float32 below 2*pi (float32 rounds 2*pi itself up): a float32

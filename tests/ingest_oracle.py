@@ -3,24 +3,12 @@ fast path.  Every template is copied, its angles wrapped, its drifted norms
 fixed and its violations listed, whether or not anything needs it."""
 
 import json
-import math
 
 import numpy as np
 
 from fpfuse.templates import (_HEADER, _SHOWN_VIOLATIONS, BINARY_MAGIC, DecodeError, Template,
-                              _drifted, _norms, _record_dtype, _rescaled, _violations)
-
-TWO_PI = 2.0 * math.pi
-
-
-def canonicalize_angle(theta):
-    """Angles onto [0, 2*pi), also after float32 rounding, with no early return."""
-    t = np.asarray(theta, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        wrapped = np.fmod(t, TWO_PI)
-    wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
-    wrapped = np.where(wrapped.astype(np.float32) >= np.float64(TWO_PI), 0.0, wrapped)
-    return np.where(np.isfinite(t), wrapped, t)
+                              _drifted, _norms, _record_dtype, _rescaled, _violations,
+                              canonicalize_angle)
 
 
 def ingest(global_embedding, xyt, embeddings, image_size, source_id) -> Template:

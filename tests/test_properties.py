@@ -18,6 +18,7 @@ from fpfuse import (DecodeError, InfeasibleAssignmentError, LocalMatchConfig, Lo
                     validate, write_template)
 from fpfuse.assignment import _augmenting_path_solve
 from fpfuse.pipeline import FUSION_RULES, GATES, UNGATED
+from fpfuse.templates import MAX_IMAGE_SIDE, _norms, _valid
 
 import ingest_oracle
 from conftest import as_arrays, brute_force
@@ -199,22 +200,16 @@ def test_reader_gives_what_the_reference_ingest_gives(raw, fmt):
 
 
 @PROPERTY
-@given(raw_templates())
-def test_validate_gives_the_full_report(raw):
+@given(raw_templates(), st.sampled_from([SIZE, (0, 48), (64, 0), (-1, 48),
+                                         (MAX_IMAGE_SIDE, MAX_IMAGE_SIDE),
+                                         (64, MAX_IMAGE_SIDE + 1)]))
+@example((_E[0], []), (0, 48))
+@example((_E[0], []), (64, 0))
+def test_cheap_validity_test_agrees_with_the_full_report(raw, image_size):
     g, rows = raw
-    t = Template(g, *as_arrays(rows), SIZE)
-    assert validate(t) == ingest_oracle.full_report(t)
-
-
-@PROPERTY
-@given(st.lists(thetas | bad_thetas | st.floats()), st.booleans())
-def test_canonicalize_angle_gives_what_the_reference_gives(values, as_float32):
-    theta = np.array(values, dtype=np.float64)
-    if as_float32:
-        with np.errstate(over="ignore"):
-            theta = theta.astype(np.float32)
-    assert (canonicalize_angle(theta).tobytes()
-            == ingest_oracle.canonicalize_angle(theta).tobytes())
+    t = Template(g, *as_arrays(rows), image_size)
+    g_norm, norms = _norms(t.global_embedding[None, :])[0], _norms(t.embeddings)
+    assert _valid(t, g_norm, norms) == (not ingest_oracle.full_report(t))
 
 
 # ---------------------------------------------------------------------------
