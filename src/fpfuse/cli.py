@@ -2,7 +2,10 @@
 
 All outputs are machine-readable JSON (CSV for raw scores); ``--pretty``
 renders human tables instead.  Exit code 0 on success, 2 on usage or data
-errors.  ``FPFUSE_SEED`` overrides the generator seed from the spec file.
+errors, with one ``error:`` line and no traceback.  Every file the CLI
+reads (corpus, references, config, spec, templates, loss records and
+weights) goes through one boundary, :func:`_read`, whose error names the
+input.  ``FPFUSE_SEED`` overrides the generator seed from the spec file.
 ``bench`` takes either ``--grid`` or ``--sweep-minutiae``, never both.
 """
 
@@ -28,10 +31,6 @@ from .synth import SynthSpec, check_out_dir, generate_corpus, write_bundle
 from .templates import from_json, number, read_corpus, read_template
 
 
-class CliError(Exception):
-    """User-facing failure; maps to exit code 2."""
-
-
 def corpus_checksum(root: Path) -> str:
     """SHA-256 over every template file's bytes, in canonical path order."""
     digest = hashlib.sha256()
@@ -41,13 +40,32 @@ def corpus_checksum(root: Path) -> str:
     return digest.hexdigest()
 
 
+def _read(what: str, read, *args):
+    """``read(*args)``, the one boundary every input the CLI reads passes.  A
+    failure to read or decode it, nesting too deep to parse included, is
+    raised again as a ``ValueError`` led by ``what``, for ``main`` to exit 2."""
+    try:
+        return read(*args)
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
+def _json_object(text: str, what: str) -> dict:
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _config(cls, text: str, what: str):
+    return from_json(cls, _json_object(text, what), what)
+
+
 def _load_config(path: Optional[str]) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    try:
-        return from_json(PipelineConfig, json.loads(Path(path).read_text()), "config")
-    except (OSError, TypeError, ValueError) as exc:
-        raise CliError(f"bad pipeline config {path}: {exc}") from exc
+    return _read(f"bad pipeline config {path}",
+                 lambda: _config(PipelineConfig, Path(path).read_text(), "config"))
 
 
 def _emit(doc, pretty: bool, rows_key: Optional[str] = None):
@@ -75,22 +93,20 @@ def _cell(value) -> str:
 # Subcommands
 
 def cmd_synth(args) -> int:
-    try:
-        spec = (from_json(SynthSpec, json.loads(Path(args.spec).read_text()), "synth spec")
-                if args.spec else SynthSpec())
-    except (OSError, ValueError, TypeError) as exc:
-        raise CliError(f"bad synth spec: {exc}") from exc
+    spec = (_read(f"bad synth spec {args.spec}",
+                  lambda: _config(SynthSpec, Path(args.spec).read_text(), "synth spec"))
+            if args.spec else SynthSpec())
     env_seed = os.environ.get("FPFUSE_SEED")
     if env_seed is not None:
         try:
             seed = int(env_seed)
         except ValueError as exc:
-            raise CliError(f"FPFUSE_SEED must be an integer, got {env_seed!r}") from exc
+            raise ValueError(f"FPFUSE_SEED must be an integer, got {env_seed!r}") from exc
         spec = replace(spec, seed=seed)
     try:
         out = check_out_dir(args.out)  # before generating, which can take long
     except ValueError as exc:
-        raise CliError(f"--out: {exc}") from exc
+        raise ValueError(f"--out: {exc}") from exc
     bundle = generate_corpus(spec)
     write_bundle(bundle, out, spec=spec, include_references=not args.no_refs)
     checksum = corpus_checksum(out)
@@ -102,11 +118,8 @@ def cmd_synth(args) -> int:
 
 def cmd_match(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        a = read_template(Path(args.a).read_bytes())
-        b = read_template(Path(args.b).read_bytes())
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read template: {exc}") from exc
+    a = _read(f"cannot read template {args.a}", lambda: read_template(Path(args.a).read_bytes()))
+    b = _read(f"cannot read template {args.b}", lambda: read_template(Path(args.b).read_bytes()))
     _emit(asdict(infer_pair_with_config(a, b, cfg)), args.pretty)
     return 0
 
@@ -115,11 +128,8 @@ def _load_eval_inputs(args):
     """The corpus, its protocol, and the protocol's pairs, genuine first,
     with the number of genuine pairs."""
     if args.jobs < 1:
-        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
-    try:
-        corpus = read_corpus(args.corpus)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read corpus {args.corpus}: {exc}") from exc
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    corpus = _read(f"cannot read corpus {args.corpus}", read_corpus, args.corpus)
     protocol = Protocol.parse(args.protocol) if args.protocol else Protocol(
         subjects=len(corpus.subject_ids),
         impressions=len(corpus.subjects[corpus.subject_ids[0]]))
@@ -133,10 +143,8 @@ def cmd_eval(args) -> int:
     quality = None
     refs_dir = Path(args.refs) if args.refs else Path(args.corpus) / "refs"
     if args.refs or refs_dir.is_dir():
-        try:
-            quality = aggregate_minutiae_quality(corpus, read_corpus(refs_dir))
-        except (OSError, ValueError) as exc:
-            raise CliError(f"bad references {refs_dir}: {exc}") from exc
+        quality = _read(f"bad references {refs_dir}",
+                        lambda: aggregate_minutiae_quality(corpus, read_corpus(refs_dir)))
     raw = score_pairs(corpus, pairs, cfg.local, jobs=args.jobs, bands=[cfg])
     derived = apply_pipeline(raw, cfg)
     doc = evaluate_scores(derived.final[:n_gen], derived.final[n_gen:],
@@ -177,21 +185,21 @@ def _parse_grid(text: str, cfg: PipelineConfig) -> List[PipelineConfig]:
             t, f = token.split(":")
             grid.append(replace(cfg, theta_t=float(t), theta_f=float(f)))
         except ValueError as exc:
-            raise CliError(f"bad grid token {token!r}; expected 'theta_t:theta_f' "
-                           f"or 'disabled' ({exc})") from exc
+            raise ValueError(f"bad grid token {token!r}; expected 'theta_t:theta_f' "
+                             f"or 'disabled' ({exc})") from exc
     if not grid:
-        raise CliError("empty threshold grid")
+        raise ValueError("empty threshold grid")
     return grid
 
 
 def cmd_bench(args) -> int:
     if args.grid is not None and args.sweep_minutiae is not None:
-        raise CliError("--grid and --sweep-minutiae exclude each other; give one")
+        raise ValueError("--grid and --sweep-minutiae exclude each other; give one")
     try:
         far_targets = [number(float(t), "a FAR target", 0.0, 1.0)
                        for t in args.far.split(",")]
     except ValueError as exc:
-        raise CliError(f"bad --far {args.far!r}: {exc}") from exc
+        raise ValueError(f"bad --far {args.far!r}: {exc}") from exc
     corpus, _, pairs, n_gen = _load_eval_inputs(args)
     cfg = _load_config(args.config)
 
@@ -201,7 +209,7 @@ def cmd_bench(args) -> int:
             sweep = [replace(cfg, **UNGATED, local=replace(cfg.local, max_minutiae=int(k)))
                      for k in args.sweep_minutiae.split(",")]
         except ValueError as exc:
-            raise CliError(f"bad --sweep-minutiae {args.sweep_minutiae!r}: {exc}") from exc
+            raise ValueError(f"bad --sweep-minutiae {args.sweep_minutiae!r}: {exc}") from exc
         for ungated in sweep:
             raw = score_pairs(corpus, pairs, ungated.local, jobs=args.jobs)
             fused = apply_pipeline(raw, ungated)
@@ -239,30 +247,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _json_object(text: str, what: str) -> dict:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise CliError(f"{what} must hold a JSON object, got {type(doc).__name__}")
-    return doc
-
-
 def cmd_losses(args) -> int:
-    try:
-        pred = PredictionRecord.from_dict(_json_object(Path(args.pred).read_text(), "--pred"))
-        gt = GroundTruthRecord.from_dict(_json_object(Path(args.gt).read_text(), "--gt"))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"cannot read loss records: {exc}") from exc
+    pred = _read(f"cannot read loss records {args.pred}", lambda: PredictionRecord.from_dict(
+        _json_object(Path(args.pred).read_text(), "--pred")))
+    gt = _read(f"cannot read loss records {args.gt}", lambda: GroundTruthRecord.from_dict(
+        _json_object(Path(args.gt).read_text(), "--gt")))
     weights = LossWeights()
-    if args.weights:
-        try:
-            text = args.weights
-            # An inline object is never taken for a path: it may be too long for one.
-            if not text.lstrip().startswith("{") and Path(text).is_file():
-                text = Path(text).read_text()
-            weights = from_json(LossWeights, json.loads(text), "--weights")
-        except (OSError, TypeError, ValueError) as exc:
-            raise CliError(f"bad loss weights: {exc}") from exc
-    _emit(total_loss(pred, gt, weights).to_dict(), args.pretty)
+    if args.weights:  # inline JSON, or the path of a file that holds it
+        path = args.weights if os.path.isfile(args.weights) else None
+        weights = _read(f"bad loss weights {path or '--weights'}", lambda: _config(
+            LossWeights, Path(path).read_text() if path else args.weights, "--weights"))
+    _emit(asdict(total_loss(pred, gt, weights)), args.pretty)
     return 0
 
 
@@ -324,7 +319,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

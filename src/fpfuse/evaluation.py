@@ -226,6 +226,7 @@ class ChannelScores:
     s_g_raw: np.ndarray
     s_l_raw: np.ndarray
     work_units: np.ndarray
+    local: LocalMatchConfig      # the local-matcher config the scores were made with
 
 
 # Shared scoring context for forked workers; set just before the pool spawns
@@ -292,7 +293,8 @@ def score_pairs(corpus: Corpus, pairs: Sequence[PairKey],
     work = np.zeros(len(pairs), dtype=np.int64)
     s_l[todo] = s_l_todo
     work[todo] = work_todo
-    return ChannelScores(pairs=tuple(pairs), s_g_raw=s_g, s_l_raw=s_l, work_units=work)
+    return ChannelScores(pairs=tuple(pairs), s_g_raw=s_g, s_l_raw=s_l, work_units=work,
+                         local=local_cfg)
 
 
 @dataclass(frozen=True)
@@ -316,10 +318,12 @@ def apply_pipeline(scores: ChannelScores, cfg: PipelineConfig) -> PipelineScores
 
     Maps the gate-and-fuse rule of ``infer_pair`` over the pairs, so the
     scores are bit-identical to ``infer_pair``'s.  Only the pairs the config
-    sends to the local matcher are normalized; if one of them was not
-    matched locally (``cfg``'s band is wider than the bands ``scores`` was
-    made for), raises ``ValueError``.
+    sends to the local matcher are normalized.  Raises ``ValueError`` if
+    ``scores`` was made with another local config, or if one of those pairs
+    was not matched locally (``cfg``'s band is wider than ``scores``'s bands).
     """
+    if scores.local != cfg.local:
+        raise ValueError(f"scores made with local config {scores.local}, not {cfg.local}")
     s_g = scores.s_g_raw.tolist()
     gates = [band_gate(s, cfg) for s in s_g]
     codes = np.array([GATES.index(gate) for gate in gates], dtype=np.int64)

@@ -16,17 +16,16 @@ Two wire formats are provided: a little-endian binary format (magic
 Corpora live on disk as ``subject_<id>/impression_<k>.fpt`` directories.
 
 Reader contract: :func:`read_template` returns a template that passes
-:func:`validate`, or raises :class:`DecodeError`.  Both formats share one
-ingest step.  It first decides in one cheap whole-array test per invariant
-whether the template is valid as read; the common case, a valid template,
-is returned then, the binary reader's record block adopted without a copy.
-Only a template that fails the test takes the full path: slightly drifted
-embeddings are renormalized and orientations wrapped on a copy, and any
-other violation, NaN or out-of-frame coordinates included, is listed in
-the ``DecodeError``.  :func:`read_corpus` reads each file with its own
-:func:`read_template` call, requires each subject's impressions to be
-numbered 0 to k-1, and puts the failing file's path in front of a
-``DecodeError``.
+:func:`validate`, or raises :class:`DecodeError`, also for JSON nested too
+deep to parse.  One function decides validity for the readers and for
+:func:`validate`: a few whole-array tests, and the violation report only
+when one fails.  A template valid as read is returned at once, the binary
+reader's record block adopted without a copy.  Any other one has drifted
+embeddings renormalized and orientations wrapped on a copy, and what is
+still wrong, NaN or out-of-frame coordinates included, is listed in the
+``DecodeError``.  :func:`read_corpus` lists each directory once, decodes
+each file with its own :func:`read_template` call, requires each subject's
+impressions to be numbered 0 to k-1, and names the failing file.
 
 The JSON checks every config shares live here too: :func:`number` is the
 one number rule and :func:`from_json` the one config reader.
@@ -38,6 +37,7 @@ import functools
 import json
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -185,48 +185,43 @@ def validate(t: Template) -> List[Violation]:
 _THETA_MAX = float(np.nextafter(np.float32(TWO_PI), np.float32(0.0)))
 
 
-def _valid(t: Template, global_norm: float, norms: np.ndarray) -> bool:
-    """Whether ``t`` is valid, in a handful of whole-array operations: the
-    same answer as ``not _violations(t, global_norm, norms)`` without
-    building the report."""
-    h, w = t.image_size
-    xyt = t.records["xyt"]
-    return bool(abs(global_norm - 1.0) <= NORM_VALID_TOL  # False for an empty global (norm 0)
-                and 0 < h <= MAX_IMAGE_SIDE and 0 < w <= MAX_IMAGE_SIDE
-                and np.abs(norms - 1.0).max(initial=0.0) <= NORM_VALID_TOL
-                # every x, y and theta in range at once; NaN compares False
-                and ((0.0 <= xyt) & (xyt <= np.array((w, h, _THETA_MAX)))).all())
-
-
 def _violations(t: Template, global_norm: float, norms: np.ndarray) -> List[Violation]:
-    """:func:`validate` given the norms of the global and the local embeddings."""
+    """:func:`validate` given the norms of the global and the local embeddings.
+    A handful of whole-array tests decide first; the report is built only
+    when one of them fails."""
+    h, w = t.image_size
+    sized = 0 < h <= MAX_IMAGE_SIDE and 0 < w <= MAX_IMAGE_SIDE
+    drift = np.abs(norms - 1.0)
+    xyt = t.records["xyt"]
+    # Sides out of range are clamped to 2**128, beyond every finite float32,
+    # so they compare alike, also when they lie beyond the float range.
+    bound = np.array((w, h, _THETA_MAX) if sized else
+                     [min(max(side, -2.0 ** 128), 2.0 ** 128) for side in (w, h)] + [_THETA_MAX])
+    in_range = (0.0 <= xyt) & (xyt <= bound)  # every x, y and theta at once; NaN compares False
+    if (abs(global_norm - 1.0) <= NORM_VALID_TOL  # False for an empty global (norm 0)
+            and sized and drift.max(initial=0.0) <= NORM_VALID_TOL and in_range.all()):
+        return []
     violations: List[Violation] = []
     if t.global_embedding.size == 0:
         violations.append(Violation("global_embedding", "non-empty"))
     elif not abs(global_norm - 1.0) <= NORM_VALID_TOL:
         violations.append(Violation("global_embedding", "norm",
                                     f"norm {global_norm:.6g} not within {NORM_VALID_TOL:g} of 1"))
-    h, w = t.image_size
-    if not (0 < h <= MAX_IMAGE_SIDE and 0 < w <= MAX_IMAGE_SIDE):
+    if not sized:
         violations.append(Violation("image_size", f"sides in [1, {MAX_IMAGE_SIDE}]",
                                     f"{t.image_size}"))
-    x, y = t.positions.astype(np.float64).T
-    theta = t.theta.astype(np.float64)
+    x, y, theta = xyt.astype(np.float64).T
     finite = np.isfinite(x) & np.isfinite(y)
-    # Finite float32 positions lie within 2**128, so sides clamped there
-    # compare alike, also when they lie beyond the float range.
-    x_max, y_max = (min(max(side, -2.0 ** 128), 2.0 ** 128) for side in (w, h))
-    inside = (0.0 <= x) & (x <= x_max) & (0.0 <= y) & (y <= y_max)
     found = [(i, Violation(f"minutiae[{i}]", "finite coordinates", f"({x[i]}, {y[i]})"))
              for i in np.flatnonzero(~finite)]
     found += [(i, Violation(f"minutiae[{i}]", "within image",
                             f"({x[i]:.1f}, {y[i]:.1f}) outside {w}x{h}"))
-              for i in np.flatnonzero(finite & ~inside)]
+              for i in np.flatnonzero(finite & ~(in_range[:, 0] & in_range[:, 1]))]
     found += [(i, Violation(f"minutiae[{i}].theta", "range [0, 2pi)", f"theta {theta[i]:.6g}"))
-              for i in np.flatnonzero(~((0.0 <= theta) & (theta < TWO_PI)))]
+              for i in np.flatnonzero(~in_range[:, 2])]
     found += [(i, Violation(f"minutiae[{i}].embedding", "norm",
                             f"norm {norms[i]:.6g} not within {NORM_VALID_TOL:g} of 1"))
-              for i in np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_VALID_TOL))]
+              for i in np.flatnonzero(~(drift <= NORM_VALID_TOL))]
     found.sort(key=lambda item: item[0])  # stable: per minutia, in the order checked above
     return violations + [v for _, v in found]
 
@@ -289,13 +284,13 @@ _SHOWN_VIOLATIONS = 5
 
 
 def _ingest(t: Template) -> Template:
-    """Shared tail of both readers.  A valid ``t`` is returned as it is, after
-    one cheap test (:func:`_valid`).  Otherwise theta is wrapped and slightly
+    """Shared tail of both readers.  A ``t`` that :func:`_violations` finds
+    valid is returned as it is.  Otherwise theta is wrapped and slightly
     drifted embeddings are renormalized on a copy, computing every norm once,
     and the violations left, if any, raise ``DecodeError``."""
     g = t.global_embedding[None, :]
     g_norms, norms = _norms(g), _norms(t.embeddings)
-    if _valid(t, g_norms[0], norms):
+    if not _violations(t, g_norms[0], norms):
         return t
     t = replace(t, global_embedding=_rescaled(g, g_norms, _drifted(g_norms))[0],
                 theta=canonicalize_angle(t.theta),
@@ -398,7 +393,7 @@ def from_json(cls, doc, what: str):
 def _read_json(data: bytes) -> Template:
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DecodeError(f"template is neither FPT1 binary nor JSON: {exc}", 0) from exc
     try:
         recs = doc["minutiae"]
@@ -475,28 +470,32 @@ def read_corpus(root: str | Path) -> Corpus:
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
     subjects: Dict[str, Tuple[Template, ...]] = {}
-    for subject_dir in sorted(root.glob("subject_*")):
-        sid = subject_dir.name[len("subject_"):]
-        found = [p.name[len("impression_"):-len(".fpt")]
-                 for p in subject_dir.glob("impression_*.fpt")]
+    # One listing per directory; a subject_* entry that is not a directory holds nothing.
+    for entry in sorted(os.scandir(root), key=lambda e: e.name):
+        if not (entry.name.startswith("subject_") and entry.is_dir()):
+            continue
+        found = [name[len("impression_"):-len(".fpt")] for name in os.listdir(entry.path)
+                 if name.startswith("impression_") and name.endswith(".fpt")]
         if sorted(found) != sorted(str(k) for k in range(len(found))):
-            raise ValueError(f"{subject_dir.name}: impression files must be numbered 0 to "
+            raise ValueError(f"{entry.name}: impression files must be numbered 0 to "
                              f"{len(found) - 1}, found "
                              f"{', '.join(sorted(found, key=lambda k: (len(k), k)))}")
-        templates = tuple(_read_file(root, subject_dir / f"impression_{k}.fpt")
+        templates = tuple(_read_file(root, f"{entry.name}/impression_{k}.fpt")
                           for k in range(len(found)))
         if templates:
-            subjects[sid] = templates
+            subjects[entry.name[len("subject_"):]] = templates
     if not subjects:
         raise FileNotFoundError(f"no subject_*/impression_*.fpt files under {root}")
     return Corpus(subjects)
 
 
-def _read_file(root: Path, path: Path) -> Template:
-    """:func:`read_template` of one corpus file; a ``DecodeError`` names it."""
+def _read_file(root: Path, name: str) -> Template:
+    """:func:`read_template` of the corpus file ``root/name``; a ``DecodeError`` names it."""
+    with open(os.path.join(root, name), "rb") as f:
+        data = f.read()
     try:
-        return read_template(path.read_bytes())
+        return read_template(data)
     except DecodeError as exc:
-        error = DecodeError(f"{path.relative_to(root).as_posix()}: {exc}")
+        error = DecodeError(f"{name}: {exc}")
         error.offset = exc.offset
         raise error from exc

@@ -627,3 +627,49 @@ def test_pretty_output_without_a_table_is_indented_json(synth_dir, capsys):
     assert main(["--pretty", "eval", "--corpus", str(synth_dir)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("{\n  ") and json.loads(out) == plain
+
+
+# ---------------------------------------------------------------------------
+# bad input
+
+DEEP = "[" * 100_000 + "]" * 100_000  # nested far beyond the parser's recursion limit
+
+
+@pytest.mark.parametrize("case", ["eval --config", "bench --config", "synth --spec",
+                                  "losses --pred", "losses --gt", "losses --weights file",
+                                  "losses --weights inline", "match --a", "match --b",
+                                  "corpus file", "refs file"])
+def test_deeply_nested_json_exits_2_naming_the_input(synth_dir, tmp_path, capsys, case):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    template = str(synth_dir / "subject_000" / "impression_0.fpt")
+    pred, gt = loss_fixture(tmp_path)
+    losses = ["losses", "--pred", str(pred), "--gt", str(gt)]
+    evaluate = ["eval", "--corpus", str(synth_dir)]
+    bad_file = "subject_001/impression_2.fpt"
+    argv, named = {
+        "eval --config": (evaluate + ["--config", str(deep)], f"bad pipeline config {deep}"),
+        "bench --config": (["bench", "--corpus", str(synth_dir), "--config", str(deep)],
+                           f"bad pipeline config {deep}"),
+        "synth --spec": (["synth", "--spec", str(deep), "--out", str(tmp_path / "z")],
+                         f"bad synth spec {deep}"),
+        "losses --pred": (["losses", "--pred", str(deep), "--gt", str(gt)],
+                          f"cannot read loss records {deep}"),
+        "losses --gt": (["losses", "--pred", str(pred), "--gt", str(deep)],
+                        f"cannot read loss records {deep}"),
+        "losses --weights file": (losses + ["--weights", str(deep)], f"bad loss weights {deep}"),
+        "losses --weights inline": (losses + ["--weights", DEEP], "bad loss weights --weights"),
+        "match --a": (["match", "--a", str(deep), "--b", template],
+                      f"cannot read template {deep}"),
+        "match --b": (["match", "--a", template, "--b", str(deep)],
+                      f"cannot read template {deep}"),
+        "corpus file": (evaluate, f"cannot read corpus {synth_dir}: {bad_file}"),
+        "refs file": (evaluate, f"bad references {synth_dir / 'refs'}: {bad_file}"),
+    }[case]
+    if case.endswith(" file") and case.split()[0] in ("corpus", "refs"):
+        root = synth_dir / "refs" if case == "refs file" else synth_dir
+        (root / bad_file).write_text(DEEP)
+    capsys.readouterr()
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {named}: "), lines[0][:200]

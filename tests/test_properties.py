@@ -18,7 +18,7 @@ from fpfuse import (DecodeError, InfeasibleAssignmentError, LocalMatchConfig, Lo
                     validate, write_template)
 from fpfuse.assignment import _augmenting_path_solve
 from fpfuse.pipeline import FUSION_RULES, GATES, UNGATED
-from fpfuse.templates import MAX_IMAGE_SIDE, _norms, _valid
+from fpfuse.templates import MAX_IMAGE_SIDE
 
 import ingest_oracle
 from conftest import as_arrays, brute_force
@@ -81,10 +81,27 @@ def test_read_rejects_nan_and_out_of_frame(t, bad, swap, fmt):
         read_template(write_template(broken, format=fmt))
 
 
+# Values a reader must fix or reject, each next to the bound it crosses.
+drifts = st.one_of(st.floats(1 - 2e-3, 1 + 2e-3),
+                   st.sampled_from([1 + 2e-6, 1 - 2e-6, 1 + 5e-4, 1 - 9e-4, 1 + 1.5e-3, 0.5]))
+bad_thetas = st.one_of(st.floats(-50.0, 0.0, exclude_max=True), st.floats(TWO_PI, 50.0),
+                       st.sampled_from([-1e-9, TWO_PI, float(np.nextafter(TWO_PI, 0)),
+                                        TWO_PI + 1e-3, math.nan, math.inf, -math.inf]))
+off_frame = st.one_of(st.floats(-1e6, 0.0, exclude_max=True), st.floats(SIZE[0] + 1.0, 1e6),
+                      st.sampled_from([-1e-9, math.nan, math.inf, -math.inf]))
+
+
 def _loop_violations(t):
-    """Per-minutia reference for the minutia rules of ``validate``."""
+    """Whole-template reference for ``validate``, one element at a time: the
+    global embedding, the image size, then each minutia's rules in turn."""
     h, w = t.image_size
     out = []
+    if len(t.global_embedding) == 0:
+        out.append(("global_embedding", "non-empty"))
+    elif not abs(math.sqrt(sum(float(v) ** 2 for v in t.global_embedding)) - 1.0) <= 1e-6:
+        out.append(("global_embedding", "norm"))
+    if not (0 < h <= 2 ** 32 - 1 and 0 < w <= 2 ** 32 - 1):
+        out.append(("image_size", "sides in [1, 4294967295]"))
     for i in range(len(t.theta)):
         x, y, theta = float(t.positions[i, 0]), float(t.positions[i, 1]), float(t.theta[i])
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -99,16 +116,24 @@ def _loop_violations(t):
 
 
 any_float = st.floats(-10.0, 100.0) | st.floats(width=32)
+scales = st.sampled_from([1.0, 0.4, 2.0]) | drifts
 
 
 @PROPERTY
-@given(st.lists(st.tuples(any_float, any_float, any_float, st.sampled_from([1.0, 0.4, 2.0])),
-                max_size=6),
+@given(st.lists(st.tuples(any_float | off_frame, any_float | off_frame, any_float | bad_thetas,
+                          scales), max_size=6),
+       st.none() | scales,  # None: an empty global
+       st.sampled_from([SIZE, (0, 48), (64, 0), (-1, 48), (MAX_IMAGE_SIDE, MAX_IMAGE_SIDE),
+                        (64, MAX_IMAGE_SIDE + 1), (10 ** 400, 48), (64, -10 ** 400)]),
        st.integers(0, 2 ** 32 - 1))
-def test_validate_matches_per_minutia_reference(rows, seed):
+@example([], None, SIZE, 0)
+@example([], 1.0, (0, 48), 0)
+@example([], 1.0, (64, 0), 0)
+def test_validate_matches_per_minutia_reference(rows, global_scale, image_size, seed):
     rng = np.random.default_rng(seed)
-    t = Template(np.eye(3)[0], *as_arrays([(x, y, theta, scale * _unit(rng, 4))
-                                           for x, y, theta, scale in rows]), SIZE)
+    g = np.zeros(0) if global_scale is None else global_scale * np.eye(3)[0]
+    t = Template(g, *as_arrays([(x, y, theta, scale * _unit(rng, 4))
+                                for x, y, theta, scale in rows]), image_size)
     assert [(v.field, v.rule) for v in validate(t)] == _loop_violations(t)
 
 
@@ -120,16 +145,6 @@ def test_every_strict_prefix_of_a_binary_payload_is_rejected(t):
         with pytest.raises(DecodeError) as err:
             read_template(payload[:cut])
         assert err.value.offset is not None
-
-
-# Values a reader must fix or reject, each next to the bound it crosses.
-drifts = st.one_of(st.floats(1 - 2e-3, 1 + 2e-3),
-                   st.sampled_from([1 + 2e-6, 1 - 2e-6, 1 + 5e-4, 1 - 9e-4, 1 + 1.5e-3, 0.5]))
-bad_thetas = st.one_of(st.floats(-50.0, 0.0, exclude_max=True), st.floats(TWO_PI, 50.0),
-                       st.sampled_from([-1e-9, TWO_PI, float(np.nextafter(TWO_PI, 0)),
-                                        TWO_PI + 1e-3, math.nan, math.inf, -math.inf]))
-off_frame = st.one_of(st.floats(-1e6, 0.0, exclude_max=True), st.floats(SIZE[0] + 1.0, 1e6),
-                      st.sampled_from([-1e-9, math.nan, math.inf, -math.inf]))
 
 
 @st.composite
@@ -197,19 +212,6 @@ def test_reader_gives_what_the_reference_ingest_gives(raw, fmt):
             rec.update(x=x, y=y, theta=theta)
         data = json.dumps(doc).encode()
     assert _outcome(read_template, data) == _outcome(ingest_oracle.read, data)
-
-
-@PROPERTY
-@given(raw_templates(), st.sampled_from([SIZE, (0, 48), (64, 0), (-1, 48),
-                                         (MAX_IMAGE_SIDE, MAX_IMAGE_SIDE),
-                                         (64, MAX_IMAGE_SIDE + 1)]))
-@example((_E[0], []), (0, 48))
-@example((_E[0], []), (64, 0))
-def test_cheap_validity_test_agrees_with_the_full_report(raw, image_size):
-    g, rows = raw
-    t = Template(g, *as_arrays(rows), image_size)
-    g_norm, norms = _norms(t.global_embedding[None, :])[0], _norms(t.embeddings)
-    assert _valid(t, g_norm, norms) == (not ingest_oracle.full_report(t))
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +391,18 @@ def test_scores_of_a_narrower_band_are_refused(scored_corpus, norm):
     apply_pipeline(scores, narrow)
     with pytest.raises(ValueError, match="not matched locally"):
         apply_pipeline(scores, wide)
+
+
+def test_scores_of_another_local_config_are_refused(scored_corpus):
+    """Scores made with one local-matcher config are never fused as another's."""
+    corpus, raw = scored_corpus
+    assert raw.local == raw_local
+    few = replace(raw_local, max_minutiae=5)
+    scores = score_pairs(corpus, raw.pairs, few)
+    assert scores.local == few
+    apply_pipeline(scores, PipelineConfig(**UNGATED, local=few))
+    with pytest.raises(ValueError, match="made with local config"):
+        apply_pipeline(scores, PipelineConfig(**UNGATED, local=raw_local))
 
 
 # ---------------------------------------------------------------------------

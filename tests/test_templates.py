@@ -208,6 +208,13 @@ def test_read_corpus_missing_dir(tmp_path):
         read_corpus(tmp_path / "nope")
 
 
+def test_read_corpus_skips_subject_entries_that_are_not_directories(tmp_path):
+    write_corpus(generate_corpus(SynthSpec(seed=5, subjects=2, impressions=2)).corpus, tmp_path)
+    (tmp_path / "subject_notes.txt").write_text("not a subject")
+    (tmp_path / "subject_empty").mkdir()
+    assert read_corpus(tmp_path).subject_ids == ["000", "001"]
+
+
 def test_read_corpus_decodes_each_file_with_one_read_template_call(tmp_path, monkeypatch):
     write_corpus(generate_corpus(SynthSpec(seed=5, subjects=3, impressions=2)).corpus, tmp_path)
     calls = []
