@@ -28,7 +28,7 @@ from .evaluation import (Protocol, apply_pipeline, enumerate_pairs,
 from .losses import GroundTruthRecord, LossWeights, PredictionRecord, total_loss
 from .pipeline import UNGATED, PipelineConfig, infer_pair_with_config
 from .synth import SynthSpec, check_out_dir, generate_corpus, write_bundle
-from .templates import from_json, number, read_corpus, read_template
+from .templates import described, from_json, number, read_corpus, read_template
 
 
 def corpus_checksum(root: Path) -> str:
@@ -47,7 +47,7 @@ def _read(what: str, read, *args):
     try:
         return read(*args)
     except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ValueError(f"{what}: {exc}") from exc
+        raise ValueError(f"{what}: {described(exc)}") from exc
 
 
 def _json_object(text: str, what: str) -> dict:

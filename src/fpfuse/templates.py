@@ -390,6 +390,12 @@ def from_json(cls, doc, what: str):
     return cls(**args)
 
 
+def described(exc: Exception) -> str:
+    """``str(exc)``, saying that a key is missing where a ``KeyError`` gives
+    only the key."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _read_json(data: bytes) -> Template:
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -417,7 +423,7 @@ def _read_json(data: bytes) -> Template:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DecodeError):
             raise
-        raise DecodeError(f"malformed JSON template: {exc}") from exc
+        raise DecodeError(f"malformed JSON template: {described(exc)}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,18 @@ def test_match_unreadable_exits_2(tmp_path, capsys):
     assert main(["match", "--a", str(good), "--b", str(tmp_path / "missing.fpt")]) == 2
 
 
+def test_match_template_missing_a_key_exits_2_naming_it(tmp_path, capsys):
+    good = tmp_path / "a.fpt"
+    good.write_bytes(write_template(basis_template()))
+    doc = json.loads(write_template(basis_template(), format="json"))
+    del doc["minutiae"]
+    bad = tmp_path / "t.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["match", "--a", str(bad), "--b", str(good)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot read template {bad}: "
+                                       "malformed JSON template: missing key 'minutiae'\n")
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -580,6 +592,16 @@ def test_losses_weights_not_an_object_exits_2(tmp_path, capsys):
     argv = ["losses", "--pred", str(pred_path), "--gt", str(gt_path), "--weights", "[1]"]
     assert main(argv) == 2
     assert "--weights must hold a JSON object" in capsys.readouterr().err
+
+
+def test_losses_record_missing_a_key_exits_2_naming_it(tmp_path, capsys):
+    pred_path, gt_path = loss_fixture(tmp_path)
+    pred = json.loads(pred_path.read_text())
+    del pred["global"]
+    pred_path.write_text(json.dumps(pred))
+    assert main(["losses", "--pred", str(pred_path), "--gt", str(gt_path)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot read loss records {pred_path}: "
+                                       "missing key 'global'\n")
 
 
 @pytest.mark.parametrize("which, patch, key", [

@@ -1,12 +1,15 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from fpfuse import (CorrespondenceWeights, GroundTruthRecord, LossWeights,
-                    PredictionRecord, angular_distance, mse, mse_gradient,
-                    reorder_ground_truth, total_loss)
+                    PredictionRecord, angular_distance, correspondence_cost_matrix, mse,
+                    mse_gradient, reorder_ground_truth, total_loss)
+
+import cost_oracle
 
 
 def random_record_pair(rng, L=4, d_g=6, d_m=3, layers=2, noise=0.1):
@@ -125,6 +128,32 @@ def test_reorder_optimality_pure_location():
         for perm in itertools.permutations(range(L)):
             alt = float(np.mean((pred.positions[:, :2] - gt.positions[list(perm), :2]) ** 2))
             assert got <= alt + 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e300, 1e-160])
+def test_reorder_at_extreme_embedding_magnitudes(scale):
+    # At 1e155 the squared norms of the embeddings overflow to inf, so a Gram
+    # form without its power-of-two scaling gives inf - inf = NaN costs; at
+    # 1e-160 the squared differences are subnormal.  The predictions are the
+    # ground truth's rows shuffled, with jittered positions.
+    rng = np.random.default_rng(37)
+    L = 8
+    gt_po = np.column_stack([rng.uniform(0, 100, size=(L, 2)), rng.uniform(0, 6, size=L)])
+    gt_e = rng.normal(size=(L, 16))
+    gt_e *= scale / np.linalg.norm(gt_e, axis=1, keepdims=True)
+    perm = rng.permutation(L)
+    pred_po = gt_po[perm] + np.column_stack([rng.normal(scale=1.0, size=(L, 2)),
+                                             rng.normal(scale=0.05, size=L)])
+    pred_e = gt_e[perm]
+    cost = correspondence_cost_matrix(pred_po[:, :2], pred_po[:, 2], pred_e,
+                                      gt_po[:, :2], gt_po[:, 2], gt_e)
+    assert np.isfinite(cost).all()
+    got = reorder_ground_truth(pred_po, pred_e, gt_po, gt_e)
+    with mock.patch("fpfuse.losses.correspondence_cost_matrix",
+                    cost_oracle.correspondence_cost_matrix), np.errstate(over="ignore"):
+        want = reorder_ground_truth(pred_po, pred_e, gt_po, gt_e)
+    assert np.array_equal(got[0], gt_po[perm]) and np.array_equal(got[1], pred_e)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # ---------------------------------------------------------------------------

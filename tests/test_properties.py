@@ -1,9 +1,10 @@
-"""Property tests of the reader contract, the config schema, the gate rule and
-the assignment solver."""
+"""Property tests of the reader contract, the config schema, the gate rule,
+the assignment solver and the loss reference's correspondence costs."""
 
 import json
 import math
 from dataclasses import asdict, fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,15 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from fpfuse import (DecodeError, InfeasibleAssignmentError, LocalMatchConfig, LossWeights,
-                    Normalizer, PipelineConfig, Protocol, SynthSpec, Template, apply_pipeline,
-                    canonicalize_angle, enumerate_pairs, from_json, generate_corpus,
-                    infer_pair_with_config, read_template, score_pairs, solve_assignment,
-                    validate, write_template)
+from fpfuse import (CorrespondenceWeights, DecodeError, GroundTruthRecord,
+                    InfeasibleAssignmentError, LocalMatchConfig, LossWeights, Normalizer,
+                    PipelineConfig, PredictionRecord, Protocol, SynthSpec, Template,
+                    apply_pipeline, canonicalize_angle, correspondence_cost_matrix,
+                    enumerate_pairs, from_json, generate_corpus, infer_pair_with_config,
+                    read_template, reorder_ground_truth, score_pairs, solve_assignment,
+                    total_loss, validate, write_template)
 from fpfuse.assignment import _augmenting_path_solve
 from fpfuse.pipeline import FUSION_RULES, GATES, UNGATED
 from fpfuse.templates import MAX_IMAGE_SIDE
 
+import cost_oracle
 import ingest_oracle
 from conftest import as_arrays, brute_force
 
@@ -443,3 +447,93 @@ def test_warm_started_potentials_meet_the_canonical_pass_invariants(cost):
     assert (reduced >= 0).all()
     assert (reduced[rows, col_of_row] == 0).all()
     assert (v <= 0).all() and (v[row_of_col < 0] == 0).all()
+
+
+# ---------------------------------------------------------------------------
+# the loss reference's correspondence costs against the broadcast form
+
+@st.composite
+def loss_records(draw):
+    """A prediction with up to two intermediate layers and its ground truth.
+
+    On the integer grid, positions, angles and embeddings are small integers
+    (angles in quarter turns), so distances tie exactly; the Gram form is
+    exact there too.  Ground-truth rows may be duplicated, and a layer whose
+    noise is 0 is an exact, shuffled copy of the ground truth."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    L, d_m = draw(st.sampled_from([0, 1, 2, 3, 6])), draw(st.sampled_from([1, 2, 8]))
+    grid = draw(st.booleans())
+    if grid:
+        gt_po = np.column_stack([rng.integers(0, 4, (L, 2)), rng.integers(0, 4, L) * (np.pi / 2)])
+        gt_e = rng.integers(-2, 3, (L, d_m)).astype(np.float64)
+    else:
+        gt_po = np.column_stack([rng.uniform(0, 100, (L, 2)), rng.uniform(0, TWO_PI, L)])
+        gt_e = rng.normal(size=(L, d_m))
+    for _ in range(draw(st.integers(0, L // 2))):
+        i, j = rng.integers(0, L, 2)
+        gt_po[i], gt_e[i] = gt_po[j], gt_e[j]
+
+    def layer():
+        noise, perm = draw(st.sampled_from([0.0, 1e-3, 0.5, 3.0])), rng.permutation(L)
+        jitter_po, jitter_e = rng.normal(size=(L, 3)), rng.normal(size=(L, d_m))
+        if grid:
+            jitter_po[:, 2] *= np.pi / 2
+            jitter_po, jitter_e = np.round(jitter_po), np.round(jitter_e)
+        po = gt_po[perm] + noise * jitter_po
+        po[:, 2] = np.mod(po[:, 2], TWO_PI)
+        return po, gt_e[perm] + noise * jitter_e
+
+    g = rng.normal(size=4)
+    pred = PredictionRecord(g + rng.normal(size=4), *layer(),
+                            tuple(layer() for _ in range(draw(st.integers(0, 2)))))
+    return pred, GroundTruthRecord(g, gt_po, gt_e)
+
+
+def _with_oracle_costs(f, *args):
+    """``f(*args)`` with ``fpfuse.losses`` scoring pairs by the broadcast form."""
+    with mock.patch("fpfuse.losses.correspondence_cost_matrix",
+                    cost_oracle.correspondence_cost_matrix):
+        return f(*args)
+
+
+def _outcome_of(f, *args):
+    """``f(*args)``, or the text of the ``ValueError`` it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(loss_records())
+def test_cost_matrix_equals_the_broadcast_form(records):
+    """Within 1e-9 of the largest cost, as the solver's tie tolerance is,
+    plus the Gram form's cancellation near zero distance: ``|a|^2 + |b|^2 -
+    2 a.b`` is off by at most ``(d + 2) * eps * (|a| + |b|)^2``, so its root
+    by ``(|a| + |b|) * sqrt((d + 2) * eps)``."""
+    pred, gt = records
+    w = CorrespondenceWeights()
+    args = (pred.positions[:, :2], pred.positions[:, 2], pred.embeddings,
+            gt.positions[:, :2], gt.positions[:, 2], gt.embeddings, w)
+    got, want = correspondence_cost_matrix(*args), cost_oracle.correspondence_cost_matrix(*args)
+    assert got.shape == want.shape
+    if not want.size:
+        return
+    norms = np.linalg.norm(pred.embeddings, axis=1)[:, None] + np.linalg.norm(gt.embeddings, axis=1)
+    near_zero = w.w_emb * norms * math.sqrt((gt.embeddings.shape[1] + 2) * np.finfo(float).eps)
+    assert (np.abs(got - want) <= 1e-9 * (1 + np.abs(want).max()) + near_zero).all()
+
+
+@PROPERTY
+@given(loss_records())
+@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+def test_losses_are_bit_identical_under_the_broadcast_form(records):
+    """A permutation may differ only between equal rows.  With no minutiae
+    both forms refuse the record with the same error."""
+    pred, gt = records
+    for po, e in ((pred.positions, pred.embeddings), *pred.intermediates):
+        args = (po, e, gt.positions, gt.embeddings)
+        got, want = reorder_ground_truth(*args), _with_oracle_costs(reorder_ground_truth, *args)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    got = _outcome_of(total_loss, pred, gt)
+    assert got == _with_oracle_costs(_outcome_of, total_loss, pred, gt)

@@ -11,7 +11,8 @@ SHA-256 per output, then one combined digest over them all:
   and ``--jobs 2``;
 - ``bench`` with the default grid and with ``--sweep-minutiae``;
 - ``match`` on three pairs, with and without a config;
-- ``losses``, plain and ``--pretty``;
+- ``losses``, plain and ``--pretty``, and on a record of the loss benchmark's
+  shape: 50 minutiae, 64-dimensional embeddings, five intermediate layers;
 - both demos' stdout.
 
 It imports ``fpfuse`` from the ``src`` directory of its own checkout, so a
@@ -66,13 +67,14 @@ def _run(tmp: Path, argv) -> str:
     return out.getvalue().replace(str(tmp), "<tmp>")
 
 
-def _loss_records(tmp: Path):
-    """A prediction with two intermediate layers and its ground truth, seeded."""
-    rng = np.random.default_rng(17)
-    n = 12
+def _loss_records(tmp: Path, seed: int, n: int, d_m: int, layers):
+    """A prediction and its ground truth, seeded: ``n`` minutiae with
+    ``d_m``-dimensional embeddings, and one intermediate layer per
+    (position, embedding) noise scale of ``layers``."""
+    rng = np.random.default_rng(seed)
     g = rng.normal(size=16)
     positions = np.column_stack([rng.uniform(0, 384, (n, 2)), rng.uniform(0, 6, n)])
-    embeddings = rng.normal(size=(n, 8))
+    embeddings = rng.normal(size=(n, d_m))
 
     def noisy(a, scale):  # jittered, with its rows shuffled
         return (a + rng.normal(0, scale, a.shape))[rng.permutation(len(a))].tolist()
@@ -81,9 +83,9 @@ def _loss_records(tmp: Path):
           "embeddings": embeddings.tolist()}
     pred = {"global": (g + rng.normal(0, 0.1, g.shape)).tolist(),
             "positions": noisy(positions, 2.0), "embeddings": noisy(embeddings, 0.1),
-            "intermediates": [{"positions": noisy(positions, scale),
-                               "embeddings": noisy(embeddings, scale)} for scale in (4.0, 3.0)]}
-    paths = tmp / "pred.json", tmp / "gt.json"
+            "intermediates": [{"positions": noisy(positions, p),
+                               "embeddings": noisy(embeddings, e)} for p, e in layers]}
+    paths = tmp / f"pred_{seed}.json", tmp / f"gt_{seed}.json"
     for path, doc in zip(paths, (pred, gt)):
         path.write_text(json.dumps(doc))
     return paths
@@ -128,10 +130,12 @@ def outputs(tmp: Path):
             yield f"match {pair}", _run(tmp, argv)
             yield f"match {pair} with config", _run(tmp, argv + ["--config", config])
 
-    pred, gt = _loss_records(tmp)
+    pred, gt = _loss_records(tmp, 17, 12, 8, [(4.0, 4.0), (3.0, 3.0)])
     argv = ["losses", "--pred", pred, "--gt", gt]
     yield "losses", _run(tmp, argv)
     yield "losses pretty", _run(tmp, ["--pretty", *argv])
+    pred, gt = _loss_records(tmp, 505, 50, 64, [(3.0, 0.1)] * 5)
+    yield "losses 50x64 five layers", _run(tmp, ["losses", "--pred", pred, "--gt", gt])
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for demo in sorted((ROOT / "demos").glob("*.py")):
