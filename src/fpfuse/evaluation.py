@@ -173,12 +173,16 @@ def minutiae_quality(pred_positions, gt_positions,
     pred = np.asarray(pred_positions, dtype=np.float64).reshape(-1, 2)
     gt = np.asarray(gt_positions, dtype=np.float64).reshape(-1, 2)
     n_pred, n_gt = pred.shape[0], gt.shape[0]
-    diff = pred[:, None, :] - gt[None, :, :]
-    cost = np.sqrt((diff ** 2).sum(axis=2))
-    errors = [float(cost[r, c]) for r, c in solve_assignment(cost).pairs
-              if cost[r, c] <= dist_threshold_px]
-    paired = len(errors)
-    return _quality(paired, n_gt - paired, n_pred - paired, float(np.sum(errors)))
+    # The same bits as summing a broadcast of squared differences, with no
+    # (n, m, 2) array.
+    dx = pred[:, 0, None] - gt[None, :, 0]
+    dy = pred[:, 1, None] - gt[None, :, 1]
+    cost = np.sqrt(dx * dx + dy * dy)
+    rows, cols = np.array(solve_assignment(cost).pairs, dtype=np.int64).reshape(-1, 2).T
+    errors = cost[rows, cols]
+    errors = errors[errors <= dist_threshold_px]
+    paired = errors.size
+    return _quality(paired, n_gt - paired, n_pred - paired, float(errors.sum()))
 
 
 def _quality(paired: int, missed: int, spurious: int, error_sum: float) -> MinutiaeQuality:

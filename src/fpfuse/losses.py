@@ -184,6 +184,9 @@ def total_loss(pred: PredictionRecord, gt: GroundTruthRecord,
         raise ValueError("global embedding shape mismatch")
     if pred.positions.shape != gt.positions.shape or pred.embeddings.shape != gt.embeddings.shape:
         raise ValueError("minutiae shape mismatch between prediction and ground truth")
+    if pred.positions.shape[0] == 0:  # every layer's MSE would be a mean of nothing
+        raise ValueError("the records hold no minutiae: the position and embedding "
+                         "losses need at least one")
     global_loss = mse(pred.global_embedding, gt.global_embedding)
     position_loss, embedding_loss = _layer_loss(pred.positions, pred.embeddings, gt, cw)
     inter = [_layer_loss(po, e, gt, cw) for po, e in pred.intermediates]

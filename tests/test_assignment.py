@@ -1,12 +1,17 @@
+import hashlib
+import importlib.util
 import itertools
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from fpfuse import (CorrespondenceWeights, InfeasibleAssignmentError,
+from fpfuse import (Assignment, CorrespondenceWeights, InfeasibleAssignmentError,
                     angular_distance, correspondence_cost_matrix,
                     reorder_ground_truth, solve_assignment)
+from fpfuse import assignment
 
 from conftest import as_arrays, brute_force, random_minutia, unit
 
@@ -134,6 +139,40 @@ def test_lexicographic_minimality_beyond_brute_force():
                 prefix[:, own] = np.inf
                 prefix[r, own] = cost[r, own]
                 taken.add(own)
+
+
+@pytest.mark.parametrize("cost", [np.zeros((2, 3)), np.zeros((3, 2))])
+def test_certificate_refuses_a_tie(cost):
+    """Every pairing of an all-zero matrix is optimal, so the certificate
+    must refuse and the canonical pass pick the smallest pairs."""
+    with mock.patch("fpfuse.assignment._canonical_pairs",
+                    wraps=assignment._canonical_pairs) as canonical:
+        got = solve_assignment(cost)
+    assert canonical.call_count == 1
+    assert got.pairs == ((0, 0), (1, 1))
+
+
+@pytest.mark.parametrize("cost", [[[0.0, 5.0, 2.0], [0.0, 1.0, 5.0]],
+                                  [[0.0, 0.0], [5.0, 1.0], [2.0, 5.0]]])
+def test_certificate_skips_the_pass_on_a_unique_optimum(cost):
+    """Dijkstra leaves a tight edge beyond the matched pairs, row 1 to row
+    0's column, but no alternating cycle closes: the pass is skipped."""
+    with mock.patch("fpfuse.assignment._canonical_pairs") as canonical:
+        got = solve_assignment(cost)
+    canonical.assert_not_called()
+    assert got == Assignment(((0, 0), (1, 1)), 1.0)
+
+
+def test_solver_digest_is_pinned():
+    """The pairs and totals of ``tools/assignment_digest.py``'s 7400 seeded
+    problems, hashed as its ``main`` does, are those the solver has always
+    given."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "assignment_digest.py"
+    spec = importlib.util.spec_from_file_location("assignment_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    digest = hashlib.sha256("\n".join(tool.results()).encode()).hexdigest()
+    assert digest == "15c8144c8a2b922025c9d7c3937eb9c93ba8bc364c99c5ff27462c612e2b5a1b"
 
 
 def test_permutation_invariance():

@@ -209,6 +209,16 @@ def test_total_loss_global_shape_mismatch():
         total_loss(pred, short_gt)
 
 
+@pytest.mark.filterwarnings("error")
+def test_total_loss_refuses_records_without_minutiae():
+    """Refused by name before any mean is taken, so no numpy warning comes first."""
+    none_po, none_e = np.zeros((0, 3)), np.zeros((0, 2))
+    pred = PredictionRecord(np.ones(3), none_po, none_e, ((none_po, none_e),))
+    gt = GroundTruthRecord(np.zeros(3), none_po, none_e)
+    with pytest.raises(ValueError, match="no minutiae"):
+        total_loss(pred, gt)
+
+
 def test_total_loss_nonnegative_components():
     rng = np.random.default_rng(41)
     for _ in range(10):

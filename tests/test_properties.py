@@ -1,5 +1,6 @@
 """Property tests of the reader contract, the config schema, the gate rule,
-the assignment solver and the loss reference's correspondence costs."""
+the assignment solver and its uniqueness certificate, the loss reference's
+correspondence costs and minutiae quality."""
 
 import json
 import math
@@ -17,14 +18,15 @@ from fpfuse import (CorrespondenceWeights, DecodeError, GroundTruthRecord,
                     PipelineConfig, PredictionRecord, Protocol, SynthSpec, Template,
                     apply_pipeline, canonicalize_angle, correspondence_cost_matrix,
                     enumerate_pairs, from_json, generate_corpus, infer_pair_with_config,
-                    read_template, reorder_ground_truth, score_pairs, solve_assignment,
-                    total_loss, validate, write_template)
+                    minutiae_quality, read_template, reorder_ground_truth, score_pairs,
+                    solve_assignment, total_loss, validate, write_template)
 from fpfuse.assignment import _augmenting_path_solve
 from fpfuse.pipeline import FUSION_RULES, GATES, UNGATED
 from fpfuse.templates import MAX_IMAGE_SIDE
 
 import cost_oracle
 import ingest_oracle
+import quality_oracle
 from conftest import as_arrays, brute_force
 
 TWO_PI = 2 * math.pi
@@ -449,6 +451,46 @@ def test_warm_started_potentials_meet_the_canonical_pass_invariants(cost):
     assert (v <= 0).all() and (v[row_of_col < 0] == 0).all()
 
 
+@st.composite
+def tie_rich_problems(draw):
+    """Cost matrices on which many pairings tie: small integers with +inf
+    sentinels, distances between points of a small integer grid, and
+    matcher-like quantized cosines on surviving cells with zero-cost dummy
+    columns; in either orientation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["integers", "grid", "matcher"]))
+    if kind == "integers":
+        cost = rng.integers(-2, 3, (n, m)).astype(np.float64)
+        cost[rng.random((n, m)) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = math.inf
+    elif kind == "grid":
+        a, b = rng.integers(0, 5, (n, 2)), rng.integers(0, 5, (m, 2))
+        dx = a[:, 0, None] - b[None, :, 0]
+        dy = a[:, 1, None] - b[None, :, 1]
+        cost = np.sqrt(dx * dx + dy * dy)
+    else:
+        cos = rng.integers(-4, 5, (n, m)) / 4
+        cost = np.hstack([np.where(rng.random((n, m)) < 0.5, -cos, math.inf), np.zeros((n, n))])
+    return cost.T if draw(st.booleans()) else cost
+
+
+def _solved(cost):
+    try:
+        return solve_assignment(cost)
+    except InfeasibleAssignmentError:
+        return "infeasible"
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_rich_problems())
+def test_uniqueness_certificate_changes_no_solve(cost):
+    """Skipping the canonical pass where the certificate holds gives what the
+    pass gives."""
+    with mock.patch("fpfuse.assignment._unique_optimum", return_value=False):
+        want = _solved(cost)
+    assert _solved(cost) == want
+
+
 # ---------------------------------------------------------------------------
 # the loss reference's correspondence costs against the broadcast form
 
@@ -526,7 +568,6 @@ def test_cost_matrix_equals_the_broadcast_form(records):
 
 @PROPERTY
 @given(loss_records())
-@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
 def test_losses_are_bit_identical_under_the_broadcast_form(records):
     """A permutation may differ only between equal rows.  With no minutiae
     both forms refuse the record with the same error."""
@@ -537,3 +578,34 @@ def test_losses_are_bit_identical_under_the_broadcast_form(records):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     got = _outcome_of(total_loss, pred, gt)
     assert got == _with_oracle_costs(_outcome_of, total_loss, pred, gt)
+
+
+# ---------------------------------------------------------------------------
+# minutiae quality against the broadcast-and-list form
+
+@st.composite
+def position_sets(draw):
+    """Predicted and reference positions: either both on a small integer grid,
+    where distances tie, or a jittered subset of the reference plus extras."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_gt = draw(st.integers(0, 15))
+    if draw(st.booleans()):
+        gt = rng.integers(0, 6, (n_gt, 2)).astype(np.float64)
+        pred = rng.integers(0, 6, (draw(st.integers(0, 15)), 2)).astype(np.float64)
+    else:
+        gt = rng.uniform(0, 100, (n_gt, 2))
+        kept = gt[rng.random(n_gt) < 0.8]
+        pred = np.vstack([kept + rng.normal(0, draw(st.sampled_from([0.0, 3.0, 30.0])), kept.shape),
+                          rng.uniform(0, 100, (draw(st.integers(0, 5)), 2))])
+    return pred, gt
+
+
+@PROPERTY
+@given(position_sets(), st.sampled_from([0.0, 1e-3, 20.0]))
+@example((np.zeros((0, 2)), np.ones((3, 2))), 20.0)
+@example((np.ones((3, 2)), np.zeros((0, 2))), 20.0)
+@example((np.zeros((0, 2)), np.zeros((0, 2))), 0.0)
+def test_minutiae_quality_equals_the_broadcast_form(positions, threshold):
+    pred, gt = positions
+    assert (minutiae_quality(pred, gt, threshold)
+            == quality_oracle.minutiae_quality(pred, gt, threshold))
