@@ -11,18 +11,16 @@ from .assignment import (Assignment, CorrespondenceWeights,
                          InfeasibleAssignmentError, angular_distance,
                          correspondence_cost_matrix, solve_assignment)
 from .evaluation import (ChannelScores, MinutiaeQuality, Protocol,
-                         RocPoint, aggregate_minutiae_quality, apply_pipeline,
-                         eer, enumerate_pairs, evaluate_scores, frr_at_far,
-                         minutiae_quality, roc_curve, score_pairs)
+                         aggregate_minutiae_quality, apply_pipeline,
+                         enumerate_pairs, evaluate_scores, frr_at_far,
+                         minutiae_quality, score_pairs)
 from .losses import (GroundTruthRecord, LossBreakdown, LossWeights,
-                     PredictionRecord, mse, mse_gradient, reorder_ground_truth,
-                     total_loss)
+                     PredictionRecord, mse, reorder_ground_truth, total_loss)
 from .matching import (LocalMatchConfig, LocalMatchResult, global_match,
                        local_match)
 from .pipeline import (UNGATED, DoubleSigmoidParams, MatchResult, Normalizer,
                        PipelineConfig, double_sigmoid, fit_double_sigmoid,
-                       fuse, infer_pair, infer_pair_with_config,
-                       minmax_norm, tanh_norm, zscore_norm)
+                       fuse, infer_pair, infer_pair_with_config)
 from .synth import (CorpusBundle, Identity, InjectionManifest, SynthSpec,
                     generate_corpus, generate_identity, generate_impression,
                     write_bundle)
@@ -39,15 +37,14 @@ __all__ = [
     "InfeasibleAssignmentError", "InjectionManifest", "LocalMatchConfig",
     "LocalMatchResult", "LossBreakdown", "LossWeights", "MatchResult",
     "MinutiaeQuality", "Normalizer", "PipelineConfig", "PredictionRecord",
-    "Protocol", "RocPoint", "SynthSpec", "Template", "UNGATED",
+    "Protocol", "SynthSpec", "Template", "UNGATED",
     "Violation", "aggregate_minutiae_quality", "angular_distance",
     "apply_pipeline", "canonicalize_angle", "correspondence_cost_matrix",
-    "double_sigmoid", "eer", "enumerate_pairs", "evaluate_scores",
+    "double_sigmoid", "enumerate_pairs", "evaluate_scores",
     "fit_double_sigmoid", "frr_at_far", "from_json", "fuse", "generate_corpus",
     "generate_identity", "generate_impression", "global_match", "infer_pair",
-    "infer_pair_with_config", "local_match",
-    "minmax_norm", "minutiae_quality", "mse", "mse_gradient",
-    "read_corpus", "read_template", "reorder_ground_truth", "roc_curve",
-    "score_pairs", "solve_assignment", "tanh_norm", "total_loss", "validate",
-    "write_bundle", "write_corpus", "write_template", "zscore_norm",
+    "infer_pair_with_config", "local_match", "minutiae_quality", "mse",
+    "read_corpus", "read_template", "reorder_ground_truth",
+    "score_pairs", "solve_assignment", "total_loss", "validate",
+    "write_bundle", "write_corpus", "write_template",
 ]

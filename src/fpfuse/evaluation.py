@@ -85,13 +85,6 @@ def enumerate_pairs(protocol: Protocol,
 # ---------------------------------------------------------------------------
 # Score metrics
 
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    far: float
-    frr: float
-
-
 def _as_scores(values, name: str) -> np.ndarray:
     arr = np.sort(np.asarray(values, dtype=np.float64))
     if arr.size == 0:
@@ -138,19 +131,12 @@ def frr_at_far(genuine_scores, impostor_scores, far_target: float) -> Tuple[floa
     return _frr_at(_operating_points(genuine_scores, impostor_scores), far_target)
 
 
-def roc_curve(genuine_scores, impostor_scores) -> List[RocPoint]:
-    """One operating point per distinct observed score (plus +inf)."""
-    return [RocPoint(float(t), float(fa), float(fr))
-            for t, fa, fr in zip(*_operating_points(genuine_scores, impostor_scores))]
-
-
-def eer(genuine_scores, impostor_scores) -> float:
-    """Operating point where FAR and FRR meet (linear interpolation)."""
-    return _eer(_operating_points(genuine_scores, impostor_scores))
-
-
 # ---------------------------------------------------------------------------
 # Minutiae quality
+
+# A predicted minutia pairs with its reference minutia within this distance.
+QUALITY_DIST_PX = 20.0
+
 
 @dataclass(frozen=True)
 class MinutiaeQuality:
@@ -161,13 +147,12 @@ class MinutiaeQuality:
     avg_positional_error_px: float
 
 
-def minutiae_quality(pred_positions, gt_positions,
-                     dist_threshold_px: float = 20.0) -> MinutiaeQuality:
+def minutiae_quality(pred_positions, gt_positions) -> MinutiaeQuality:
     """Detection quality of predicted minutiae against a reference, given
     their (n, 2) position arrays.
 
-    Pairs by optimal location-only correspondence, accepts pairs within the
-    distance threshold, and scores ``(paired - missed - spurious) / |gt|``.
+    Pairs by optimal location-only correspondence, accepts pairs within
+    :data:`QUALITY_DIST_PX`, and scores ``(paired - missed - spurious) / |gt|``.
     An empty reference yields a goodness index of 0.
     """
     pred = np.asarray(pred_positions, dtype=np.float64).reshape(-1, 2)
@@ -180,7 +165,7 @@ def minutiae_quality(pred_positions, gt_positions,
     cost = np.sqrt(dx * dx + dy * dy)
     rows, cols = np.array(solve_assignment(cost).pairs, dtype=np.int64).reshape(-1, 2).T
     errors = cost[rows, cols]
-    errors = errors[errors <= dist_threshold_px]
+    errors = errors[errors <= QUALITY_DIST_PX]
     paired = errors.size
     return _quality(paired, n_gt - paired, n_pred - paired, float(errors.sum()))
 

@@ -135,15 +135,6 @@ def mse(a, b) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def mse_gradient(a, b) -> np.ndarray:
-    """Analytic gradient of :func:`mse` with respect to ``a``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} != {b.shape}")
-    return 2.0 * (a - b) / a.size
-
-
 def reorder_ground_truth(pred_po, pred_e, gt_po, gt_e,
                          w: CorrespondenceWeights = CorrespondenceWeights()
                          ) -> Tuple[np.ndarray, np.ndarray]:

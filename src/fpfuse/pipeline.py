@@ -1,11 +1,14 @@
 """Score normalization, fusion and the thresholding-gated pair inference.
 
 The global score is cheap and already lives in [0, 1]; the raw local score
-is an unbounded sum of cosines.  Normalization maps the local score onto
-[0, 1], where the global score already lies, before fusing.  Gating skips
-local matching entirely when the global score alone is decisive: above
-``theta_t`` the pair is a confident genuine, below ``theta_f`` a confident
-impostor, and only scores inside the band pay for a local match.
+is an unbounded sum of cosines.  Before fusing, a :class:`Normalizer` brings
+the local score to [0, 1].  It has two kinds: ``identity``, the default,
+leaves the score for :func:`gated_fuse` to clamp, and ``double_sigmoid``
+maps it through a two-piece logistic fitted on a hold-out split
+(:func:`fit_double_sigmoid`).  Gating skips local matching entirely when
+the global score alone is decisive: above ``theta_t`` the pair is a
+confident genuine, below ``theta_f`` a confident impostor, and only scores
+inside the band pay for a local match.
 
 The one configuration is :class:`PipelineConfig`: its band is
 ``theta_t``/``theta_f``, and :data:`UNGATED` holds the band that keeps every
@@ -73,33 +76,6 @@ def double_sigmoid(s, p: DoubleSigmoidParams):
     return float(out) if out.ndim == 0 else out
 
 
-def minmax_norm(s, observed_min: float, observed_max: float):
-    """Affine map of [min, max] onto [0, 1], clamped outside."""
-    if not observed_max > observed_min:
-        raise ValueError("minmax_norm requires observed_max > observed_min")
-    s = np.asarray(s, dtype=np.float64)
-    out = np.clip((s - observed_min) / (observed_max - observed_min), 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def zscore_norm(s, mean: float, std: float):
-    """Standard score; unbounded."""
-    if not std > 0:
-        raise ValueError("zscore_norm requires std > 0")
-    s = np.asarray(s, dtype=np.float64)
-    out = (s - mean) / std
-    return float(out) if out.ndim == 0 else out
-
-
-def tanh_norm(s, mean: float, std: float):
-    """Hampel-style robust map into (0, 1)."""
-    if not std > 0:
-        raise ValueError("tanh_norm requires std > 0")
-    s = np.asarray(s, dtype=np.float64)
-    out = 0.5 * (np.tanh(0.01 * (s - mean) / std) + 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def fit_double_sigmoid(scores_genuine, scores_impostor) -> DoubleSigmoidParams:
     """Place the center midway between the class means on a hold-out split."""
     genuine = np.asarray(scores_genuine, dtype=np.float64)
@@ -145,7 +121,7 @@ def band_gate(s_g_raw: float, cfg: PipelineConfig) -> str:
 def gated_fuse(gate: str, s_g: float, s_l_norm: Optional[float],
                rule: str) -> Tuple[float, float, float]:
     """Clamp the global score and the normalized local score to [0, 1]
-    (unbounded normalizers cannot push the final score out of range),
+    (an ``identity``-normalized local score is unbounded),
     substitute the local score of a skipped pair, and fuse.  Returns
     ``(s_g_norm, s_l_effective, s_final)``.
     """
@@ -177,9 +153,6 @@ class MatchResult:
 _NORM_PARAMS = {
     "identity": (),
     "double_sigmoid": ("center", "left_width", "right_width"),
-    "minmax": ("min", "max"),
-    "zscore": ("mean", "std"),
-    "tanh": ("mean", "std"),
 }
 NORM_KINDS = tuple(_NORM_PARAMS)
 
@@ -187,8 +160,13 @@ NORM_KINDS = tuple(_NORM_PARAMS)
 @dataclass(frozen=True)
 class Normalizer:
     """The local-score normalizer's config entry, callable on scores.
-    ``params`` holds exactly the kind's parameters, each a finite number;
-    anything else raises ``ValueError`` here, not at the first score."""
+
+    ``identity`` (``fpfuse eval``'s default) passes the raw score through
+    for :func:`gated_fuse` to clamp; ``double_sigmoid`` (demo 02, the
+    ungated benchmark workload, ``tools/output_digest.py``) maps it through
+    :func:`double_sigmoid`.  ``params`` holds exactly the kind's
+    parameters, each a finite number; anything else raises ``ValueError``
+    here, not at the first score."""
 
     kind: str = "identity"
     params: dict = field(default_factory=dict)
@@ -202,18 +180,9 @@ class Normalizer:
                              f"{', '.join(names) or 'none'}, got {self.params!r}")
         args = [number(self.params[name], f"{self.kind} normalizer param {name}")
                 for name in names]
-        norm = None
-        if self.kind == "double_sigmoid":
-            norm = partial(double_sigmoid, p=DoubleSigmoidParams(*args))
-        elif self.kind == "minmax":
-            norm = partial(minmax_norm, observed_min=args[0], observed_max=args[1])
-        elif self.kind != "identity":
-            norm = partial(zscore_norm if self.kind == "zscore" else tanh_norm,
-                           mean=args[0], std=args[1])
-        if norm is not None:
-            norm(0.0)  # checks the parameters now, not at the first score
         # Built once: params is read at construction only.
-        object.__setattr__(self, "_map", norm)
+        object.__setattr__(self, "_map", partial(double_sigmoid, p=DoubleSigmoidParams(*args))
+                           if self.kind == "double_sigmoid" else None)
 
     def __call__(self, scores):
         return scores if self._map is None else self._map(scores)

@@ -9,15 +9,15 @@ from fpfuse.assignment import solve_assignment
 from fpfuse.evaluation import MinutiaeQuality, _quality
 
 
-def minutiae_quality(pred_positions, gt_positions,
-                     dist_threshold_px: float = 20.0) -> MinutiaeQuality:
-    """Detection quality of predicted minutiae against a reference."""
+def minutiae_quality(pred_positions, gt_positions) -> MinutiaeQuality:
+    """Detection quality of predicted minutiae against a reference, pairs
+    accepted within 20 px."""
     pred = np.asarray(pred_positions, dtype=np.float64).reshape(-1, 2)
     gt = np.asarray(gt_positions, dtype=np.float64).reshape(-1, 2)
     n_pred, n_gt = pred.shape[0], gt.shape[0]
     diff = pred[:, None, :] - gt[None, :, :]
     cost = np.sqrt((diff ** 2).sum(axis=2))
     errors = [float(cost[r, c]) for r, c in solve_assignment(cost).pairs
-              if cost[r, c] <= dist_threshold_px]
+              if cost[r, c] <= 20.0]
     paired = len(errors)
     return _quality(paired, n_gt - paired, n_pred - paired, float(np.sum(errors)))

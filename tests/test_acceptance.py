@@ -15,10 +15,9 @@ import pytest
 from fpfuse import (CorrespondenceWeights, DoubleSigmoidParams,
                     PipelineConfig, Protocol, SynthSpec, angular_distance,
                     apply_pipeline, double_sigmoid, enumerate_pairs,
-                    fit_double_sigmoid, frr_at_far, from_json, generate_corpus,
-                    minmax_norm, minutiae_quality, mse, mse_gradient,
-                    reorder_ground_truth, roc_curve, score_pairs,
-                    solve_assignment, tanh_norm, total_loss, zscore_norm)
+                    evaluate_scores, fit_double_sigmoid, frr_at_far, from_json,
+                    generate_corpus, minutiae_quality, reorder_ground_truth,
+                    score_pairs, solve_assignment, total_loss)
 from fpfuse.losses import GroundTruthRecord, PredictionRecord
 from fpfuse.cli import main
 
@@ -226,14 +225,8 @@ def test_normalization_properties():
     fit = fit_double_sigmoid(samples[:400], samples[400:])
     base = _ranks(samples)
     assert np.array_equal(_ranks(double_sigmoid(samples, fit)), base)
-    assert np.array_equal(_ranks(zscore_norm(samples, 10.0, 3.0)), base)
-    assert np.array_equal(_ranks(tanh_norm(samples, 10.0, 3.0)), base)
-    lo, hi = np.quantile(samples, 0.05), np.quantile(samples, 0.95)
-    mm = minmax_norm(samples, lo, hi)
-    unclamped = (samples > lo) & (samples < hi)
-    assert np.array_equal(_ranks(mm[unclamped]), _ranks(samples[unclamped]))
     print("\nPASS normalization properties: center=0.5 @1e-12, strict monotonicity "
-          "on 1e4 grid, rank order preserved by all four normalizations")
+          "on 1e4 grid, rank order preserved by the fitted double sigmoid")
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +302,6 @@ def test_loss_correctness():
                               got.intermediate_embedding_loss, got.total), oracle):
         assert got_v == pytest.approx(want_v, abs=1e-9)
 
-    # gradient vs central finite differences, 100 random instances
-    rng = np.random.default_rng(72)
-    h = 1e-6
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 40))
-        a, b = rng.normal(size=n), rng.normal(size=n)
-        grad = mse_gradient(a, b)
-        fd = np.empty(n)
-        for i in range(n):
-            step = np.zeros(n); step[i] = h
-            fd[i] = (mse(a + step, b) - mse(a - step, b)) / (2 * h)
-        rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
-        worst = max(worst, rel)
-    assert worst < 1e-5
-
     # Hungarian reordering equals brute force over all 120 permutations, L <= 5
     rng = np.random.default_rng(73)
     for _ in range(100):
@@ -346,7 +323,7 @@ def test_loss_correctness():
         assert np.array_equal(po, gt_po_r[list(best)])
         assert np.array_equal(e, gt_e_r[list(best)])
     print("\nPASS loss correctness: fixture == straight-line oracle @1e-9; "
-          f"gradient rel err {worst:.2e} < 1e-5; reordering == brute force (100 trials)")
+          "reordering == brute force (100 trials)")
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +334,9 @@ def test_metrics_sanity():
     for _ in range(1000):
         genuine = rng.normal(rng.uniform(0, 2), 1.0, size=int(rng.integers(2, 30)))
         impostor = rng.normal(0.0, 1.0, size=int(rng.integers(2, 30)))
-        points = roc_curve(genuine, impostor)
-        far = np.array([p.far for p in points])
-        frr = np.array([p.frr for p in points])
+        roc = evaluate_scores(genuine, impostor, {}, 0)["roc"]
+        far = np.array([p["far"] for p in roc])
+        frr = np.array([p["frr"] for p in roc])
         assert (np.diff(far) <= 1e-15).all()
         assert (np.diff(frr) >= -1e-15).all()
         assert ((far >= 0) & (far <= 1) & (frr >= 0) & (frr <= 1)).all()

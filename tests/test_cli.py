@@ -257,8 +257,8 @@ def test_eval_report_document(synth_dir, tmp_path, capsys):
 
 
 def test_eval_report_config_block_is_the_config_file(synth_dir, tmp_path):
-    doc = {"theta_t": 1, "fusion": "max", "norm": {"kind": "zscore",
-                                                   "params": {"mean": 12, "std": 7.5}},
+    params = {"center": 12, "left_width": 7.5, "right_width": 4}
+    doc = {"theta_t": 1, "fusion": "max", "norm": {"kind": "double_sigmoid", "params": params},
            "local": {"max_minutiae": 30}}
     config, report = tmp_path / "config.json", tmp_path / "report.json"
     config.write_text(json.dumps(doc))
@@ -266,7 +266,7 @@ def test_eval_report_config_block_is_the_config_file(synth_dir, tmp_path):
                  "--out", str(report)]) == 0
     block = json.loads(report.read_text())["config"]
     assert block == {"theta_t": 1.0, "theta_f": 0.15, "fusion": "max",
-                     "norm": {"kind": "zscore", "params": {"mean": 12, "std": 7.5}},
+                     "norm": {"kind": "double_sigmoid", "params": params},
                      "local": {"emb_sim_floor": 0.3, "geo_tolerance_px": 20.0,
                                "ori_tolerance_rad": 0.35, "max_minutiae": 30}}
     assert block == asdict(from_json(PipelineConfig, doc, "config"))
@@ -397,8 +397,10 @@ def test_eval_rejects_gaps_in_impression_numbers(synth_dir, capsys, name, found)
     {"theta_t": None},
     {"theta_t": math.nan},
     {"local": {"geo_tolerance_px": math.nan}},
-    {"norm": {"kind": "tanh", "params": {"mean": "20", "std": True}}},
-    {"norm": {"kind": "zscore", "params": {"mean": 0.0, "std": 1.0, "scale": 3}}},
+    {"norm": {"kind": "double_sigmoid",
+              "params": {"center": "20", "left_width": True, "right_width": 1.0}}},
+    {"norm": {"kind": "double_sigmoid",
+              "params": {"center": 0.0, "left_width": 1.0, "right_width": 1.0, "scale": 3}}},
     {"norm": {"kind": "double_sigmoid",
               "params": {"center": math.nan, "left_width": 1.0, "right_width": 1.0}}},
 ])
@@ -411,6 +413,15 @@ def test_bad_config_exits_2(synth_dir, tmp_path, capsys, doc):
         capsys.readouterr()
         assert main(argv + ["--config", str(config)]) == 2
         assert "bad pipeline config" in capsys.readouterr().err
+
+
+def test_config_naming_a_removed_normalizer_exits_2(synth_dir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"norm": {"kind": "zscore", "params": {"mean": 0, "std": 1}}}))
+    capsys.readouterr()
+    assert main(["eval", "--corpus", str(synth_dir), "--config", str(config)]) == 2
+    assert ("unknown normalizer kind 'zscore'; expected one of ('identity', 'double_sigmoid')"
+            in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fpfuse import (Corpus, Protocol, aggregate_minutiae_quality, enumerate_pairs, eer,
-                    frr_at_far, minutiae_quality, roc_curve)
+from fpfuse import (Corpus, Protocol, aggregate_minutiae_quality, enumerate_pairs,
+                    evaluate_scores, frr_at_far, minutiae_quality)
 
 from conftest import as_arrays, random_minutia
 
@@ -99,11 +99,17 @@ def test_frr_at_far_validation():
 
 
 # ---------------------------------------------------------------------------
-# roc / eer
+# the report's roc / eer
+
+def report(genuine, impostor):
+    """The report document of these scores, with no gate or quality data."""
+    return evaluate_scores(np.asarray(genuine, dtype=np.float64),
+                           np.asarray(impostor, dtype=np.float64), {}, 0)
+
 
 def test_roc_handcrafted_point_list():
-    points = roc_curve([0.9, 0.8, 0.3], [0.85, 0.2, 0.1])
-    got = [(p.threshold, p.far, p.frr) for p in points]
+    roc = report([0.9, 0.8, 0.3], [0.85, 0.2, 0.1])["roc"]
+    got = [(p["thr"], p["far"], p["frr"]) for p in roc]
     third = 1.0 / 3.0
     expected = [
         (0.1, 1.0, 0.0),
@@ -126,10 +132,10 @@ def test_roc_monotonicity_random():
     for _ in range(100):
         genuine = rng.normal(1, 1, size=int(rng.integers(2, 50)))
         impostor = rng.normal(0, 1, size=int(rng.integers(2, 50)))
-        points = roc_curve(genuine, impostor)
-        far = np.array([p.far for p in points])
-        frr = np.array([p.frr for p in points])
-        thr = np.array([p.threshold for p in points])
+        roc = report(genuine, impostor)["roc"]
+        far = np.array([p["far"] for p in roc])
+        frr = np.array([p["frr"] for p in roc])
+        thr = np.array([p["thr"] for p in roc])
         assert (np.diff(thr) > 0).all()
         assert (np.diff(far) <= 1e-15).all()
         assert (np.diff(frr) >= -1e-15).all()
@@ -137,19 +143,19 @@ def test_roc_monotonicity_random():
 
 
 def test_eer_disjoint_and_identical():
-    assert eer([2.0, 3.0, 4.0], [-1.0, 0.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
+    assert report([2.0, 3.0, 4.0], [-1.0, 0.0, 1.0])["eer"] == pytest.approx(0.0, abs=1e-12)
     scores = list(np.linspace(0, 1, 50))
-    assert eer(scores, scores) == pytest.approx(0.5, abs=1e-9)
+    assert report(scores, scores)["eer"] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_eer_handcrafted():
-    assert eer([0.9, 0.8, 0.3], [0.85, 0.2, 0.1]) == pytest.approx(1.0 / 3.0)
+    assert report([0.9, 0.8, 0.3], [0.85, 0.2, 0.1])["eer"] == pytest.approx(1.0 / 3.0)
 
 
 @pytest.mark.parametrize("metric", [
     lambda: frr_at_far([0.5], [math.nan], 0.0),
-    lambda: eer([math.nan, 0.5], [0.2]),
-    lambda: roc_curve([0.5], [math.inf]),
+    lambda: report([math.nan, 0.5], [0.2]),
+    lambda: report([0.5], [math.inf]),
 ])
 def test_score_metrics_reject_non_finite_scores(metric):
     with pytest.raises(ValueError, match="finite"):
@@ -192,7 +198,7 @@ def test_quality_fixed_offset():
 def test_quality_threshold_excludes_far_pairs():
     gt = [(50.0, 50.0), (300.0, 300.0)]
     pred = [(55.0, 50.0), (300.0, 340.0)]
-    q = minutiae_quality(pred, gt, dist_threshold_px=20.0)
+    q = minutiae_quality(pred, gt)
     assert q.paired == 1 and q.missed == 1 and q.spurious == 1
     assert q.goodness_index == pytest.approx((1 - 1 - 1) / 2)
 
@@ -201,7 +207,7 @@ def test_quality_spurious_counts():
     rng = np.random.default_rng(67)
     gt = random_positions(rng, 4)
     pred = np.vstack([gt, random_positions(rng, 1)])
-    q = minutiae_quality(pred, gt, dist_threshold_px=1e-3)
+    q = minutiae_quality(pred, gt)
     assert q.spurious >= 1
 
 

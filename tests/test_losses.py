@@ -7,7 +7,7 @@ import pytest
 
 from fpfuse import (CorrespondenceWeights, GroundTruthRecord, LossWeights,
                     PredictionRecord, angular_distance, correspondence_cost_matrix, mse,
-                    mse_gradient, reorder_ground_truth, total_loss)
+                    reorder_ground_truth, total_loss)
 
 import cost_oracle
 
@@ -46,22 +46,6 @@ def test_mse_shape_mismatch():
         mse([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         mse([], [])
-
-
-def test_mse_gradient_matches_finite_differences():
-    rng = np.random.default_rng(31)
-    h = 1e-6
-    for _ in range(100):
-        n = int(rng.integers(2, 30))
-        a = rng.normal(size=n)
-        b = rng.normal(size=n)
-        grad = mse_gradient(a, b)
-        for idx in rng.choice(n, size=min(4, n), replace=False):
-            step = np.zeros(n)
-            step[idx] = h
-            numeric = (mse(a + step, b) - mse(a - step, b)) / (2 * h)
-            denom = max(abs(numeric), abs(grad[idx]), 1e-8)
-            assert abs(grad[idx] - numeric) / denom < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,16 @@ import pytest
 from fpfuse import (UNGATED, CorrespondenceWeights, DoubleSigmoidParams, LocalMatchConfig,
                     LossWeights, Normalizer, PipelineConfig, SynthSpec,
                     double_sigmoid, fit_double_sigmoid,
-                    from_json, fuse, infer_pair, infer_pair_with_config,
-                    minmax_norm, tanh_norm, zscore_norm)
+                    from_json, fuse, infer_pair, infer_pair_with_config)
 from fpfuse.pipeline import (GATE_CONFIDENT_GENUINE, GATE_CONFIDENT_IMPOSTOR,
                              GATE_LOCAL_EVALUATED)
 
-from conftest import as_arrays, basis_template, make_template
+from conftest import as_arrays, basis_template, make_template, unit
+
+# Three minutiae that both templates of a pair share: they match one to one,
+# so the raw local score is 3 (a sum of cosines of 1), above [0, 1].
+SHARED_MINUTIAE = [(60.0 + 90.0 * i, 80.0 + 70.0 * i, 0.5 * i, unit(np.eye(4)[i]))
+                   for i in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -56,43 +60,16 @@ def test_double_sigmoid_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# other normalizations
-
-def test_minmax_examples():
-    assert minmax_norm(0.45, 0.2, 0.7) == pytest.approx(0.5)
-    assert minmax_norm(0.1, 0.2, 0.7) == 0.0
-    assert minmax_norm(0.9, 0.2, 0.7) == 1.0
-    with pytest.raises(ValueError):
-        minmax_norm(0.5, 0.7, 0.7)
-
-
-def test_zscore_and_tanh_centering():
-    assert zscore_norm(5.0, 5.0, 2.0) == 0.0
-    assert tanh_norm(5.0, 5.0, 2.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        zscore_norm(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        tanh_norm(1.0, 0.0, -1.0)
-
+# normalizers
 
 def test_normalizations_preserve_rank_order():
     rng = np.random.default_rng(23)
     scores = rng.normal(10.0, 4.0, size=300)
     p = fit_double_sigmoid(scores + 8, scores - 8)
-    variants = {
-        "double_sigmoid": double_sigmoid(scores, p),
-        "zscore": zscore_norm(scores, 10.0, 4.0),
-        "tanh": tanh_norm(scores, 10.0, 4.0),
-    }
-    base_order = np.argsort(scores)
-    for name, mapped in variants.items():
-        assert np.array_equal(np.argsort(mapped), base_order), name
-    # minmax preserves order away from the clamp
-    mapped = minmax_norm(scores, np.quantile(scores, 0.1), np.quantile(scores, 0.9))
-    inside = (scores > np.quantile(scores, 0.1)) & (scores < np.quantile(scores, 0.9))
-    sub = scores[inside]
-    assert np.array_equal(np.argsort(minmax_norm(sub, sub.min() - 1, sub.max() + 1)),
-                          np.argsort(sub))
+    fitted = Normalizer("double_sigmoid", asdict(p))
+    assert np.array_equal(fitted(scores), double_sigmoid(scores, p))
+    for norm in (Normalizer(), fitted):
+        assert np.array_equal(np.argsort(norm(scores)), np.argsort(scores)), norm.kind
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +135,14 @@ def test_orthogonal_templates_gate_impostor():
 
 def test_midband_runs_local():
     half = math.sqrt(0.5)
-    a = make_template([1.0, 0.0, 0.0, 0.0])
-    b = make_template([0.5, math.sqrt(0.75), 0.0, 0.0])  # dot = 0.5
-    # minutia-free templates score 0 locally, which this minmax maps to 0.9
-    cfg = PipelineConfig(theta_t=0.75, theta_f=0.15, fusion="mean",
-                         norm=Normalizer("minmax", {"min": -9, "max": 1}))
+    a = make_template([1.0, 0.0, 0.0, 0.0], SHARED_MINUTIAE)
+    b = make_template([0.5, math.sqrt(0.75), 0.0, 0.0], SHARED_MINUTIAE)  # dot = 0.5
+    cfg = PipelineConfig(theta_t=0.75, theta_f=0.15, fusion="mean", norm=Normalizer())
     r = infer_pair(a, b, cfg)
     assert r.gate == GATE_LOCAL_EVALUATED
     assert r.s_g_raw == pytest.approx(0.5, abs=1e-6)
-    assert r.s_l_raw is not None
-    assert r.s_final == pytest.approx(0.7, abs=1e-6)
+    assert r.s_l_raw == pytest.approx(3.0, abs=1e-6)
+    assert r.s_final == pytest.approx(0.75, abs=1e-6)
 
 
 def test_gate_partition_boundaries():
@@ -204,12 +179,12 @@ def test_disabled_gate_equals_ungated(small_bundle):
 
 
 def test_unbounded_normalizer_clamped():
-    a = make_template([1.0, 0.0])
-    b = make_template([0.5, math.sqrt(0.75)])
-    # minutia-free templates score 0 locally, which this zscore maps to 5.0
-    cfg = PipelineConfig(theta_t=0.75, theta_f=0.15,
-                         norm=Normalizer("zscore", {"mean": -5, "std": 1}))
+    a = make_template([1.0, 0.0], SHARED_MINUTIAE)
+    b = make_template([0.5, math.sqrt(0.75)], SHARED_MINUTIAE)
+    # the identity normalizer leaves the local score of 3 above 1
+    cfg = PipelineConfig(theta_t=0.75, theta_f=0.15, norm=Normalizer("identity"))
     r = infer_pair(a, b, cfg)
+    assert r.s_l_raw > 1.0
     assert r.s_l_effective == 1.0
     assert 0.0 <= r.s_final <= 1.0
 
@@ -270,7 +245,8 @@ def test_pipeline_config_rejects_unknown():
 def test_infer_with_config_matches_manual(small_bundle):
     corpus = small_bundle.corpus
     ids = corpus.subject_ids
-    cfg = PipelineConfig(norm=Normalizer("tanh", {"mean": 20.0, "std": 10.0}))
+    cfg = PipelineConfig(norm=Normalizer("double_sigmoid", {
+        "center": 20.0, "left_width": 10.0, "right_width": 15.0}))
     a, b = corpus.template(ids[0], 0), corpus.template(ids[0], 1)
     r1 = infer_pair_with_config(a, b, cfg)
     r2 = infer_pair(a, b, cfg)
@@ -307,8 +283,10 @@ def test_pipeline_config_rejects_unknown_keys(doc):
     ({"theta_t": math.nan}, "theta_t"),
     ({"theta_f": -math.inf}, "theta_f"),
     ({"local": {"geo_tolerance_px": math.nan}}, "geo_tolerance_px"),
-    ({"norm": {"kind": "tanh", "params": {"mean": "20", "std": 1.0}}}, "mean"),
-    ({"norm": {"kind": "tanh", "params": {"mean": 20.0, "std": True}}}, "std"),
+    ({"norm": {"kind": "double_sigmoid",
+               "params": {"center": 2.0, "left_width": "2", "right_width": 1.0}}}, "left_width"),
+    ({"norm": {"kind": "double_sigmoid",
+               "params": {"center": 2.0, "left_width": 1.0, "right_width": True}}}, "right_width"),
     ({"norm": {"kind": "double_sigmoid",
                "params": {"center": math.nan, "left_width": 1.0, "right_width": 1.0}}}, "center"),
 ])
@@ -349,14 +327,15 @@ def test_pipeline_config_takes_json_integers_as_numbers():
 @pytest.mark.parametrize("kind, params", [
     ("double_sigmoid", {}),
     ("double_sigmoid", {"center": 1.0, "left_width": 1.0}),
-    ("minmax", {"min": 1.0, "max": 1.0}),
-    ("zscore", {"mean": 0.0, "std": 0.0}),
-    ("tanh", {"mean": "a", "std": 1.0}),
-    ("zscore", {"mean": 0.0, "std": 1.0, "scale": 3}),
+    ("double_sigmoid", {"center": 0.0, "left_width": 1.0, "right_width": 0.0}),
+    ("double_sigmoid", {"center": 0.0, "left_width": -1.0, "right_width": 1.0}),
+    ("double_sigmoid", {"center": "a", "left_width": 1.0, "right_width": 1.0}),
+    ("double_sigmoid", {"center": 0.0, "left_width": 1.0, "right_width": 1.0, "scale": 3}),
     ("identity", {"scale": 3}),
 ])
 def test_pipeline_config_checks_normalizer_params(kind, params):
-    with pytest.raises(ValueError, match=kind):
+    # DoubleSigmoidParams's width check names "double sigmoid"
+    with pytest.raises(ValueError, match=kind.replace("_", "[_ ]")):
         Normalizer(kind, params)
 
 

@@ -21,9 +21,16 @@ checkouts give byte-identical outputs when their combined digests agree.
 
     python3 tools/output_digest.py [--out digests.txt]
 
-``--out`` writes the per-output lines, so two runs can be compared with
-``diff`` to find the outputs that differ.  Temporary paths in the outputs
-are replaced by ``<tmp>``.  It takes a few seconds.
+``--out`` writes the per-output lines after a comment line that names the
+numpy version and BLAS library, so two runs can be compared with ``diff``
+to find the outputs that differ.  Temporary paths in the outputs are
+replaced by ``<tmp>``.  It takes a few seconds.
+
+``output_digests.txt`` beside this file holds those lines for the current
+outputs, and ``tests/test_output_digest.py`` checks them.  A change that
+means to change an output rewrites that file with ``--out``.  The last bits
+of ``losses 50x64 five layers`` depend on the BLAS build (the Gram-form
+cost matrix), so its line may differ under another numpy or BLAS.
 """
 
 import argparse
@@ -144,16 +151,26 @@ def outputs(tmp: Path):
         yield f"demo {demo.name}", proc.stdout
 
 
+def build() -> str:
+    """The numpy version and BLAS library of this interpreter."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    return f"numpy {np.__version__}, BLAS {blas}"
+
+
+def digest_lines():
+    """One ``<sha256>  <name>`` line per output, in ``outputs``'s order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return [f"{hashlib.sha256(text.encode()).hexdigest()}  {name}"
+                for name, text in outputs(Path(tmp))]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write one line per output to this file")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp_path = Path(tmp)
-        lines = [f"{hashlib.sha256(text.encode()).hexdigest()}  {name}"
-                 for name, text in outputs(tmp_path)]
+    lines = digest_lines()
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        Path(args.out).write_text("\n".join([f"# {build()}", *lines]) + "\n")
     print("\n".join(lines))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"{len(lines)} outputs: combined sha256 {digest}")
