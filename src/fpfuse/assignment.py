@@ -276,15 +276,21 @@ def solve_assignment(c: np.ndarray | Sequence[Sequence[float]]) -> Assignment:
     cost = np.asarray(c, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
-    if np.isnan(cost).any():
-        raise ValueError("cost matrix contains NaN")
-    if np.isneginf(cost).any():
-        raise ValueError("cost matrix contains -inf")
     n, m = cost.shape
     if n == 0 or m == 0:
         return Assignment((), 0.0)
-    finite = cost[np.isfinite(cost)]
-    tol = _TIE_TOL_SCALE * (1.0 + (float(np.abs(finite).max()) if finite.size else 0.0))
+    lo = float(cost.min())  # NaN when any entry is NaN
+    if math.isnan(lo):
+        raise ValueError("cost matrix contains NaN")
+    if lo == -math.inf:
+        raise ValueError("cost matrix contains -inf")
+    hi = float(cost.max())
+    if hi == math.inf:  # the largest finite magnitude needs a masked pass
+        finite = cost[np.isfinite(cost)]
+        peak = float(np.abs(finite).max()) if finite.size else 0.0
+    else:
+        peak = max(-lo, hi)
+    tol = _TIE_TOL_SCALE * (1.0 + peak)
     if n <= m:
         col_of_row, row_of_col, u, v = _augmenting_path_solve(cost)
     else:

@@ -163,8 +163,8 @@ def minutiae_quality(pred_positions, gt_positions) -> MinutiaeQuality:
     dx = pred[:, 0, None] - gt[None, :, 0]
     dy = pred[:, 1, None] - gt[None, :, 1]
     cost = np.sqrt(dx * dx + dy * dy)
-    rows, cols = np.array(solve_assignment(cost).pairs, dtype=np.int64).reshape(-1, 2).T
-    errors = cost[rows, cols]
+    pairs = solve_assignment(cost).pairs
+    errors = cost[tuple(zip(*pairs))] if pairs else np.zeros(0)
     errors = errors[errors <= QUALITY_DIST_PX]
     paired = errors.size
     return _quality(paired, n_gt - paired, n_pred - paired, float(errors.sum()))

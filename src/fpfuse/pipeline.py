@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .matching import LocalMatchConfig, global_match, local_match
+from .matching import LocalMatchConfig, clamp01, global_match, local_match
 from .templates import Template, number
 
 GATE_CONFIDENT_GENUINE = "confident_genuine"
@@ -61,8 +61,10 @@ class DoubleSigmoidParams:
     def __post_init__(self):
         for name in ("center", "left_width", "right_width"):
             object.__setattr__(self, name, number(getattr(self, name), name))
-        if self.left_width <= 0 or self.right_width <= 0:
-            raise ValueError("double sigmoid widths must be positive")
+        for name in ("left_width", "right_width"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"double sigmoid {name} must be positive, "
+                                 f"got {getattr(self, name)!r}")
 
 
 def double_sigmoid(s, p: DoubleSigmoidParams):
@@ -96,13 +98,14 @@ FUSION_RULES = ("mean", "max")
 
 
 def fuse(a: float, b: float, rule: str = "mean") -> float:
-    """Combine two normalized scores in [0, 1]."""
-    if rule not in FUSION_RULES:
-        raise ValueError(f"unknown fusion rule {rule!r}; expected one of {FUSION_RULES}")
+    """Combine two normalized scores in [0, 1] by :func:`gated_fuse`'s rule.
+    Raises ``ValueError`` for an unknown rule, then for a score outside
+    [0, 1]."""
+    fused = gated_fuse(GATE_LOCAL_EVALUATED, a, b, rule)[2]
     for name, value in (("a", a), ("b", b)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"fuse input {name}={value} outside [0, 1]")
-    return 0.5 * (a + b) if rule == "mean" else max(a, b)
+    return fused
 
 
 # A disabled gate: theta_t > 1 and theta_f < 0 keep every pair inside the band.
@@ -121,16 +124,22 @@ def band_gate(s_g_raw: float, cfg: PipelineConfig) -> str:
 def gated_fuse(gate: str, s_g: float, s_l_norm: Optional[float],
                rule: str) -> Tuple[float, float, float]:
     """Clamp the global score and the normalized local score to [0, 1]
-    (an ``identity``-normalized local score is unbounded),
-    substitute the local score of a skipped pair, and fuse.  Returns
-    ``(s_g_norm, s_l_effective, s_final)``.
+    (an ``identity``-normalized local score is unbounded, and NaN clamps to
+    0), substitute the local score of a skipped pair, and fuse: ``mean`` is
+    ``0.5 * (g + l)``, ``max`` the larger.  Returns
+    ``(s_g_norm, s_l_effective, s_final)``; raises ``ValueError`` for an
+    unknown rule.  Both scores lie in [0, 1] when they are fused, so no
+    range is checked here.
     """
-    s_g_norm = min(1.0, max(0.0, float(s_g)))
-    if gate in SKIP_LOCAL:
-        s_l_effective = SKIP_LOCAL[gate]
-    else:
-        s_l_effective = min(1.0, max(0.0, float(s_l_norm)))
-    return s_g_norm, s_l_effective, fuse(s_g_norm, s_l_effective, rule)
+    s_g_norm = clamp01(float(s_g))
+    s_l_effective = SKIP_LOCAL.get(gate)
+    if s_l_effective is None:
+        s_l_effective = clamp01(float(s_l_norm))
+    if rule == "mean":
+        return s_g_norm, s_l_effective, 0.5 * (s_g_norm + s_l_effective)
+    if rule == "max":
+        return s_g_norm, s_l_effective, max(s_g_norm, s_l_effective)
+    raise ValueError(f"unknown fusion rule {rule!r}; expected one of {FUSION_RULES}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import itertools
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -59,6 +60,17 @@ def test_cost_matrix_validation():
         solve_assignment(np.array([[np.nan]]))
     with pytest.raises(ValueError):
         solve_assignment(np.array([[-np.inf]]))
+
+
+@pytest.mark.parametrize("cost, error", [
+    ([[np.nan, -np.inf]], "NaN"),            # NaN is named first, as it always was
+    ([[-np.inf, np.nan], [1.0, 2.0]], "NaN"),
+    ([[1.0, -np.inf], [np.inf, 2.0]], "-inf"),
+    ([[np.inf, np.nan]], "NaN"),
+])
+def test_cost_matrix_errors_keep_their_order(cost, error):
+    with pytest.raises(ValueError, match=f"cost matrix contains {re.escape(error)}$"):
+        solve_assignment(cost)
 
 
 def test_oracle_random_floats():

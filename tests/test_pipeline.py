@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -337,6 +338,17 @@ def test_pipeline_config_checks_normalizer_params(kind, params):
     # DoubleSigmoidParams's width check names "double sigmoid"
     with pytest.raises(ValueError, match=kind.replace("_", "[_ ]")):
         Normalizer(kind, params)
+
+
+@pytest.mark.parametrize("side", ["left_width", "right_width"])
+@pytest.mark.parametrize("width, shown", [(0, "0.0"), (-1.5, "-1.5")])
+def test_double_sigmoid_width_error_names_its_field_and_value(side, width, shown):
+    params = {"center": 0.0, "left_width": 1.0, "right_width": 1.0, side: width}
+    text = f"double sigmoid {side} must be positive, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        DoubleSigmoidParams(**params)
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        Normalizer("double_sigmoid", params)
 
 
 def test_pipeline_config_checks_band():

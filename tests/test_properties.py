@@ -1,6 +1,7 @@
 """Property tests of the reader contract, the config schema, the gate rule,
-the assignment solver and its uniqueness certificate, the loss reference's
-correspondence costs and minutiae quality."""
+the float64 global copy and the global score, gate-and-fuse, the assignment
+solver and its uniqueness certificate, the loss reference's correspondence
+costs and minutiae quality."""
 
 import json
 import math
@@ -17,11 +18,13 @@ from fpfuse import (CorrespondenceWeights, DecodeError, GroundTruthRecord,
                     InfeasibleAssignmentError, LocalMatchConfig, LossWeights, Normalizer,
                     PipelineConfig, PredictionRecord, Protocol, SynthSpec, Template,
                     apply_pipeline, canonicalize_angle, correspondence_cost_matrix,
-                    enumerate_pairs, from_json, generate_corpus, infer_pair_with_config,
-                    minutiae_quality, read_template, reorder_ground_truth, score_pairs,
-                    solve_assignment, total_loss, validate, write_template)
+                    enumerate_pairs, from_json, fuse, generate_corpus, global_match,
+                    infer_pair_with_config, minutiae_quality, read_template,
+                    reorder_ground_truth, score_pairs, solve_assignment, total_loss, validate,
+                    write_template)
 from fpfuse.assignment import _augmenting_path_solve
-from fpfuse.pipeline import FUSION_RULES, GATES, UNGATED
+from fpfuse.pipeline import (FUSION_RULES, GATE_LOCAL_EVALUATED, GATES, SKIP_LOCAL, UNGATED,
+                             gated_fuse)
 from fpfuse.templates import MAX_IMAGE_SIDE
 
 import cost_oracle
@@ -400,6 +403,87 @@ def test_scores_of_another_local_config_are_refused(scored_corpus):
     apply_pipeline(scores, PipelineConfig(**UNGATED, local=few))
     with pytest.raises(ValueError, match="made with local config"):
         apply_pipeline(scores, PipelineConfig(**UNGATED, local=raw_local))
+
+
+# ---------------------------------------------------------------------------
+# the float64 global copy and the global score
+
+def _cast_then_dot(a, b):
+    """global_match as a per-call cast of both float32 embeddings, the oracle."""
+    dot = float(np.dot(np.asarray(a.global_embedding, dtype=np.float64),
+                       np.asarray(b.global_embedding, dtype=np.float64)))
+    return min(1.0, max(0.0, dot))
+
+
+def _every_way_built(t):
+    """``t`` as built in code and through each path that makes a template:
+    both readers, ``dataclasses.replace`` and the reader's repair of a
+    drifted global embedding, which goes through ``replace`` as well."""
+    drifted = replace(t, global_embedding=t.global_embedding * np.float32(1 + 5e-4))
+    return {"code": t,
+            "binary": read_template(write_template(t)),
+            "json": read_template(write_template(t, format="json")),
+            "replace": replace(t, source_id=t.source_id + "'"),
+            "repaired": read_template(write_template(drifted))}
+
+
+@PROPERTY
+@given(templates(), templates())
+def test_the_float64_global_copy_is_the_cast_on_every_path(t, other):
+    built = _every_way_built(t)
+    assert abs(float(built["repaired"].global64 @ built["repaired"].global64) - 1.0) < 1e-6
+    for how, u in built.items():
+        assert u.global64.dtype == np.float64, how
+        assert not u.global64.flags.writeable, how
+        with pytest.raises(ValueError, match="read-only"):
+            u.global64[0] = 0.0
+        assert u.global64.tobytes() == u.global_embedding.astype(np.float64).tobytes(), how
+        for v in (*built.values(), other):
+            if v.global_dim != u.global_dim:
+                with pytest.raises(ValueError, match="global dimension mismatch"):
+                    global_match(u, v)
+                continue
+            assert global_match(u, v).hex() == _cast_then_dot(u, v).hex(), how
+        wider = replace(u, global_embedding=np.append(u.global_embedding, np.float32(0.0)))
+        for pair in ((u, wider), (wider, u)):
+            with pytest.raises(ValueError, match="global dimension mismatch"):
+                global_match(*pair)
+
+
+# ---------------------------------------------------------------------------
+# gate-and-fuse against the clamp-then-checked-fuse form
+
+def _checked_fuse(a, b, rule):
+    """fuse as a range check, then the mean or the max: the oracle."""
+    assert rule in FUSION_RULES and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0
+    return 0.5 * (a + b) if rule == "mean" else max(a, b)
+
+
+def _clamp(x):
+    return min(1.0, max(0.0, float(x)))
+
+
+any_scores = (st.sampled_from([0.0, 1.0, -0.0, math.nan, math.inf, -math.inf])
+              | st.floats(0.0, 1.0) | st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GATES), any_scores, any_scores, st.sampled_from(FUSION_RULES))
+@example(GATE_LOCAL_EVALUATED, 0.0, 0.0, "mean")
+@example(GATE_LOCAL_EVALUATED, 1.0, 1.0, "max")
+@example(GATE_LOCAL_EVALUATED, 0.5, math.nan, "mean")  # a NaN local score clamps to 0
+@example(GATE_LOCAL_EVALUATED, 0.5, math.nan, "max")
+def test_gated_fuse_is_clamp_then_checked_fuse(gate, s_g, s_l, rule):
+    s_g_norm = _clamp(s_g)
+    s_l_effective = SKIP_LOCAL[gate] if gate in SKIP_LOCAL else _clamp(s_l)
+    want = (s_g_norm, s_l_effective, _checked_fuse(s_g_norm, s_l_effective, rule))
+    got = gated_fuse(gate, s_g, s_l, rule)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert fuse(s_g_norm, s_l_effective, rule).hex() == want[2].hex()
+    with pytest.raises(ValueError, match="unknown fusion rule 'median'"):
+        gated_fuse(gate, s_g, s_l, "median")
+    with pytest.raises(ValueError, match="unknown fusion rule 'median'"):
+        fuse(s_g_norm, s_l_effective, "median")
 
 
 # ---------------------------------------------------------------------------
