@@ -20,7 +20,7 @@ from .matching import (LocalMatchConfig, LocalMatchResult, global_match,
                        local_match)
 from .pipeline import (UNGATED, DoubleSigmoidParams, MatchResult, Normalizer,
                        PipelineConfig, double_sigmoid, fit_double_sigmoid,
-                       fuse, infer_pair, infer_pair_with_config)
+                       infer_pair, infer_pair_with_config)
 from .synth import (CorpusBundle, Identity, InjectionManifest, SynthSpec,
                     generate_corpus, generate_identity, generate_impression,
                     write_bundle)
@@ -41,7 +41,7 @@ __all__ = [
     "Violation", "aggregate_minutiae_quality", "angular_distance",
     "apply_pipeline", "canonicalize_angle", "correspondence_cost_matrix",
     "double_sigmoid", "enumerate_pairs", "evaluate_scores",
-    "fit_double_sigmoid", "frr_at_far", "from_json", "fuse", "generate_corpus",
+    "fit_double_sigmoid", "frr_at_far", "from_json", "generate_corpus",
     "generate_identity", "generate_impression", "global_match", "infer_pair",
     "infer_pair_with_config", "local_match", "minutiae_quality", "mse",
     "read_corpus", "read_template", "reorder_ground_truth",

@@ -19,11 +19,14 @@ seeded 50x4 synthetic corpora.
 :func:`correspondence_cost_matrix` scores every candidate pair between two
 minutiae sets, given as arrays, with a weighted sum of the positional L2
 distance, the circular orientation distance and the embedding L2 distance.
-It builds no ``(n, m, d)`` array: the location term comes from the two
-``(n, m)`` planes of x and y differences, and the embedding term from the
-Gram form ``sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0))`` of both sets scaled by one
-power of two.  That term is accurate to about 1e-8 of the embeddings' norm
-near zero distance, and its last bits depend on the BLAS build.
+It builds no ``(n, m, d)`` array: the location term comes from
+:func:`squared_distances`, and the embedding term from the Gram form
+``sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0))`` of both sets scaled by one power of
+two.  That term is accurate to about 1e-8 of the embeddings' norm near zero
+distance, and its last bits depend on the BLAS build.
+:func:`squared_distances` is the one planar distance of the package: these
+costs, ``evaluation.minutiae_quality`` and ``matching.local_match``'s
+geometric filter take it.
 """
 
 from __future__ import annotations
@@ -312,14 +315,23 @@ def solve_assignment(c: np.ndarray | Sequence[Sequence[float]]) -> Assignment:
 # ---------------------------------------------------------------------------
 # Minutiae correspondence
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(n, m)`` squared distances between the rows of ``(n, 2)`` and
+    ``(m, 2)`` position arrays: ``dx*dx + dy*dy`` over the planes of x and y
+    differences, the bits of a broadcast sum of squares without its
+    ``(n, m, 2)`` array."""
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    return dx * dx + dy * dy
+
+
 def correspondence_cost_matrix(pred_pos, pred_ori, pred_emb, gt_pos, gt_ori, gt_emb,
                                w: CorrespondenceWeights = CorrespondenceWeights()) -> np.ndarray:
     """Pairwise minutia costs between two sets given as arrays: positions
     ``(n, 2)``, orientations ``(n,)`` and embeddings ``(n, d)``.
 
-    The location distance is ``sqrt(dx*dx + dy*dy)`` over the planes of x
-    and y differences, the same bits as summing a broadcast of squared
-    differences.  The embedding distance is taken in Gram form,
+    The location distance is the root of :func:`squared_distances`.  The
+    embedding distance is taken in Gram form,
     ``sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0))``, after both embedding sets are
     scaled by ``2**-e``, where ``e`` is the binary exponent
     (:func:`numpy.frexp`) of their largest absolute value; the root is
@@ -340,9 +352,7 @@ def correspondence_cost_matrix(pred_pos, pred_ori, pred_emb, gt_pos, gt_ori, gt_
     if pred_emb.shape[1] != gt_emb.shape[1]:
         raise ValueError(
             f"embedding dimension mismatch: {pred_emb.shape[1]} != {gt_emb.shape[1]}")
-    dx = pred_pos[:, 0, None] - gt_pos[None, :, 0]
-    dy = pred_pos[:, 1, None] - gt_pos[None, :, 1]
-    loc = np.sqrt(dx * dx + dy * dy)
+    loc = np.sqrt(squared_distances(pred_pos, gt_pos))
     ori = angular_distance(np.asarray(pred_ori)[:, None], np.asarray(gt_ori)[None, :])
     peak = max(np.abs(pred_emb).max(initial=0.0), np.abs(gt_emb).max(initial=0.0))
     _, e = np.frexp(peak)  # ldexp scales without forming 2**-e, which can overflow

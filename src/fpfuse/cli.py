@@ -6,6 +6,7 @@ errors, with one ``error:`` line and no traceback.  Every file the CLI
 reads (corpus, references, config, spec, templates, loss records and
 weights) goes through one boundary, :func:`_read`, whose error names the
 input.  ``FPFUSE_SEED`` overrides the generator seed from the spec file.
+``eval`` and ``bench`` run the protocol of the corpus's own shape.
 ``bench`` takes either ``--grid`` or ``--sweep-minutiae``, never both.
 """
 
@@ -125,14 +126,13 @@ def cmd_match(args) -> int:
 
 
 def _load_eval_inputs(args):
-    """The corpus, its protocol, and the protocol's pairs, genuine first,
-    with the number of genuine pairs."""
+    """The corpus, the protocol of its shape, and the protocol's pairs,
+    genuine first, with the number of genuine pairs."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     corpus = _read(f"cannot read corpus {args.corpus}", read_corpus, args.corpus)
-    protocol = Protocol.parse(args.protocol) if args.protocol else Protocol(
-        subjects=len(corpus.subject_ids),
-        impressions=len(corpus.subjects[corpus.subject_ids[0]]))
+    protocol = Protocol(subjects=len(corpus.subject_ids),
+                        impressions=len(corpus.subjects[corpus.subject_ids[0]]))
     genuine_pairs, impostor_pairs = enumerate_pairs(protocol, corpus)
     return corpus, protocol, genuine_pairs + impostor_pairs, len(genuine_pairs)
 
@@ -145,7 +145,7 @@ def cmd_eval(args) -> int:
     if args.refs or refs_dir.is_dir():
         quality = _read(f"bad references {refs_dir}",
                         lambda: aggregate_minutiae_quality(corpus, read_corpus(refs_dir)))
-    raw = score_pairs(corpus, pairs, cfg.local, jobs=args.jobs, bands=[cfg])
+    raw = score_pairs(corpus, pairs, [cfg], jobs=args.jobs)
     derived = apply_pipeline(raw, cfg)
     doc = evaluate_scores(derived.final[:n_gen], derived.final[n_gen:],
                           derived.gate_stats, int(derived.work_units.sum()),
@@ -204,14 +204,14 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
 
     rows = []
-    if args.sweep_minutiae:
+    if args.sweep_minutiae is not None:
         try:
             sweep = [replace(cfg, **UNGATED, local=replace(cfg.local, max_minutiae=int(k)))
                      for k in args.sweep_minutiae.split(",")]
         except ValueError as exc:
             raise ValueError(f"bad --sweep-minutiae {args.sweep_minutiae!r}: {exc}") from exc
         for ungated in sweep:
-            raw = score_pairs(corpus, pairs, ungated.local, jobs=args.jobs)
+            raw = score_pairs(corpus, pairs, [ungated], jobs=args.jobs)
             fused = apply_pipeline(raw, ungated)
             local_only = np.clip(ungated.norm(raw.s_l_raw), 0.0, 1.0)
             row = {"max_minutiae": ungated.local.max_minutiae,
@@ -225,7 +225,7 @@ def cmd_bench(args) -> int:
         rows.sort(key=lambda r: -r["max_minutiae"])
     else:
         grid = _parse_grid("disabled,0.75:0.15" if args.grid is None else args.grid, cfg)
-        raw = score_pairs(corpus, pairs, cfg.local, jobs=args.jobs, bands=grid)
+        raw = score_pairs(corpus, pairs, grid, jobs=args.jobs)
         for band in grid:
             derived = apply_pipeline(raw, band)
             row = {
@@ -283,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="pipeline config JSON")
     p.set_defaults(func=cmd_match)
 
+    corpus_help = ("corpus directory; the verification protocol is its own shape: "
+                   "every subject, each with the same number of impressions")
     p = sub.add_parser("eval", help="run the verification protocol over a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--protocol", help="SxI, e.g. 100x8 (inferred from corpus if omitted)")
+    p.add_argument("--corpus", required=True, help=corpus_help)
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--roc-csv", help="ROC CSV path")
@@ -295,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="threshold-gate grid or minutiae-subset sweep")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--protocol")
+    p.add_argument("--corpus", required=True, help=corpus_help)
     p.add_argument("--config")
     p.add_argument("--grid", help="comma list of theta_t:theta_f pairs or 'disabled' "
                    "(default: disabled,0.75:0.15); excludes --sweep-minutiae")

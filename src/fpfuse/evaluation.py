@@ -5,6 +5,9 @@ all impression pairs within a subject; impostor comparisons take one
 canonical impression per subject across all subject pairs, giving
 ``S*I*(I-1)/2`` genuine and ``S*(S-1)/2`` impostor comparisons.
 
+:func:`score_pairs` scores the pairs once for pipeline configs that share
+one local config; :func:`apply_pipeline` derives each one's final scores.
+
 Score metrics use the decision rule ``score >= threshold -> genuine`` on a
 grid of the distinct observed scores plus +inf, which keeps every reported
 operating point realizable.
@@ -24,9 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .assignment import solve_assignment
+from .assignment import solve_assignment, squared_distances
 from .matching import LocalMatchConfig, global_match, local_match
-from .pipeline import GATE_LOCAL_EVALUATED, GATES, PipelineConfig, band_gate, gated_fuse
+from .pipeline import GATE_LOCAL_EVALUATED, GATES, UNGATED, PipelineConfig, band_gate, gated_fuse
 from .templates import Corpus
 
 PairKey = Tuple[Tuple[str, int], Tuple[str, int]]
@@ -46,30 +49,18 @@ class Protocol:
         if self.subjects < 1 or self.impressions < 1:
             raise ValueError("protocol needs at least one subject and one impression")
 
-    @classmethod
-    def parse(cls, text: str) -> "Protocol":
-        try:
-            subjects, impressions = (int(v) for v in text.lower().split("x"))
-        except (ValueError, AttributeError) as exc:
-            raise ValueError(f"protocol must look like '100x8', got {text!r}") from exc
-        return cls(subjects=subjects, impressions=impressions)
 
-
-def enumerate_pairs(protocol: Protocol,
-                    corpus: Optional[Corpus] = None) -> Tuple[List[PairKey], List[PairKey]]:
-    """Deterministic genuine and impostor pair lists (subject-major order)."""
-    if corpus is not None:
-        ids = corpus.subject_ids
-        if len(ids) != protocol.subjects:
-            raise ValueError(f"corpus has {len(ids)} subjects, protocol expects {protocol.subjects}")
-        for sid in ids:
-            have = len(corpus.subjects[sid])
-            if have != protocol.impressions:
-                raise ValueError(
-                    f"ragged corpus: subject {sid} has {have} impressions, expected {protocol.impressions}")
-    else:
-        width = max(3, len(str(protocol.subjects - 1)))
-        ids = [f"{i:0{width}d}" for i in range(protocol.subjects)]
+def enumerate_pairs(protocol: Protocol, corpus: Corpus) -> Tuple[List[PairKey], List[PairKey]]:
+    """Deterministic genuine and impostor pair lists (subject-major order) of
+    a corpus of ``protocol``'s shape; ``ValueError`` for another shape."""
+    ids = corpus.subject_ids
+    if len(ids) != protocol.subjects:
+        raise ValueError(f"corpus has {len(ids)} subjects, protocol expects {protocol.subjects}")
+    for sid in ids:
+        have = len(corpus.subjects[sid])
+        if have != protocol.impressions:
+            raise ValueError(
+                f"ragged corpus: subject {sid} has {have} impressions, expected {protocol.impressions}")
     genuine: List[PairKey] = []
     for sid in ids:
         for i in range(protocol.impressions):
@@ -158,11 +149,7 @@ def minutiae_quality(pred_positions, gt_positions) -> MinutiaeQuality:
     pred = np.asarray(pred_positions, dtype=np.float64).reshape(-1, 2)
     gt = np.asarray(gt_positions, dtype=np.float64).reshape(-1, 2)
     n_pred, n_gt = pred.shape[0], gt.shape[0]
-    # The same bits as summing a broadcast of squared differences, with no
-    # (n, m, 2) array.
-    dx = pred[:, 0, None] - gt[None, :, 0]
-    dy = pred[:, 1, None] - gt[None, :, 1]
-    cost = np.sqrt(dx * dx + dy * dy)
+    cost = np.sqrt(squared_distances(pred, gt))
     pairs = solve_assignment(cost).pairs
     errors = cost[tuple(zip(*pairs))] if pairs else np.zeros(0)
     errors = errors[errors <= QUALITY_DIST_PX]
@@ -243,24 +230,30 @@ def _local_chunk_from_context(pairs):
 
 
 def score_pairs(corpus: Corpus, pairs: Sequence[PairKey],
-                local_cfg: LocalMatchConfig = LocalMatchConfig(),
-                jobs: int = 1, bands: Sequence[PipelineConfig] = ()) -> ChannelScores:
-    """Raw global scores for every pair, and raw local scores for the pairs
-    that some config of ``bands`` sends to the local matcher (every pair
-    when ``bands`` is empty).  A skipped pair carries ``s_l_raw = NaN`` and
-    0 work units; :func:`apply_pipeline` accepts the scores for any config
-    whose band lies within the union of ``bands``.
+                configs: Sequence[PipelineConfig] = (PipelineConfig(**UNGATED),),
+                jobs: int = 1) -> ChannelScores:
+    """Raw global scores for every pair, and raw local scores under the one
+    local config the ``configs`` share (else ``ValueError``) for the pairs
+    that some config sends to the local matcher: every pair by default.  A
+    skipped pair carries ``s_l_raw = NaN`` and 0 work units;
+    :func:`apply_pipeline` accepts the scores for any config of that local
+    config whose band lies within the union of the configs' bands.
 
     With ``jobs > 1`` and at least ``POOL_MIN_PAIRS_PER_JOB`` local matches
     per worker, the matches are chunked across worker processes and
     scattered back by index, so results do not depend on the worker count.
     """
+    local_cfgs = {cfg.local for cfg in configs}
+    if len(local_cfgs) != 1:
+        raise ValueError(f"score_pairs needs configs that share one local config, "
+                         f"got {len(local_cfgs)} local configs")
+    local_cfg, = local_cfgs
     pairs = list(pairs)
     s_g = np.array([global_match(corpus.template(*key_a), corpus.template(*key_b))
                     for key_a, key_b in pairs], dtype=np.float64)
     todo = np.array([k for k, s in enumerate(s_g.tolist())
-                     if not bands or any(band_gate(s, cfg) == GATE_LOCAL_EVALUATED
-                                         for cfg in bands)], dtype=np.intp)
+                     if any(band_gate(s, cfg) == GATE_LOCAL_EVALUATED for cfg in configs)],
+                    dtype=np.intp)
     todo_pairs = [pairs[k] for k in todo]
     if jobs <= 1 or len(todo_pairs) < POOL_MIN_PAIRS_PER_JOB * jobs:
         s_l_todo, work_todo = _local_chunk(todo_pairs, corpus, local_cfg)
@@ -309,7 +302,7 @@ def apply_pipeline(scores: ChannelScores, cfg: PipelineConfig) -> PipelineScores
     scores are bit-identical to ``infer_pair``'s.  Only the pairs the config
     sends to the local matcher are normalized.  Raises ``ValueError`` if
     ``scores`` was made with another local config, or if one of those pairs
-    was not matched locally (``cfg``'s band is wider than ``scores``'s bands).
+    was not matched locally (``cfg``'s band is wider than those scored for).
     """
     if scores.local != cfg.local:
         raise ValueError(f"scores made with local config {scores.local}, not {cfg.local}")

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .assignment import angular_distance, solve_assignment
+from .assignment import angular_distance, solve_assignment, squared_distances
 from .templates import Template, number
 
 # Cosines within one part in 1e12 of 1 are snapped to exactly 1 so that a
@@ -133,13 +133,13 @@ def local_match(a: Template, b: Template, cfg: LocalMatchConfig = LocalMatchConf
     candidates = cos >= cfg.emb_sim_floor
     if not candidates.any():
         return LocalMatchResult(score=0.0, matched_pairs=(), work_units=work)
-    i, j = np.unravel_index(int(np.argmax(np.where(candidates, cos, -np.inf))), cos.shape)
+    # The first global maximum is a candidate: it is at least the floor.
+    i, j = np.unravel_index(int(cos.argmax()), cos.shape)
     rot = float(ori_b[j] - ori_a[i])
     c, s = math.cos(rot), math.sin(rot)
     rot_mat = np.array([[c, -s], [s, c]])
     projected = pos_a @ rot_mat.T + (pos_b[j] - rot_mat @ pos_a[i])
-    diff = projected[:, None, :] - pos_b[None, :, :]
-    geo_ok = (diff ** 2).sum(axis=2) <= cfg.geo_tolerance_px ** 2
+    geo_ok = squared_distances(projected, pos_b) <= cfg.geo_tolerance_px ** 2
     ori_ok = angular_distance(ori_a[:, None] + rot, ori_b[None, :]) <= cfg.ori_tolerance_rad
     score, pairs = _best_pairing(cos, candidates & geo_ok & ori_ok)
     return LocalMatchResult(score=max(score, 0.0), matched_pairs=pairs, work_units=work)

@@ -73,7 +73,8 @@ def double_sigmoid(s, p: DoubleSigmoidParams):
     if not np.isfinite(s).all():
         raise ValueError("double_sigmoid requires finite scores")
     width = np.where(s < p.center, p.left_width, p.right_width)
-    z = np.clip(-2.0 * (s - p.center) / width, -700.0, 700.0)
+    with np.errstate(over="ignore"):  # a tiny width overflows; the clip bounds z
+        z = np.clip(-2.0 * (s - p.center) / width, -700.0, 700.0)
     out = 1.0 / (1.0 + np.exp(z))
     return float(out) if out.ndim == 0 else out
 
@@ -95,17 +96,6 @@ def fit_double_sigmoid(scores_genuine, scores_impostor) -> DoubleSigmoidParams:
 
 
 FUSION_RULES = ("mean", "max")
-
-
-def fuse(a: float, b: float, rule: str = "mean") -> float:
-    """Combine two normalized scores in [0, 1] by :func:`gated_fuse`'s rule.
-    Raises ``ValueError`` for an unknown rule, then for a score outside
-    [0, 1]."""
-    fused = gated_fuse(GATE_LOCAL_EVALUATED, a, b, rule)[2]
-    for name, value in (("a", a), ("b", b)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"fuse input {name}={value} outside [0, 1]")
-    return fused
 
 
 # A disabled gate: theta_t > 1 and theta_f < 0 keep every pair inside the band.

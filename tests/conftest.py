@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fpfuse import LocalMatchConfig, SynthSpec, Template, generate_corpus
+from fpfuse import Corpus, LocalMatchConfig, SynthSpec, Template, generate_corpus
 
 
 def unit(vec):
@@ -38,6 +38,12 @@ def basis_template(d_g=8, axis=0, minutiae=(), source_id="t"):
     g = np.zeros(d_g)
     g[axis] = 1.0
     return make_template(g, minutiae, source_id=source_id)
+
+
+def stub_corpus(subjects, impressions):
+    """A corpus of the given shape, one template repeated, for pair counts."""
+    t = basis_template()
+    return Corpus({f"{k:03d}": (t,) * impressions for k in range(subjects)})
 
 
 def brute_force(cost):

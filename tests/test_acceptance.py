@@ -21,7 +21,7 @@ from fpfuse import (CorrespondenceWeights, DoubleSigmoidParams,
 from fpfuse.losses import GroundTruthRecord, PredictionRecord
 from fpfuse.cli import main
 
-from conftest import as_arrays, random_minutia
+from conftest import as_arrays, random_minutia, stub_corpus
 
 
 def _ranks(values):
@@ -56,10 +56,11 @@ def _config(fitted_norm, theta_t, theta_f, **local):
 # criterion: protocol exactness
 
 def test_protocol_exactness():
+    corpora = stub_corpus(100, 8), stub_corpus(140, 12)
     start = time.perf_counter()
-    genuine, impostor = enumerate_pairs(Protocol(100, 8))
+    genuine, impostor = enumerate_pairs(Protocol(100, 8), corpora[0])
     assert (len(genuine), len(impostor)) == (2800, 4950)
-    genuine, impostor = enumerate_pairs(Protocol(140, 12))
+    genuine, impostor = enumerate_pairs(Protocol(140, 12), corpora[1])
     assert (len(genuine), len(impostor)) == (9240, 9730)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -190,7 +191,7 @@ def test_minutiae_subset_tradeoff(fitted_norm):
     work, frr_fused, frr_local = [], [], []
     for k in (50, 30, 10):
         cfg = _config(fitted_norm, 2.0, -1.0, max_minutiae=k)
-        raw = score_pairs(corpus, genuine_pairs + impostor_pairs, cfg.local)
+        raw = score_pairs(corpus, genuine_pairs + impostor_pairs, [cfg])
         fused = apply_pipeline(raw, cfg)
         local_only = np.clip(cfg.norm(raw.s_l_raw), 0.0, 1.0)
         work.append(int(fused.work_units.sum()))
@@ -374,7 +375,7 @@ def test_determinism_cli_jobs(tmp_path):
     reports = []
     for jobs in (1, 4):
         out = tmp_path / f"report_{jobs}.json"
-        assert main(["eval", "--corpus", str(corpus_a), "--protocol", "24x3",
+        assert main(["eval", "--corpus", str(corpus_a),
                      "--out", str(out), "--jobs", str(jobs)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]

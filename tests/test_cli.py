@@ -230,7 +230,7 @@ def test_eval_toy_corpus_counts(tmp_path, capsys):
     out = tmp_path / "c"
     main(["synth", "--spec", str(spec_path), "--out", str(out)])
     report_path = tmp_path / "report.json"
-    code, doc = run_json(capsys, ["eval", "--corpus", str(out), "--protocol", "2x2",
+    code, doc = run_json(capsys, ["eval", "--corpus", str(out),
                                   "--out", str(report_path)])
     assert code == 0
     assert doc["counts"] == {"genuine": 2, "impostor": 1}
@@ -272,18 +272,6 @@ def test_eval_report_config_block_is_the_config_file(synth_dir, tmp_path):
     assert block == asdict(from_json(PipelineConfig, doc, "config"))
 
 
-def test_eval_protocol_mismatch_exits_2(synth_dir):
-    assert main(["eval", "--corpus", str(synth_dir), "--protocol", "9x9"]) == 2
-
-
-@pytest.mark.parametrize("protocol", ["0x4", "4x0"])
-def test_eval_empty_protocol_exits_2_with_its_own_error(synth_dir, capsys, protocol):
-    assert main(["eval", "--corpus", str(synth_dir), "--protocol", protocol]) == 2
-    err = capsys.readouterr().err
-    assert "protocol needs at least one subject and one impression" in err
-    assert "must look like" not in err
-
-
 def test_eval_missing_corpus_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing"
     assert main(["eval", "--corpus", str(missing)]) == 2
@@ -294,7 +282,7 @@ def test_eval_jobs_byte_identical(synth_dir, tmp_path):
     reports = []
     for jobs, name in ((1, "r1.json"), (4, "r4.json")):
         path = tmp_path / name
-        assert main(["eval", "--corpus", str(synth_dir), "--protocol", "4x3",
+        assert main(["eval", "--corpus", str(synth_dir),
                      "--out", str(path), "--jobs", str(jobs)]) == 0
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]
@@ -429,7 +417,7 @@ def test_config_naming_a_removed_normalizer_exits_2(synth_dir, tmp_path, capsys)
 
 def test_bench_grid_rows_sorted_by_gap(synth_dir, capsys):
     code, doc = run_json(capsys, [
-        "bench", "--corpus", str(synth_dir), "--protocol", "4x3",
+        "bench", "--corpus", str(synth_dir),
         "--grid", "0.75:0.15,disabled,0.5:0.4"])
     assert code == 0
     gaps = [row["gap"] for row in doc["rows"]]
@@ -441,21 +429,19 @@ def test_bench_grid_rows_sorted_by_gap(synth_dir, capsys):
 
 def test_bench_degenerate_grid(synth_dir, capsys):
     code, doc = run_json(capsys, ["bench", "--corpus", str(synth_dir),
-                                  "--protocol", "4x3", "--grid", "0.5:0.5"])
+                                  "--grid", "0.5:0.5"])
     assert code == 0
     row = doc["rows"][0]
     assert row["local_evaluated"] <= 1  # only pairs with s_g exactly 0.5
 
 
 def test_bench_empty_grid_exits_2(synth_dir):
-    assert main(["bench", "--corpus", str(synth_dir), "--protocol", "4x3",
-                 "--grid", " , "]) == 2
+    assert main(["bench", "--corpus", str(synth_dir), "--grid", " , "]) == 2
 
 
 @pytest.mark.parametrize("grid", ["nan:0.1", "inf:0.1", "0.5:-inf", "0.5:nan"])
 def test_bench_non_finite_grid_exits_2(synth_dir, capsys, grid):
-    assert main(["bench", "--corpus", str(synth_dir), "--protocol", "4x3",
-                 "--grid", grid]) == 2
+    assert main(["bench", "--corpus", str(synth_dir), "--grid", grid]) == 2
     assert "finite" in capsys.readouterr().err
 
 
@@ -464,25 +450,25 @@ def test_bench_bad_far_exits_2_before_scoring(synth_dir, capsys, monkeypatch, fa
     def no_scoring(*args, **kwargs):
         raise AssertionError("scored a corpus with a bad --far")
     monkeypatch.setattr(fpfuse.cli, "score_pairs", no_scoring)
-    assert main(["bench", "--corpus", str(synth_dir), "--protocol", "4x3", "--far", far]) == 2
+    assert main(["bench", "--corpus", str(synth_dir), "--far", far]) == 2
     assert "--far" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sweep", ["50,0", "50,-3", "50,x", "50,2.5"])
+# An empty sweep is a bad sweep, not a request for the default grid.
+@pytest.mark.parametrize("sweep", ["50,0", "50,-3", "50,x", "50,2.5", ""])
 def test_bench_bad_sweep_exits_2_before_scoring(synth_dir, capsys, monkeypatch, sweep):
     def no_scoring(*args, **kwargs):
         raise AssertionError("scored a corpus with a bad --sweep-minutiae")
     monkeypatch.setattr(fpfuse.cli, "score_pairs", no_scoring)
-    assert main(["bench", "--corpus", str(synth_dir), "--protocol", "4x3",
-                 "--sweep-minutiae", sweep]) == 2
-    assert "--sweep-minutiae" in capsys.readouterr().err
+    assert main(["bench", "--corpus", str(synth_dir), "--sweep-minutiae", sweep]) == 2
+    assert f"bad --sweep-minutiae {sweep!r}" in capsys.readouterr().err
 
 
 def test_bench_grid_and_sweep_exit_2_before_reading_the_corpus(synth_dir, capsys, monkeypatch):
     def no_reading(*args, **kwargs):
         raise AssertionError("read a corpus for --grid with --sweep-minutiae")
     monkeypatch.setattr(fpfuse.cli, "read_corpus", no_reading)
-    assert main(["bench", "--corpus", str(synth_dir), "--protocol", "4x3",
+    assert main(["bench", "--corpus", str(synth_dir),
                  "--grid", "0.9:0.1", "--sweep-minutiae", "10"]) == 2
     err = capsys.readouterr().err
     assert "--grid" in err and "--sweep-minutiae" in err
@@ -490,7 +476,7 @@ def test_bench_grid_and_sweep_exit_2_before_reading_the_corpus(synth_dir, capsys
 
 def test_bench_minutiae_sweep(synth_dir, capsys):
     code, doc = run_json(capsys, [
-        "bench", "--corpus", str(synth_dir), "--protocol", "4x3",
+        "bench", "--corpus", str(synth_dir),
         "--sweep-minutiae", "50,30,10"])
     assert code == 0
     ks = [row["max_minutiae"] for row in doc["rows"]]
@@ -648,7 +634,7 @@ def test_losses_bad_numbers_exit_2(tmp_path, capsys, which, patch, key):
 
 def test_pretty_output_renders_table(synth_dir, capsys):
     code = main(["--pretty", "bench", "--corpus", str(synth_dir),
-                 "--protocol", "4x3", "--grid", "disabled,0.75:0.15"])
+                 "--grid", "disabled,0.75:0.15"])
     assert code == 0
     out = capsys.readouterr().out
     assert "theta_t" in out and "local_evaluated" in out

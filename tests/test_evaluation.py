@@ -6,7 +6,7 @@ import pytest
 from fpfuse import (Corpus, Protocol, aggregate_minutiae_quality, enumerate_pairs,
                     evaluate_scores, frr_at_far, minutiae_quality)
 
-from conftest import as_arrays, random_minutia
+from conftest import as_arrays, random_minutia, stub_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -16,28 +16,28 @@ def test_pair_counts_match_closed_forms_exhaustively():
     for s in range(1, 11):
         for i in range(1, 11):
             p = Protocol(subjects=s, impressions=i)
-            genuine, impostor = enumerate_pairs(p)
+            genuine, impostor = enumerate_pairs(p, stub_corpus(s, i))
             assert len(genuine) == s * i * (i - 1) // 2
             assert len(impostor) == s * (s - 1) // 2
 
 
 def test_standard_protocol_counts():
-    genuine, impostor = enumerate_pairs(Protocol(100, 8))
+    genuine, impostor = enumerate_pairs(Protocol(100, 8), stub_corpus(100, 8))
     assert (len(genuine), len(impostor)) == (2800, 4950)
-    genuine, impostor = enumerate_pairs(Protocol(140, 12))
+    genuine, impostor = enumerate_pairs(Protocol(140, 12), stub_corpus(140, 12))
     assert (len(genuine), len(impostor)) == (9240, 9730)
 
 
 def test_tiny_protocol_hand_count():
-    genuine, impostor = enumerate_pairs(Protocol(2, 2))
+    genuine, impostor = enumerate_pairs(Protocol(2, 2), stub_corpus(2, 2))
     assert len(genuine) == 2 and len(impostor) == 1
     assert genuine[0] == (("000", 0), ("000", 1))
     assert impostor[0] == (("000", 0), ("001", 0))
 
 
 def test_enumeration_order_deterministic():
-    a = enumerate_pairs(Protocol(5, 3))
-    b = enumerate_pairs(Protocol(5, 3))
+    a = enumerate_pairs(Protocol(5, 3), stub_corpus(5, 3))
+    b = enumerate_pairs(Protocol(5, 3), stub_corpus(5, 3))
     assert a == b
 
 
@@ -49,10 +49,10 @@ def test_ragged_corpus_rejected(small_bundle):
         enumerate_pairs(Protocol(subjects=2, impressions=3), corpus)
 
 
-def test_protocol_parse():
-    assert Protocol.parse("100x8") == Protocol(100, 8)
-    with pytest.raises(ValueError):
-        Protocol.parse("100-8")
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0)], ids=["0x4", "4x0"])
+def test_empty_protocol_raises(shape):
+    with pytest.raises(ValueError, match="protocol needs at least one subject and one impression"):
+        Protocol(*shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from fpfuse import (UNGATED, CorrespondenceWeights, DoubleSigmoidParams, LocalMatchConfig,
                     LossWeights, Normalizer, PipelineConfig, SynthSpec,
                     double_sigmoid, fit_double_sigmoid,
-                    from_json, fuse, infer_pair, infer_pair_with_config)
+                    from_json, infer_pair, infer_pair_with_config)
 from fpfuse.pipeline import (GATE_CONFIDENT_GENUINE, GATE_CONFIDENT_IMPOSTOR,
-                             GATE_LOCAL_EVALUATED)
+                             GATE_LOCAL_EVALUATED, gated_fuse)
 
 from conftest import as_arrays, basis_template, make_template, unit
 
@@ -55,6 +56,17 @@ def test_double_sigmoid_rejects_nonfinite():
         double_sigmoid(float("nan"), p)
 
 
+def test_double_sigmoid_of_a_tiny_width_warns_nothing():
+    """A positive width as small as 1e-308 overflows the division; the clip
+    bounds z, so the scores are exact and nothing is printed."""
+    p = DoubleSigmoidParams(center=3.0, left_width=1e-308, right_width=1e-308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = double_sigmoid([2.0, 3.0, 4.0, -1e308, 1e308], p)
+    low, high = 1.0 / (1.0 + math.exp(700.0)), 1.0 / (1.0 + math.exp(-700.0))
+    assert out.tolist() == [low, 0.5, high, low, high]
+
+
 def test_double_sigmoid_params_validation():
     with pytest.raises(ValueError):
         DoubleSigmoidParams(center=0.0, left_width=0.0, right_width=1.0)
@@ -76,20 +88,20 @@ def test_normalizations_preserve_rank_order():
 # ---------------------------------------------------------------------------
 # fusion
 
+def _fused(a, b, rule):
+    return gated_fuse(GATE_LOCAL_EVALUATED, a, b, rule)[2]
+
+
 def test_fuse_rules():
-    assert fuse(0.4, 0.6, "mean") == pytest.approx(0.5)
-    assert fuse(0.4, 0.6, "max") == 0.6
+    assert _fused(0.4, 0.6, "mean") == pytest.approx(0.5)
+    assert _fused(0.4, 0.6, "max") == 0.6
     for rule in ("mean", "max"):
-        assert fuse(0.37, 0.37, rule) == pytest.approx(0.37)
+        assert _fused(0.37, 0.37, rule) == pytest.approx(0.37)
 
 
 def test_fuse_validates_inputs():
-    with pytest.raises(ValueError):
-        fuse(1.2, 0.5, "mean")
-    with pytest.raises(ValueError):
-        fuse(0.5, -0.1, "max")
-    with pytest.raises(ValueError):
-        fuse(0.5, 0.5, "median")
+    with pytest.raises(ValueError, match="unknown fusion rule 'median'"):
+        _fused(0.5, 0.5, "median")
 
 
 # ---------------------------------------------------------------------------

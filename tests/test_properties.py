@@ -1,7 +1,7 @@
 """Property tests of the reader contract, the config schema, the gate rule,
 the float64 global copy and the global score, gate-and-fuse, the assignment
 solver and its uniqueness certificate, the loss reference's correspondence
-costs and minutiae quality."""
+costs, the one planar distance and minutiae quality."""
 
 import json
 import math
@@ -18,11 +18,11 @@ from fpfuse import (CorrespondenceWeights, DecodeError, GroundTruthRecord,
                     InfeasibleAssignmentError, LocalMatchConfig, LossWeights, Normalizer,
                     PipelineConfig, PredictionRecord, Protocol, SynthSpec, Template,
                     apply_pipeline, canonicalize_angle, correspondence_cost_matrix,
-                    enumerate_pairs, from_json, fuse, generate_corpus, global_match,
+                    enumerate_pairs, from_json, generate_corpus, global_match,
                     infer_pair_with_config, minutiae_quality, read_template,
                     reorder_ground_truth, score_pairs, solve_assignment, total_loss, validate,
                     write_template)
-from fpfuse.assignment import _augmenting_path_solve
+from fpfuse.assignment import _augmenting_path_solve, squared_distances
 from fpfuse.pipeline import (FUSION_RULES, GATE_LOCAL_EVALUATED, GATES, SKIP_LOCAL, UNGATED,
                              gated_fuse)
 from fpfuse.templates import MAX_IMAGE_SIDE
@@ -323,7 +323,7 @@ def scored_corpus():
                      distortion_rate=0.2, weak_global_rate=0.5)
     corpus = generate_corpus(spec).corpus
     genuine, impostor = enumerate_pairs(Protocol(5, 3), corpus)
-    return corpus, score_pairs(corpus, genuine + impostor, raw_local)
+    return corpus, score_pairs(corpus, genuine + impostor)
 
 
 score_norms = st.one_of(
@@ -351,7 +351,7 @@ def test_per_pair_equals_batch(scored_corpus, data):
         assert GATES.index(single.gate) == batch.gates[k]
         assert single.work_units == batch.work_units[k]
     # scored gate-first: the local matcher runs on the band's pairs only
-    gated = apply_pipeline(score_pairs(corpus, raw.pairs, raw_local, bands=[cfg]), cfg)
+    gated = apply_pipeline(score_pairs(corpus, raw.pairs, [cfg]), cfg)
     _assert_same_scores(gated, batch)
 
 
@@ -371,7 +371,7 @@ def test_grid_scored_on_the_union_of_its_bands(scored_corpus, data):
     base = data.draw(configs(norm_kinds=score_norms, locals_=st.just(raw_local)))
     grid = [replace(base, theta_f=min(band), theta_t=max(band))
             for band in data.draw(st.lists(st.tuples(edge, edge), min_size=1, max_size=4))]
-    union = score_pairs(corpus, raw.pairs, raw_local, bands=grid)
+    union = score_pairs(corpus, raw.pairs, grid)
     for band in grid:
         _assert_same_scores(apply_pipeline(union, band), apply_pipeline(raw, band))
 
@@ -386,7 +386,7 @@ def test_scores_of_a_narrower_band_are_refused(scored_corpus, norm):
     lo, hi = np.quantile(raw.s_g_raw, [0.4, 0.6])
     narrow = PipelineConfig(theta_t=hi, theta_f=lo, norm=norm)
     wide = PipelineConfig(**UNGATED, norm=norm)
-    scores = score_pairs(corpus, raw.pairs, raw_local, bands=[narrow])
+    scores = score_pairs(corpus, raw.pairs, [narrow])
     assert 0 < np.isnan(scores.s_l_raw).sum() < len(raw.pairs)
     apply_pipeline(scores, narrow)
     with pytest.raises(ValueError, match="not matched locally"):
@@ -398,11 +398,22 @@ def test_scores_of_another_local_config_are_refused(scored_corpus):
     corpus, raw = scored_corpus
     assert raw.local == raw_local
     few = replace(raw_local, max_minutiae=5)
-    scores = score_pairs(corpus, raw.pairs, few)
+    scores = score_pairs(corpus, raw.pairs, [PipelineConfig(**UNGATED, local=few)])
     assert scores.local == few
     apply_pipeline(scores, PipelineConfig(**UNGATED, local=few))
     with pytest.raises(ValueError, match="made with local config"):
         apply_pipeline(scores, PipelineConfig(**UNGATED, local=raw_local))
+
+
+def test_configs_of_different_local_configs_are_refused(scored_corpus):
+    """The configs that ``score_pairs`` scores for share one local config,
+    the one its local scores are made with."""
+    corpus, raw = scored_corpus
+    few = replace(raw_local, max_minutiae=5)
+    mixed = [PipelineConfig(local=raw_local), PipelineConfig(**UNGATED, local=few)]
+    for configs in (mixed, []):
+        with pytest.raises(ValueError, match="share one local config"):
+            score_pairs(corpus, raw.pairs, configs)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +465,7 @@ def test_the_float64_global_copy_is_the_cast_on_every_path(t, other):
 # gate-and-fuse against the clamp-then-checked-fuse form
 
 def _checked_fuse(a, b, rule):
-    """fuse as a range check, then the mean or the max: the oracle."""
+    """A range check, then the mean or the max: the oracle."""
     assert rule in FUSION_RULES and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0
     return 0.5 * (a + b) if rule == "mean" else max(a, b)
 
@@ -479,11 +490,8 @@ def test_gated_fuse_is_clamp_then_checked_fuse(gate, s_g, s_l, rule):
     want = (s_g_norm, s_l_effective, _checked_fuse(s_g_norm, s_l_effective, rule))
     got = gated_fuse(gate, s_g, s_l, rule)
     assert [v.hex() for v in got] == [v.hex() for v in want]
-    assert fuse(s_g_norm, s_l_effective, rule).hex() == want[2].hex()
     with pytest.raises(ValueError, match="unknown fusion rule 'median'"):
         gated_fuse(gate, s_g, s_l, "median")
-    with pytest.raises(ValueError, match="unknown fusion rule 'median'"):
-        fuse(s_g_norm, s_l_effective, "median")
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +661,30 @@ def test_losses_are_bit_identical_under_the_broadcast_form(records):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     got = _outcome_of(total_loss, pred, gt)
     assert got == _with_oracle_costs(_outcome_of, total_loss, pred, gt)
+
+
+# ---------------------------------------------------------------------------
+# the one planar distance against the broadcast form
+
+coordinates = (st.sampled_from([0.0, -0.0]) | st.integers(-8, 8).map(float)
+               | st.floats(-1e150, 1e150) | st.floats(-1e150, -0.5e150)
+               | st.floats(0.5e150, 1e150))
+position_arrays = arrays(np.float64, st.tuples(st.integers(0, 6), st.just(2)),
+                         elements=coordinates)
+
+
+@PROPERTY
+@given(position_arrays, position_arrays)
+@example(np.zeros((0, 2)), np.ones((3, 2)))
+@example(np.ones((3, 2)), np.zeros((0, 2)))
+@example(np.array([[0.0, -0.0], [-0.0, 0.0]]), np.array([[-0.0, -0.0]]))
+@example(np.full((2, 2), 1e150), np.array([[-1e150, 1e150], [3.0, -0.0]]))
+def test_squared_distances_equal_the_broadcast_form(a, b):
+    """Magnitudes up to 1e150 keep every square and sum finite."""
+    want = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    got = squared_distances(a, b)
+    assert got.shape == want.shape == (len(a), len(b))
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
