@@ -138,8 +138,8 @@ def _load_eval_inputs(args):
 
 
 def cmd_eval(args) -> int:
+    cfg = _load_config(args.config)  # before the corpus, which can take long to read
     corpus, protocol, pairs, n_gen = _load_eval_inputs(args)
-    cfg = _load_config(args.config)
     quality = None
     refs_dir = Path(args.refs) if args.refs else Path(args.corpus) / "refs"
     if args.refs or refs_dir.is_dir():
@@ -200,16 +200,20 @@ def cmd_bench(args) -> int:
                        for t in args.far.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad --far {args.far!r}: {exc}") from exc
-    corpus, _, pairs, n_gen = _load_eval_inputs(args)
+    # Every argument is checked before the corpus, which can take long to read.
     cfg = _load_config(args.config)
-
-    rows = []
     if args.sweep_minutiae is not None:
         try:
             sweep = [replace(cfg, **UNGATED, local=replace(cfg.local, max_minutiae=int(k)))
                      for k in args.sweep_minutiae.split(",")]
         except ValueError as exc:
             raise ValueError(f"bad --sweep-minutiae {args.sweep_minutiae!r}: {exc}") from exc
+    else:
+        grid = _parse_grid("disabled,0.75:0.15" if args.grid is None else args.grid, cfg)
+    corpus, _, pairs, n_gen = _load_eval_inputs(args)
+
+    rows = []
+    if args.sweep_minutiae is not None:
         for ungated in sweep:
             raw = score_pairs(corpus, pairs, [ungated], jobs=args.jobs)
             fused = apply_pipeline(raw, ungated)
@@ -224,7 +228,6 @@ def cmd_bench(args) -> int:
             rows.append(row)
         rows.sort(key=lambda r: -r["max_minutiae"])
     else:
-        grid = _parse_grid("disabled,0.75:0.15" if args.grid is None else args.grid, cfg)
         raw = score_pairs(corpus, pairs, grid, jobs=args.jobs)
         for band in grid:
             derived = apply_pipeline(raw, band)

@@ -7,13 +7,19 @@ by that layer's own optimal correspondence.  Orientation is always
 circular: the correspondence cost and the theta column of the position MSE
 both use :func:`angular_distance`.  These are reference formulas over
 plain arrays, not a training loop.
+
+A record is checked once, when it is built: finiteness, ranks (a 1-D
+global embedding, ``(L, 3)`` positions, 2-D embeddings) and row counts.
+:func:`total_loss` checks only what relates its two records, their shapes,
+and does not check either record again; :func:`reorder_ground_truth`, which
+takes plain arrays, checks them itself.  Both reorder through one helper.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +30,7 @@ from .templates import json_numbers, number
 
 @dataclass(frozen=True)
 class _MinutiaeRecord:
-    """Global embedding and minutiae rows, checked for shape and finiteness."""
+    """Global embedding and minutiae rows, checked for rank, shape and finiteness."""
 
     global_embedding: np.ndarray          # (d_g,)
     positions: np.ndarray                 # (L, 3): x, y, theta
@@ -32,9 +38,9 @@ class _MinutiaeRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "global_embedding",
-                           _finite(self.global_embedding, "global_embedding"))
+                           _finite(self.global_embedding, "global_embedding", ndim=1))
         object.__setattr__(self, "positions", _check_positions(self.positions, "positions"))
-        object.__setattr__(self, "embeddings", _finite(self.embeddings, "embeddings"))
+        object.__setattr__(self, "embeddings", _finite(self.embeddings, "embeddings", ndim=2))
         L = self.positions.shape[0]
         if self.embeddings.shape[0] != L:
             raise ValueError(f"embeddings rows {self.embeddings.shape[0]} != positions rows {L}")
@@ -59,7 +65,7 @@ class PredictionRecord(_MinutiaeRecord):
     def __post_init__(self):
         super().__post_init__()
         inter = tuple((_check_positions(po, f"intermediates[{i}].positions"),
-                       _finite(e, f"intermediates[{i}].embeddings"))
+                       _finite(e, f"intermediates[{i}].embeddings", ndim=2))
                       for i, (po, e) in enumerate(self.intermediates))
         object.__setattr__(self, "intermediates", inter)
         for i, (po, e) in enumerate(inter):
@@ -78,13 +84,15 @@ class GroundTruthRecord(_MinutiaeRecord):
     """Reference targets matching one prediction's shapes."""
 
 
-def _finite(arr, what: str) -> np.ndarray:
+def _finite(arr, what: str, ndim: Optional[int] = None) -> np.ndarray:
     try:
         arr = np.asarray(arr, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
         arr = np.array(math.inf)
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must hold finite numbers")
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-D, got shape {arr.shape}")
     return arr
 
 
@@ -150,6 +158,13 @@ def reorder_ground_truth(pred_po, pred_e, gt_po, gt_e,
         raise ValueError(f"row count mismatch: {pred_po.shape[0]} != {gt_po.shape[0]}")
     if pred_po.shape[0] == 0:
         return gt_po.copy(), gt_e.copy()
+    return _reordered(pred_po, pred_e, gt_po, gt_e, w)
+
+
+def _reordered(pred_po, pred_e, gt_po, gt_e, w: CorrespondenceWeights
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of checked, non-empty ``gt_po`` and ``gt_e`` permuted by the
+    optimal correspondence to the predictions."""
     cost = correspondence_cost_matrix(pred_po[:, :2], pred_po[:, 2], pred_e,
                                       gt_po[:, :2], gt_po[:, 2], gt_e, w)
     # A square solve pairs every row, and its pairs come sorted by row.
@@ -157,13 +172,20 @@ def reorder_ground_truth(pred_po, pred_e, gt_po, gt_e,
     return gt_po[perm], gt_e[perm]
 
 
+def _mean_square(diff: np.ndarray) -> float:
+    """The mean of ``diff`` squared, squared in place, as ``np.mean`` sums
+    and divides."""
+    diff *= diff
+    return float(diff.sum() / diff.size)
+
+
 def _layer_loss(po, e, gt: GroundTruthRecord, cw: CorrespondenceWeights) -> Tuple[float, float]:
     """Position and embedding MSEs of one layer against the ground truth
     reordered by that layer's own correspondence; theta's error is circular."""
-    gt_po, gt_e = reorder_ground_truth(po, e, gt.positions, gt.embeddings, cw)
-    sq = (po - gt_po) ** 2
-    sq[:, 2] = angular_distance(po[:, 2], gt_po[:, 2]) ** 2
-    return float(np.mean(sq)), mse(e, gt_e)
+    gt_po, gt_e = _reordered(po, e, gt.positions, gt.embeddings, cw)
+    diff = po - gt_po
+    diff[:, 2] = angular_distance(po[:, 2], gt_po[:, 2])
+    return _mean_square(diff), _mean_square(e - gt_e)
 
 
 def total_loss(pred: PredictionRecord, gt: GroundTruthRecord,

@@ -258,6 +258,15 @@ def test_minutia_cost_dimension_mismatch():
         pair_cost((0, 0, 0, [1.0, 0.0]), (0, 0, 0, [1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("emb", [np.array([0.3, 0.4]), np.zeros((2, 1, 2))])
+def test_minutia_cost_refuses_embeddings_that_are_not_2d(emb):
+    pos, theta = np.zeros((2, 2)), np.zeros(2)
+    for args in ((pos, theta, emb, pos, theta, np.zeros((2, 2))),
+                 (pos, theta, np.zeros((2, 2)), pos, theta, emb)):
+        with pytest.raises(ValueError, match="embeddings must be 2-D"):
+            correspondence_cost_matrix(*args)
+
+
 def _records(rows):
     """(L, 3) x/y/theta rows and (L, d) embeddings, as ``reorder_ground_truth`` takes them."""
     pos, theta, emb = as_arrays(rows)

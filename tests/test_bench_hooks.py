@@ -11,8 +11,12 @@ import importlib
 import json
 from pathlib import Path
 
+import numpy as np
+
+import fpfuse.losses
 import fpfuse.pipeline
-from fpfuse import UNGATED, PipelineConfig, SynthSpec, generate_corpus, write_bundle
+from fpfuse import (UNGATED, GroundTruthRecord, PipelineConfig, PredictionRecord, SynthSpec,
+                    generate_corpus, write_bundle)
 from fpfuse.cli import main
 from fpfuse.templates import Template
 
@@ -96,3 +100,30 @@ def test_traced_request_counts_its_gate(monkeypatch):
     assert layers["pipeline.infer_pair_calls"] == 2
     assert layers["pipeline.gate.local_evaluated.genuine"] == 1
     assert layers["pipeline.gate.local_evaluated.impostor"] == 1
+
+
+def test_traced_loss_counts_one_solve_and_cost_per_layer(monkeypatch):
+    """``total_loss`` builds its costs and solves through the ``fpfuse.losses``
+    namespace, once per layer: the final one and five intermediates."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    rng = np.random.default_rng(5)
+    L, d_m = 12, 8
+
+    def layer():
+        return (np.column_stack([rng.uniform(0, 384, (L, 2)), rng.uniform(0, 6, L)]),
+                rng.normal(size=(L, d_m)))
+
+    pred = PredictionRecord(rng.normal(size=16), *layer(), tuple(layer() for _ in range(5)))
+    gt = GroundTruthRecord(rng.normal(size=16), *layer())
+
+    tracer = spans.Tracer().install()
+    tracer.round = 0
+    try:
+        fpfuse.losses.total_loss(pred, gt)
+    finally:
+        tracer.close()
+
+    layers = tracer.per_layer([0], 1, 0.0)
+    assert layers["assignment.solve_calls.losses"] == 6
+    assert layers["losses.cost_matrix_s"] > 0

@@ -474,6 +474,24 @@ def test_bench_grid_and_sweep_exit_2_before_reading_the_corpus(synth_dir, capsys
     assert "--grid" in err and "--sweep-minutiae" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--grid", ",,"], "empty threshold grid"),
+    (["bench", "--sweep-minutiae", "5,x"], "bad --sweep-minutiae '5,x'"),
+    (["bench", "--config", "{config}"], "bad pipeline config"),
+    (["eval", "--config", "{config}"], "bad pipeline config"),
+])
+def test_bad_arguments_exit_2_before_reading_the_corpus(synth_dir, tmp_path, capsys,
+                                                        monkeypatch, argv, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"theta_t": "x"}))
+    read = []
+    monkeypatch.setattr(fpfuse.cli, "read_corpus", lambda *args: read.append(args))
+    argv = [arg.format(config=config) for arg in argv] + ["--corpus", str(synth_dir)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert read == []
+
+
 def test_bench_minutiae_sweep(synth_dir, capsys):
     code, doc = run_json(capsys, [
         "bench", "--corpus", str(synth_dir),
@@ -630,6 +648,28 @@ def test_losses_bad_numbers_exit_2(tmp_path, capsys, which, patch, key):
         paths[which].write_text(json.dumps({**doc, **patch}))
     assert main(argv) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pred_patch, gt_patch, message", [
+    ({"embeddings": [0.3, 0.4]}, {}, "embeddings must be 2-D, got shape (2,)"),
+    ({"embeddings": [[[0.3, 0.4]], [[0.5, 0.6]]]}, {},
+     "embeddings must be 2-D, got shape (2, 1, 2)"),
+    ({"global": [[1.0, 0.0]]}, {"global": [[1.0, 0.0]]},
+     "global_embedding must be 1-D, got shape (1, 2)"),
+    ({"intermediates": [{"positions": [[1.0, 2.0, 0.5], [30.0, 4.0, 1.5]],
+                         "embeddings": [0.3, 0.4]}]}, {},
+     "intermediates[0].embeddings must be 2-D, got shape (2,)"),
+])
+def test_losses_records_of_the_wrong_rank_exit_2_naming_the_field(tmp_path, capsys, pred_patch,
+                                                                  gt_patch, message):
+    """Two-row records, so that a 1-D embedding has as many rows as positions."""
+    record = {"global": [1.0, 0.0], "positions": [[1.0, 2.0, 0.5], [30.0, 4.0, 1.5]],
+              "embeddings": [[0.3, 0.4], [0.5, 0.6]]}
+    pred_path, gt_path = tmp_path / "pred.json", tmp_path / "gt.json"
+    pred_path.write_text(json.dumps({**record, **pred_patch}))
+    gt_path.write_text(json.dumps({**record, **gt_patch}))
+    assert main(["losses", "--pred", str(pred_path), "--gt", str(gt_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read loss records {pred_path}: {message}\n"
 
 
 def test_pretty_output_renders_table(synth_dir, capsys):

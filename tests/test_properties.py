@@ -17,9 +17,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from fpfuse import (CorrespondenceWeights, DecodeError, GroundTruthRecord,
                     InfeasibleAssignmentError, LocalMatchConfig, LossWeights, Normalizer,
                     PipelineConfig, PredictionRecord, Protocol, SynthSpec, Template,
-                    apply_pipeline, canonicalize_angle, correspondence_cost_matrix,
-                    enumerate_pairs, from_json, generate_corpus, global_match,
-                    infer_pair_with_config, minutiae_quality, read_template,
+                    angular_distance, apply_pipeline, canonicalize_angle,
+                    correspondence_cost_matrix, enumerate_pairs, from_json, generate_corpus,
+                    global_match, infer_pair_with_config, minutiae_quality, read_template,
                     reorder_ground_truth, score_pairs, solve_assignment, total_loss, validate,
                     write_template)
 from fpfuse.assignment import _augmenting_path_solve, squared_distances
@@ -29,6 +29,7 @@ from fpfuse.templates import MAX_IMAGE_SIDE
 
 import cost_oracle
 import ingest_oracle
+import loss_oracle
 import quality_oracle
 from conftest import as_arrays, brute_force
 
@@ -578,8 +579,8 @@ def test_uniqueness_certificate_changes_no_solve(cost):
 # the loss reference's correspondence costs against the broadcast form
 
 @st.composite
-def loss_records(draw):
-    """A prediction with up to two intermediate layers and its ground truth.
+def loss_records(draw, max_layers=2):
+    """A prediction with up to ``max_layers`` intermediate layers and its ground truth.
 
     On the integer grid, positions, angles and embeddings are small integers
     (angles in quarter turns), so distances tie exactly; the Gram form is
@@ -610,7 +611,7 @@ def loss_records(draw):
 
     g = rng.normal(size=4)
     pred = PredictionRecord(g + rng.normal(size=4), *layer(),
-                            tuple(layer() for _ in range(draw(st.integers(0, 2)))))
+                            tuple(layer() for _ in range(draw(st.integers(0, max_layers)))))
     return pred, GroundTruthRecord(g, gt_po, gt_e)
 
 
@@ -661,6 +662,68 @@ def test_losses_are_bit_identical_under_the_broadcast_form(records):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     got = _outcome_of(total_loss, pred, gt)
     assert got == _with_oracle_costs(_outcome_of, total_loss, pred, gt)
+
+
+loss_weights = st.builds(LossWeights, *[st.floats(0.0, 10.0)] * 5)
+
+
+@PROPERTY
+@given(loss_records(max_layers=5), loss_weights)
+def test_total_loss_equals_the_per_layer_composition(records, w):
+    """Every field bit for bit; with no minutiae both refuse the record with
+    the same error."""
+    pred, gt = records
+    got = _outcome_of(total_loss, pred, gt, w)
+    want = _outcome_of(loss_oracle.total_loss, pred, gt, w)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert [v.hex() for v in asdict(got).values()] == [v.hex() for v in asdict(want).values()]
+
+
+# ---------------------------------------------------------------------------
+# the circular distance against the floor remainder
+
+def _angular_distance_by_mod(a, b):
+    """``angular_distance`` with ``np.mod``, the floor remainder, for ``np.fmod``."""
+    diff = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
+    diff = np.mod(diff, TWO_PI)
+    out = np.minimum(diff, TWO_PI - diff)
+    return float(out) if out.ndim == 0 else out
+
+
+# Finite differences only: magnitudes stay below 1e300, so no |a - b| overflows.
+angles = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300])
+          | st.integers(-1000, 1000).map(lambda k: k * TWO_PI)
+          | st.floats(-20.0, 20.0)
+          | st.floats(-1e-300, 1e-300)
+          | st.floats(-1e300, 1e300)
+          | st.floats(0.9e300, 1e300))
+
+
+@st.composite
+def angle_operands(draw):
+    """Two scalars, or two arrays of one shape, or a scalar and an array."""
+    shape = draw(st.none() | array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+
+    def operand():
+        if shape is None or draw(st.booleans()):
+            return draw(angles)
+        return draw(arrays(np.float64, shape, elements=angles))
+    return operand(), operand()
+
+
+@settings(max_examples=300, deadline=None)
+@given(angle_operands())
+@example((0.0, -0.0))
+@example((TWO_PI, 0.0))
+@example((np.array([-0.0, 5e-324, 3 * TWO_PI]), np.array([0.0, -5e-324, -TWO_PI])))
+@example((1e300, -1e300))
+def test_angular_distance_equals_the_floor_remainder_form(operands):
+    got, want = angular_distance(*operands), _angular_distance_by_mod(*operands)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
