@@ -11,7 +11,7 @@ import numpy as np
 
 from fpfuse import (LocalMatchConfig, Normalizer, PipelineConfig, Protocol, SynthSpec,
                     apply_pipeline, enumerate_pairs, fit_double_sigmoid,
-                    generate_corpus, global_match, infer_pair_with_config,
+                    generate_corpus, global_match, infer_pair,
                     local_match, score_pairs)
 
 spec = SynthSpec(seed=2024, subjects=30, impressions=4)
@@ -73,6 +73,6 @@ print("local work with gating:", int(derived.work_units.sum()),
 # the per-pair path applies the same gate-and-fuse rule as the batch one
 k = n_gen + 5
 (sid_a, ia), (sid_b, ib) = raw.pairs[k]
-single = infer_pair_with_config(corpus.template(sid_a, ia), corpus.template(sid_b, ib), cfg)
+single = infer_pair(corpus.template(sid_a, ia), corpus.template(sid_b, ib), cfg)
 print("\nper-pair infer_pair equals the batch pipeline on a sample pair:",
       single.s_final == derived.final[k])

@@ -27,7 +27,7 @@ from .evaluation import (Protocol, apply_pipeline, enumerate_pairs,
                          evaluate_scores, aggregate_minutiae_quality,
                          frr_at_far, score_pairs)
 from .losses import GroundTruthRecord, LossWeights, PredictionRecord, total_loss
-from .pipeline import UNGATED, PipelineConfig, infer_pair_with_config
+from .pipeline import UNGATED, PipelineConfig, infer_pair
 from .synth import SynthSpec, check_out_dir, generate_corpus, write_bundle
 from .templates import described, from_json, number, read_corpus, read_template
 
@@ -59,7 +59,7 @@ def _json_object(text: str, what: str) -> dict:
 
 
 def _config(cls, text: str, what: str):
-    return from_json(cls, _json_object(text, what), what)
+    return from_json(cls, json.loads(text), what)
 
 
 def _load_config(path: Optional[str]) -> PipelineConfig:
@@ -96,7 +96,7 @@ def _cell(value) -> str:
 def cmd_synth(args) -> int:
     spec = (_read(f"bad synth spec {args.spec}",
                   lambda: _config(SynthSpec, Path(args.spec).read_text(), "synth spec"))
-            if args.spec else SynthSpec())
+            if args.spec is not None else SynthSpec())
     env_seed = os.environ.get("FPFUSE_SEED")
     if env_seed is not None:
         try:
@@ -121,7 +121,7 @@ def cmd_match(args) -> int:
     cfg = _load_config(args.config)
     a = _read(f"cannot read template {args.a}", lambda: read_template(Path(args.a).read_bytes()))
     b = _read(f"cannot read template {args.b}", lambda: read_template(Path(args.b).read_bytes()))
-    _emit(asdict(infer_pair_with_config(a, b, cfg)), args.pretty)
+    _emit(asdict(infer_pair(a, b, cfg)), args.pretty)
     return 0
 
 
@@ -141,8 +141,8 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args.config)  # before the corpus, which can take long to read
     corpus, protocol, pairs, n_gen = _load_eval_inputs(args)
     quality = None
-    refs_dir = Path(args.refs) if args.refs else Path(args.corpus) / "refs"
-    if args.refs or refs_dir.is_dir():
+    refs_dir = Path(args.corpus) / "refs" if args.refs is None else Path(args.refs)
+    if args.refs is not None or refs_dir.is_dir():
         quality = _read(f"bad references {refs_dir}",
                         lambda: aggregate_minutiae_quality(corpus, read_corpus(refs_dir)))
     raw = score_pairs(corpus, pairs, [cfg], jobs=args.jobs)
@@ -153,14 +153,15 @@ def cmd_eval(args) -> int:
     doc["config"] = asdict(cfg)
     doc["protocol"] = {"subjects": protocol.subjects, "impressions": protocol.impressions}
     payload = json.dumps(doc, sort_keys=True)
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(payload)
-    roc_path = args.roc_csv or (str(Path(args.out).with_suffix("")) + "_roc.csv" if args.out else None)
-    if roc_path:
+    roc_path = args.roc_csv if args.roc_csv is not None or args.out is None else (
+        str(Path(args.out).with_suffix("")) + "_roc.csv")
+    if roc_path is not None:
         lines = ["threshold,far,frr"]
         lines += [f"{p['thr']!r},{p['far']!r},{p['frr']!r}" for p in doc["roc"]]
         Path(roc_path).write_text("\n".join(lines) + "\n")
-    if args.scores_csv:
+    if args.scores_csv is not None:
         lines = ["kind,score"]
         lines += [f"genuine,{float(v)!r}" for v in derived.final[:n_gen]]
         lines += [f"impostor,{float(v)!r}" for v in derived.final[n_gen:]]
@@ -244,7 +245,7 @@ def cmd_bench(args) -> int:
             rows.append(row)
         rows.sort(key=lambda r: -r["gap"])
     doc = {"rows": rows}
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(json.dumps(doc, sort_keys=True))
     _emit(doc, args.pretty, rows_key="rows")
     return 0
@@ -256,7 +257,7 @@ def cmd_losses(args) -> int:
     gt = _read(f"cannot read loss records {args.gt}", lambda: GroundTruthRecord.from_dict(
         _json_object(Path(args.gt).read_text(), "--gt")))
     weights = LossWeights()
-    if args.weights:  # inline JSON, or the path of a file that holds it
+    if args.weights is not None:  # inline JSON, or the path of a file that holds it
         path = args.weights if os.path.isfile(args.weights) else None
         weights = _read(f"bad loss weights {path or '--weights'}", lambda: _config(
             LossWeights, Path(path).read_text() if path else args.weights, "--weights"))

@@ -144,10 +144,14 @@ def minutiae_quality(pred_positions, gt_positions) -> MinutiaeQuality:
 
     Pairs by optimal location-only correspondence, accepts pairs within
     :data:`QUALITY_DIST_PX`, and scores ``(paired - missed - spurious) / |gt|``.
-    An empty reference yields a goodness index of 0.
+    An empty reference yields a goodness index of 0.  An empty input such as
+    ``[]`` holds no minutiae; a shape other than (n, 2) raises ``ValueError``.
     """
-    pred = np.asarray(pred_positions, dtype=np.float64).reshape(-1, 2)
-    gt = np.asarray(gt_positions, dtype=np.float64).reshape(-1, 2)
+    pred, gt = (np.asarray(p, dtype=np.float64) for p in (pred_positions, gt_positions))
+    pred, gt = (p.reshape(0, 2) if p.size == 0 else p for p in (pred, gt))
+    if pred.shape[1:] != (2,) or gt.shape[1:] != (2,):
+        raise ValueError(f"minutiae_quality needs (n, 2) position arrays, "
+                         f"got shapes {pred.shape} and {gt.shape}")
     n_pred, n_gt = pred.shape[0], gt.shape[0]
     cost = np.sqrt(squared_distances(pred, gt))
     pairs = solve_assignment(cost).pairs
@@ -190,7 +194,7 @@ def aggregate_minutiae_quality(corpus: Corpus, references: Corpus) -> MinutiaeQu
 # ---------------------------------------------------------------------------
 # Corpus scoring
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelScores:
     """Raw per-pair channel scores, computed once and reusable across configs.
 
@@ -279,7 +283,7 @@ def score_pairs(corpus: Corpus, pairs: Sequence[PairKey],
                          local=local_cfg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineScores:
     """Final scores and gate bookkeeping for one pipeline configuration."""
 

@@ -8,11 +8,11 @@ circular: the correspondence cost and the theta column of the position MSE
 both use :func:`angular_distance`.  These are reference formulas over
 plain arrays, not a training loop.
 
-A record is checked once, when it is built: finiteness, ranks (a 1-D
-global embedding, ``(L, 3)`` positions, 2-D embeddings) and row counts.
-:func:`total_loss` checks only what relates its two records, their shapes,
-and does not check either record again; :func:`reorder_ground_truth`, which
-takes plain arrays, checks them itself.  Both reorder through one helper.
+One rule, ``_minutiae``, checks a minutia set (``(L, 3)`` x/y/theta rows and
+``(L, d)`` embeddings).  A record applies it once, when built, to its own set
+and to each intermediate layer; :func:`reorder_ground_truth` applies it to
+both of its sides.  :func:`total_loss` checks only what relates its two
+records, their shapes.  Both reorder through one helper.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .assignment import (CorrespondenceWeights, correspondence_cost_matrix,
 from .templates import json_numbers, number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MinutiaeRecord:
     """Global embedding and minutiae rows, checked for rank, shape and finiteness."""
 
@@ -37,13 +37,12 @@ class _MinutiaeRecord:
     embeddings: np.ndarray                # (L, d_m)
 
     def __post_init__(self):
-        object.__setattr__(self, "global_embedding",
-                           _finite(self.global_embedding, "global_embedding", ndim=1))
-        object.__setattr__(self, "positions", _check_positions(self.positions, "positions"))
-        object.__setattr__(self, "embeddings", _finite(self.embeddings, "embeddings", ndim=2))
-        L = self.positions.shape[0]
-        if self.embeddings.shape[0] != L:
-            raise ValueError(f"embeddings rows {self.embeddings.shape[0]} != positions rows {L}")
+        g = _finite(self.global_embedding, "global_embedding", ndim=1)
+        if g.size == 0:
+            raise ValueError("global_embedding must not be empty")
+        po, e = _minutiae(self.positions, self.embeddings, "")
+        for name, value in (("global_embedding", g), ("positions", po), ("embeddings", e)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, doc: dict):
@@ -56,7 +55,7 @@ def _json_arrays(doc: dict, prefix: str = "", keys=("global", "positions", "embe
     return tuple(np.asarray(json_numbers(doc[key], prefix + key)) for key in keys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionRecord(_MinutiaeRecord):
     """Model outputs for one image: global embedding, minutiae, per-layer intermediates."""
 
@@ -64,8 +63,7 @@ class PredictionRecord(_MinutiaeRecord):
 
     def __post_init__(self):
         super().__post_init__()
-        inter = tuple((_check_positions(po, f"intermediates[{i}].positions"),
-                       _finite(e, f"intermediates[{i}].embeddings", ndim=2))
+        inter = tuple(_minutiae(po, e, f"intermediates[{i}].")
                       for i, (po, e) in enumerate(self.intermediates))
         object.__setattr__(self, "intermediates", inter)
         for i, (po, e) in enumerate(inter):
@@ -79,7 +77,7 @@ class PredictionRecord(_MinutiaeRecord):
         return cls(*_json_arrays(doc), inter)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruthRecord(_MinutiaeRecord):
     """Reference targets matching one prediction's shapes."""
 
@@ -96,11 +94,16 @@ def _finite(arr, what: str, ndim: Optional[int] = None) -> np.ndarray:
     return arr
 
 
-def _check_positions(arr, what: str) -> np.ndarray:
-    arr = _finite(arr, what)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"{what} must have shape (L, 3), got {arr.shape}")
-    return arr
+def _minutiae(positions, embeddings, prefix: str) -> Tuple[np.ndarray, np.ndarray]:
+    """A minutia set's finite float64 ``(L, 3)`` x/y/theta rows and ``(L, d)``
+    embeddings, else ``ValueError`` naming the field after ``prefix``."""
+    po = _finite(positions, prefix + "positions")
+    if po.ndim != 2 or po.shape[1] != 3:
+        raise ValueError(f"{prefix}positions must have shape (L, 3), got {po.shape}")
+    e = _finite(embeddings, prefix + "embeddings", ndim=2)
+    if e.shape[0] != po.shape[0]:
+        raise ValueError(f"{prefix}embeddings rows {e.shape[0]} != positions rows {po.shape[0]}")
+    return po, e
 
 
 @dataclass(frozen=True)
@@ -151,20 +154,17 @@ def reorder_ground_truth(pred_po, pred_e, gt_po, gt_e,
     Row ``i`` of the returned arrays is the ground-truth minutia matched to
     prediction ``i`` by the optimal correspondence.
     """
-    pred_po = _check_positions(pred_po, "pred positions")
-    gt_po = _check_positions(gt_po, "gt positions")
-    gt_e = np.asarray(gt_e, dtype=np.float64)
+    pred_po, pred_e = _minutiae(pred_po, pred_e, "pred ")
+    gt_po, gt_e = _minutiae(gt_po, gt_e, "gt ")
     if pred_po.shape[0] != gt_po.shape[0]:
         raise ValueError(f"row count mismatch: {pred_po.shape[0]} != {gt_po.shape[0]}")
-    if pred_po.shape[0] == 0:
-        return gt_po.copy(), gt_e.copy()
     return _reordered(pred_po, pred_e, gt_po, gt_e, w)
 
 
 def _reordered(pred_po, pred_e, gt_po, gt_e, w: CorrespondenceWeights
                ) -> Tuple[np.ndarray, np.ndarray]:
-    """The rows of checked, non-empty ``gt_po`` and ``gt_e`` permuted by the
-    optimal correspondence to the predictions."""
+    """The rows of checked ``gt_po`` and ``gt_e`` permuted by the optimal
+    correspondence to the predictions: new arrays, empty for ``L = 0``."""
     cost = correspondence_cost_matrix(pred_po[:, :2], pred_po[:, 2], pred_e,
                                       gt_po[:, :2], gt_po[:, 2], gt_e, w)
     # A square solve pairs every row, and its pairs come sorted by row.

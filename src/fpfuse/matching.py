@@ -93,19 +93,13 @@ def _best_pairing(cos: np.ndarray, survivors: np.ndarray):
     cols = np.flatnonzero(survivors.any(axis=0))
     if rows.size == 0:
         return 0.0, ()
-    sub = np.full((rows.size, cols.size + rows.size), np.inf)
-    sub_cos = cos[np.ix_(rows, cols)]
-    sub_mask = survivors[np.ix_(rows, cols)]
-    sub[:, :cols.size] = np.where(sub_mask, -sub_cos, np.inf)
-    sub[:, cols.size:] = 0.0
-    result = solve_assignment(sub)
-    pairs = []
-    for r, c in result.pairs:
-        if c < cols.size:
-            ia, jb = int(rows[r]), int(cols[c])
-            pairs.append((ia, jb, float(cos[ia, jb])))
-    score = math.fsum(p[2] for p in pairs)
-    return score, tuple(sorted(pairs))
+    block = np.ix_(rows, cols)
+    sub = np.hstack((np.where(survivors[block], -cos[block], np.inf),
+                     np.zeros((rows.size, rows.size))))
+    # The rows ascend and the solver's pairs are row-sorted, so these are too.
+    pairs = tuple((int(rows[r]), int(cols[c]), float(cos[rows[r], cols[c]]))
+                  for r, c in solve_assignment(sub).pairs if c < cols.size)
+    return math.fsum(p[2] for p in pairs), pairs
 
 
 def local_match(a: Template, b: Template, cfg: LocalMatchConfig = LocalMatchConfig()) -> LocalMatchResult:

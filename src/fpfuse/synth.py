@@ -108,7 +108,7 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return np.asarray(vec, dtype=np.float64) / np.linalg.norm(vec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Identity:
     """Latent identity: a global direction plus a canonical minutiae set."""
 
@@ -275,7 +275,7 @@ class InjectionManifest:
     distorted_impressions: Tuple[Tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorpusBundle:
     corpus: Corpus
     manifest: InjectionManifest

@@ -90,7 +90,7 @@ def _record_dtype(d_m: int) -> np.dtype:
     return np.dtype([("xyt", "<f4", 3), ("emb", "<f4", d_m)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Template:
     """One impression: unit global embedding plus its minutiae as row arrays.
 
@@ -112,8 +112,8 @@ class Template:
     embeddings: np.ndarray                # (n, d_m)
     image_size: Tuple[int, int]
     source_id: str = ""
-    records: np.ndarray = field(init=False, repr=False, compare=False)
-    global64: np.ndarray = field(init=False, repr=False, compare=False)
+    records: np.ndarray = field(init=False, repr=False)
+    global64: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.array(self.global_embedding, dtype=np.float32)
@@ -438,7 +438,7 @@ def _read_json(data: bytes) -> Template:
 # ---------------------------------------------------------------------------
 # Corpus
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
     """Ordered impressions per subject.  Embedding dimensions are not checked
     here; the matchers reject a pair whose dimensions differ."""

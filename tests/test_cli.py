@@ -523,6 +523,30 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--spec", "", "--out", "s"], "error: bad synth spec : "),
+    (["losses", "--weights", ""], "error: bad loss weights --weights: "),
+    (["eval", "--refs", ""], "error: bad references .: no subject_"),
+    (["eval", "--out", ""], "error: "),
+    (["eval", "--roc-csv", ""], "error: "),
+    (["eval", "--scores-csv", ""], "error: "),
+    (["bench", "--out", ""], "error: "),
+], ids=["synth-spec", "losses-weights", "eval-refs", "eval-out", "eval-roc-csv",
+        "eval-scores-csv", "bench-out"])
+def test_an_empty_option_value_is_read_or_written(tmp_path, capsys, monkeypatch, argv, message):
+    """An empty value names the current directory, which fails to read or to
+    be written; it used to count as absent and exit 0 with the default."""
+    monkeypatch.chdir(tmp_path)  # the current directory then holds no corpus
+    if argv[0] == "losses":
+        pred_path, gt_path = loss_fixture(tmp_path)
+        argv += ["--pred", str(pred_path), "--gt", str(gt_path)]
+    elif argv[0] != "synth":
+        argv += ["--corpus", str(_synth(tmp_path, "c", 3, 2))]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # losses
 

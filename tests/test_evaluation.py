@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,21 @@ def test_quality_spurious_counts():
     pred = np.vstack([gt, random_positions(rng, 1)])
     q = minutiae_quality(pred, gt)
     assert q.spurious >= 1
+
+
+@pytest.mark.parametrize("pred, gt", [((2, 3), (3, 2)), ((4,), (2, 2)), ((2, 2), (2, 2, 1)),
+                                      ((1, 2), (6,))])
+def test_quality_refuses_arrays_that_are_not_n_by_2(pred, gt):
+    """They used to be reshaped: (2, 3) and (3, 2) zeros read as 3 pairs, GI 1.0."""
+    with pytest.raises(ValueError, match=re.escape(f"got shapes {pred} and {gt}")):
+        minutiae_quality(np.zeros(pred), np.zeros(gt))
+
+
+def test_quality_of_an_empty_input_is_no_minutiae():
+    gt = [(50.0, 50.0), (300.0, 300.0)]
+    assert minutiae_quality([], gt) == minutiae_quality(np.zeros((0, 2)), gt)
+    assert minutiae_quality(gt, []).spurious == 2
+    assert minutiae_quality([], []).goodness_index == 0.0
 
 
 def test_minutiae_quality_rejects_mismatched_references(small_bundle):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -97,6 +98,26 @@ def test_reorder_shape_mismatch():
     with pytest.raises(ValueError):
         reorder_ground_truth(pred.positions[:2], pred.embeddings[:2],
                              gt.positions, gt.embeddings)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((np.zeros((2, 3)), [[0.0, 1.0], [math.nan, 0.0]], np.zeros((2, 3)), np.zeros((2, 2))),
+     "pred embeddings must hold finite numbers"),
+    ((np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((3, 2))),
+     "gt embeddings rows 3 != positions rows 2"),
+    ((np.zeros((0, 3)), np.zeros((5, 2)), np.zeros((0, 3)), np.zeros((0, 2))),
+     "pred embeddings rows 5 != positions rows 0"),
+], ids=["nan-embedding", "extra-gt-rows", "empty-positions"])
+def test_reorder_checks_the_embeddings_as_a_record_does(args, message):
+    """They used to reach the solver (NaN) or numpy's broadcast, or came back as given."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reorder_ground_truth(*args)
+
+
+def test_reorder_of_empty_sets_returns_empty_arrays():
+    po, e = reorder_ground_truth(np.zeros((0, 3)), np.zeros((0, 4)),
+                                 np.zeros((0, 3)), np.zeros((0, 4)))
+    assert po.shape == (0, 3) and e.shape == (0, 4)
 
 
 def test_reorder_optimality_pure_location():
@@ -224,6 +245,23 @@ def test_position_loss_is_circular_at_wraparound():
 def test_loss_weights_validation():
     with pytest.raises(ValueError):
         LossWeights(global_weight=-0.5)
+
+
+def test_records_refuse_an_empty_global_embedding_when_built():
+    """It used to be refused only by ``total_loss``, as ``mse``'s empty inputs."""
+    po, e = np.zeros((1, 3)), np.zeros((1, 2))
+    for cls in (PredictionRecord, GroundTruthRecord):
+        with pytest.raises(ValueError, match="global_embedding must not be empty"):
+            cls(np.zeros(0), po, e)
+
+
+def test_an_intermediate_layer_is_checked_by_the_record_rule():
+    po, e = np.zeros((2, 3)), np.zeros((2, 2))
+    with pytest.raises(ValueError, match=re.escape("intermediates[1].embeddings rows 3 != "
+                                                   "positions rows 2")):
+        PredictionRecord(np.ones(2), po, e, ((po, e), (po, np.zeros((3, 2)))))
+    with pytest.raises(ValueError, match="intermediate layer 0 shape mismatch"):
+        PredictionRecord(np.ones(2), po, e, ((po[:1], e[:1]),))
 
 
 def test_record_validation():

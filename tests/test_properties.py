@@ -1,7 +1,8 @@
 """Property tests of the reader contract, the config schema, the gate rule,
 the float64 global copy and the global score, gate-and-fuse, the assignment
 solver and its uniqueness certificate, the loss reference's correspondence
-costs, the one planar distance and minutiae quality."""
+costs and its one minutia-set rule, the one planar distance and minutiae
+quality."""
 
 import json
 import math
@@ -679,6 +680,52 @@ def test_total_loss_equals_the_per_layer_composition(records, w):
         assert got == want
     else:
         assert [v.hex() for v in asdict(got).values()] == [v.hex() for v in asdict(want).values()]
+
+
+@st.composite
+def malformed_minutia_sets(draw):
+    """Positions and embeddings that break the minutia-set rule in one way: a
+    non-finite number, an integer beyond the float range, a wrong rank or
+    width, or embeddings with another row count than the positions."""
+    L, d = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    po, e = np.zeros((L, 3)), np.zeros((L, d))
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    defect = draw(st.sampled_from(["po value", "e value", "po huge", "po width", "po rank",
+                                   "e rank", "e rows"]))
+    if defect == "po value":
+        po = np.vstack([po, [0.0, 0.0, bad]])
+    elif defect == "e value":
+        po, e = np.zeros((L + 1, 3)), np.vstack([e, np.full(d, bad)])
+    elif defect == "po huge":
+        po = po.tolist() + [[10 ** 400, 0.0, 0.0]]
+    elif defect == "po width":
+        po = np.zeros((L, draw(st.sampled_from([0, 2, 4]))))
+    elif defect == "po rank":
+        po = np.zeros(draw(st.sampled_from([(3,), (L, 3, 1)])))
+    elif defect == "e rank":
+        e = np.zeros(draw(st.sampled_from([(L,), (L, d, 1)])))
+    else:
+        e = np.zeros((L + draw(st.integers(1, 3)), d))
+    return po, e
+
+
+@PROPERTY
+@given(malformed_minutia_sets())
+def test_one_rule_refuses_a_minutia_set_everywhere(minutiae):
+    """A record, an intermediate layer and either side of
+    ``reorder_ground_truth`` refuse a malformed minutia set with one message,
+    led by the prefix that names where it was found."""
+    po, e = minutiae
+    ok = (np.zeros((1, 3)), np.zeros((1, 1)))
+    outcomes = {"": _outcome_of(GroundTruthRecord, np.ones(2), po, e),
+                "intermediates[0].": _outcome_of(PredictionRecord, np.ones(2), *ok, ((po, e),)),
+                "pred ": _outcome_of(reorder_ground_truth, po, e, *ok),
+                "gt ": _outcome_of(reorder_ground_truth, *ok, po, e)}
+    assert all(isinstance(text, str) and text.startswith(prefix)
+               for prefix, text in outcomes.items())
+    messages = {text[len(prefix):] for prefix, text in outcomes.items()}
+    assert len(messages) == 1
+    assert messages.pop().startswith(("positions ", "embeddings "))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fpfuse import (DecodeError, SynthSpec, Template, canonicalize_angle,
-                    generate_corpus, read_corpus, read_template, validate,
-                    write_corpus, write_template)
+from fpfuse import (Corpus, DecodeError, GroundTruthRecord, PipelineConfig,
+                    PredictionRecord, SynthSpec, Template, apply_pipeline,
+                    canonicalize_angle, generate_corpus, generate_identity, read_corpus,
+                    read_template, score_pairs, validate, write_corpus, write_template)
 from fpfuse import templates
 from fpfuse.templates import MAX_IMAGE_SIDE
 
@@ -385,3 +386,25 @@ def test_template_arrays_are_read_only_float32_views_of_records():
     for arr in (t.positions, t.theta, t.embeddings):
         assert arr.dtype == np.float32 and arr.base is t.records
     assert t.records["xyt"][:, 2].tolist() == t.theta.tolist()
+
+
+def test_objects_that_hold_arrays_compare_by_identity_and_hash():
+    """``==`` on two templates or corpora used to raise ``ValueError`` (an
+    array's truth value is ambiguous), and hashing raised ``TypeError``.
+    Each object here is paired with an equal-valued twin built apart."""
+    spec = SynthSpec(seed=7, subjects=2, impressions=2)
+    bundle, twin_bundle = generate_corpus(spec), generate_corpus(spec)
+    corpus = bundle.corpus
+    t = corpus.template("000", 0)
+    pairs = [(("000", 0), ("000", 1)), (("000", 0), ("001", 0))]
+    scores = [score_pairs(corpus, pairs) for _ in range(2)]
+    po, e = np.zeros((1, 3)), np.ones((1, 2))
+    twins = [(t, read_template(write_template(t))), (corpus, Corpus(corpus.subjects)),
+             (bundle, twin_bundle), (generate_identity(spec, 0), generate_identity(spec, 0)),
+             tuple(scores),
+             tuple(apply_pipeline(s, PipelineConfig()) for s in scores),
+             (PredictionRecord(np.ones(2), po, e), PredictionRecord(np.ones(2), po, e)),
+             (GroundTruthRecord(np.ones(2), po, e), GroundTruthRecord(np.ones(2), po, e))]
+    for a, b in twins:
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
