@@ -166,8 +166,8 @@ def cmd_eval(args) -> int:
         lines += [f"genuine,{float(v)!r}" for v in derived.final[:n_gen]]
         lines += [f"impostor,{float(v)!r}" for v in derived.final[n_gen:]]
         Path(args.scores_csv).write_text("\n".join(lines) + "\n")
-    summary = {k: doc[k] for k in ("counts", "frr_at_far", "eer", "gate_stats", "work_units_total")}
-    summary["minutiae_quality"] = doc["minutiae_quality"]
+    summary = {k: doc[k] for k in ("counts", "frr_at_far", "eer", "gate_stats", "work_units_total",
+                                   "minutiae_quality")}
     _emit(summary, args.pretty)
     return 0
 

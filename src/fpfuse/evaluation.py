@@ -209,8 +209,9 @@ class ChannelScores:
     local: LocalMatchConfig      # the local-matcher config the scores were made with
 
 
-# Shared scoring context for forked workers; set just before the pool spawns
-# so children inherit the corpus without pickling it per chunk.
+# Scoring context of a forked worker, set by the pool's initializer, whose
+# arguments a forked worker inherits: the corpus is never pickled, and the
+# parent's copy stays empty.
 _SCORING_CONTEXT: dict = {}
 
 # Local matches per worker below which the fork pool costs more than it
@@ -265,14 +266,9 @@ def score_pairs(corpus: Corpus, pairs: Sequence[PairKey],
         import multiprocessing as mp
         bounds = np.linspace(0, len(todo_pairs), jobs * 4 + 1).astype(int)
         chunks = [todo_pairs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        _SCORING_CONTEXT["corpus"] = corpus
-        _SCORING_CONTEXT["local_cfg"] = local_cfg
-        try:
-            ctx = mp.get_context("fork")
-            with ctx.Pool(jobs) as pool:
-                parts = pool.map(_local_chunk_from_context, chunks)
-        finally:
-            _SCORING_CONTEXT.clear()
+        context = {"corpus": corpus, "local_cfg": local_cfg}
+        with mp.get_context("fork").Pool(jobs, _SCORING_CONTEXT.update, (context,)) as pool:
+            parts = pool.map(_local_chunk_from_context, chunks)
         s_l_todo = np.concatenate([p[0] for p in parts])
         work_todo = np.concatenate([p[1] for p in parts])
     s_l = np.full(len(pairs), np.nan)

@@ -16,16 +16,19 @@ Two wire formats are provided: a little-endian binary format (magic
 Corpora live on disk as ``subject_<id>/impression_<k>.fpt`` directories.
 
 Reader contract: :func:`read_template` returns a template that passes
-:func:`validate`, or raises :class:`DecodeError`, also for JSON nested too
-deep to parse.  One function decides validity for the readers and for
-:func:`validate`: a few whole-array tests, and the violation report only
-when one fails.  A template valid as read is returned at once, the binary
-reader's record block adopted without a copy.  Any other one has drifted
-embeddings renormalized and orientations wrapped on a copy, and what is
-still wrong, NaN or out-of-frame coordinates included, is listed in the
-``DecodeError``.  :func:`read_corpus` lists each directory once, decodes
-each file with its own :func:`read_template` call, requires each subject's
-impressions to be numbered 0 to k-1, and names the failing file.
+:func:`validate`, or raises :class:`DecodeError`, whatever the bytes hold:
+JSON nested too deep to parse, and every float32 bit pattern, included.
+:func:`validate` is the one validity check, and the reader calls it twice
+at most.  A template valid as read is returned at once, the binary reader's
+record block adopted without a copy.  Any other one is repaired on a copy,
+drifted embeddings renormalized and orientations wrapped, and validated
+again; what is still wrong, NaN or out-of-frame coordinates included, is
+listed in the ``DecodeError``.  The reader's float status is scoped once,
+around its whole body, so a signaling NaN or a JSON number beyond the
+float32 range is cast without a warning and rejected by :func:`validate`.
+:func:`read_corpus` lists each directory once, decodes each file with its
+own :func:`read_template` call, requires each subject's impressions to be
+numbered 0 to k-1, and names the failing file.
 
 The JSON checks every config shares live here too: :func:`number` is the
 one number rule and :func:`from_json` the one config reader.
@@ -184,20 +187,16 @@ class Violation:
         return f"{text} ({self.detail})" if self.detail else text
 
 
-def validate(t: Template) -> List[Violation]:
-    """Check every template invariant; an empty list means the template is valid."""
-    return _violations(t, _norms(t.global_embedding[None, :])[0], _norms(t.embeddings))
-
-
 # The largest float32 below 2*pi (float32 rounds 2*pi itself up): a float32
 # angle lies in [0, 2*pi) exactly when it lies in [0, _THETA_MAX].
 _THETA_MAX = float(np.nextafter(np.float32(TWO_PI), np.float32(0.0)))
 
 
-def _violations(t: Template, global_norm: float, norms: np.ndarray) -> List[Violation]:
-    """:func:`validate` given the norms of the global and the local embeddings.
-    A handful of whole-array tests decide first; the report is built only
-    when one of them fails."""
+def validate(t: Template) -> List[Violation]:
+    """Check every template invariant; an empty list means the template is
+    valid.  A handful of whole-array tests decide first; the report is built
+    only when one of them fails."""
+    global_norm, norms = _norms(t.global64[None, :])[0], _norms(t.embeddings)
     h, w = t.image_size
     sized = 0 < h <= MAX_IMAGE_SIDE and 0 < w <= MAX_IMAGE_SIDE
     drift = np.abs(norms - 1.0)
@@ -250,8 +249,11 @@ def write_template(t: Template, format: str = "binary") -> bytes:
     raise ValueError(f"unknown template format {format!r}")
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def read_template(data: bytes) -> Template:
-    """Decode a template from either wire format (auto-detected by magic)."""
+    """Decode a template from either wire format (auto-detected by magic).
+    A signaling NaN, or a JSON number beyond the float32 range, is cast
+    without a warning, for :func:`validate` to reject."""
     if data[:4] == BINARY_MAGIC:
         return _read_binary(data)
     return _read_json(data)
@@ -271,19 +273,15 @@ def _take(data: bytes, offset: int, count: int, what: str) -> Tuple[bytes, int]:
     return data[offset:offset + count], offset + count
 
 
-def _drifted(norms: np.ndarray) -> np.ndarray:
-    """Rows close enough to unit norm for a reader to renormalize them."""
-    drift = np.abs(norms - 1.0)
-    return (drift > NORM_VALID_TOL) & (drift <= NORM_INGEST_TOL)
-
-
-def _rescaled(rows: np.ndarray, norms: np.ndarray, fix: np.ndarray) -> np.ndarray:
-    """``rows`` with the ``fix`` rows divided by their norm, whose entries in
-    ``norms`` become 1: float32 rounding moves a unit row's norm by at most
-    2**-24, well inside ``NORM_VALID_TOL``."""
+def _renormalized(rows: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``rows`` with each row whose norm is off 1 by more
+    than ``NORM_VALID_TOL`` and at most ``NORM_INGEST_TOL`` divided by its
+    norm: float32 rounding then moves it off 1 by at most 2**-24."""
     out = rows.astype(np.float64)
+    norms = _norms(out)
+    drift = np.abs(norms - 1.0)
+    fix = (drift > NORM_VALID_TOL) & (drift <= NORM_INGEST_TOL)
     out[fix] /= norms[fix, None]
-    norms[fix] = 1.0
     return out
 
 
@@ -293,18 +291,15 @@ _SHOWN_VIOLATIONS = 5
 
 
 def _ingest(t: Template) -> Template:
-    """Shared tail of both readers.  A ``t`` that :func:`_violations` finds
-    valid is returned as it is.  Otherwise theta is wrapped and slightly
-    drifted embeddings are renormalized on a copy, computing every norm once,
-    and the violations left, if any, raise ``DecodeError``."""
-    g = t.global_embedding[None, :]
-    g_norms, norms = _norms(g), _norms(t.embeddings)
-    if not _violations(t, g_norms[0], norms):
+    """Shared tail of both readers.  A ``t`` that :func:`validate` finds valid
+    is returned as it is.  Otherwise theta is wrapped and slightly drifted
+    embeddings are renormalized on a copy, which is validated again; the
+    violations left, if any, raise ``DecodeError``."""
+    if not validate(t):
         return t
-    t = replace(t, global_embedding=_rescaled(g, g_norms, _drifted(g_norms))[0],
-                theta=canonicalize_angle(t.theta),
-                embeddings=_rescaled(t.embeddings, norms, _drifted(norms)))
-    violations = _violations(t, g_norms[0], norms)
+    t = replace(t, global_embedding=_renormalized(t.global_embedding[None, :])[0],
+                theta=canonicalize_angle(t.theta), embeddings=_renormalized(t.embeddings))
+    violations = validate(t)
     if violations:
         shown = "; ".join(str(v) for v in violations[:_SHOWN_VIOLATIONS])
         if len(violations) > _SHOWN_VIOLATIONS:

@@ -1,38 +1,38 @@
 """Reference decoder for the reader property tests: the ingest step with no
-fast path.  Every template is copied, its angles wrapped, its drifted norms
-fixed and its violations listed, whether or not anything needs it."""
+fast path.  Every template is copied, its angles wrapped and its drifted
+norms fixed one row at a time, whether or not anything needs it, and is
+then checked by ``validate`` once."""
 
 import json
 
 import numpy as np
 
-from fpfuse.templates import (_HEADER, _SHOWN_VIOLATIONS, BINARY_MAGIC, DecodeError, Template,
-                              _drifted, _norms, _record_dtype, _rescaled, _violations,
-                              canonicalize_angle)
+from fpfuse.templates import (_HEADER, _SHOWN_VIOLATIONS, BINARY_MAGIC, NORM_INGEST_TOL,
+                              NORM_VALID_TOL, DecodeError, Template, _norms, _record_dtype,
+                              canonicalize_angle, validate)
+
+
+def renormalized(rows):
+    """``rows`` in float64, each row whose norm is off 1 by more than
+    ``NORM_VALID_TOL`` and at most ``NORM_INGEST_TOL`` divided by its norm."""
+    out = np.array(rows, dtype=np.float64)
+    for i, norm in enumerate(_norms(out)):
+        if NORM_VALID_TOL < abs(norm - 1.0) <= NORM_INGEST_TOL:
+            out[i] = out[i] / norm
+    return out
 
 
 def ingest(global_embedding, xyt, embeddings, image_size, source_id) -> Template:
     """Row ``i`` of ``xyt`` holds minutia ``i``'s x, y and theta."""
-    t = Template(global_embedding, xyt[:, :2], canonicalize_angle(xyt[:, 2]), embeddings,
-                 image_size, source_id)
-    g = t.global_embedding[None, :]
-    g_norms, norms = _norms(g), _norms(t.embeddings)
-    g_fix, fix = _drifted(g_norms), _drifted(norms)
-    if g_fix.any() or fix.any():
-        t = Template(_rescaled(g, g_norms, g_fix)[0], t.positions, t.theta,
-                     _rescaled(t.embeddings, norms, fix), t.image_size, t.source_id)
-    violations = _violations(t, g_norms[0], norms)
+    t = Template(renormalized(global_embedding[None, :])[0], xyt[:, :2],
+                 canonicalize_angle(xyt[:, 2]), renormalized(embeddings), image_size, source_id)
+    violations = validate(t)
     if violations:
         shown = "; ".join(str(v) for v in violations[:_SHOWN_VIOLATIONS])
         if len(violations) > _SHOWN_VIOLATIONS:
             shown += f"; and {len(violations) - _SHOWN_VIOLATIONS} more ({len(violations)} in all)"
         raise DecodeError("invalid template: " + shown)
     return t
-
-
-def full_report(t: Template):
-    """Every violation of ``t``, found with no fast path."""
-    return _violations(t, _norms(t.global_embedding[None, :])[0], _norms(t.embeddings))
 
 
 def read(data: bytes) -> Template:

@@ -1,16 +1,25 @@
+import contextlib
+import io
 import json
 import math
 import os
+import shutil
+import struct
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fpfuse.cli
 from fpfuse import (PipelineConfig, SynthSpec, from_json, generate_corpus, write_bundle,
                     write_template)
 from fpfuse.cli import corpus_checksum, main
 from fpfuse.evaluation import POOL_MIN_PAIRS_PER_JOB
+from fpfuse.templates import _HEADER
 
 from conftest import basis_template, make_template
 
@@ -756,3 +765,80 @@ def test_deeply_nested_json_exits_2_naming_the_input(synth_dir, tmp_path, capsys
     assert main(argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {named}: "), lines[0][:200]
+
+
+# ---------------------------------------------------------------------------
+# the input boundary as a property
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    """A 3x2 corpus with its refs/, written once for the properties below."""
+    out = tmp_path_factory.mktemp("tiny") / "corpus"
+    write_bundle(generate_corpus(SynthSpec(seed=11, subjects=3, impressions=2,
+                                           minutiae_per_identity=12)), out)
+    return out
+
+
+# One change to one corpus file: a float32 slot set to a bit pattern, or
+# ``cut`` bytes at ``at`` replaced by ``insert`` (no change when both are empty).
+SNAN = [struct.pack("<I", bits) for bits in (0x7F800001, 0xFF800001, 0x7FBFFFFF)]
+mutations = st.one_of(
+    st.tuples(st.just("slot"), st.integers(0, 10 ** 6),
+              st.sampled_from(SNAN) | st.binary(min_size=4, max_size=4)),
+    st.tuples(st.just("splice"), st.integers(0, 10 ** 6),
+              st.integers(0, 4) | st.just(10 ** 6), st.binary(max_size=4)))
+
+
+def _mutated(data, mutation):
+    if mutation[0] == "slot":
+        _, k, bits = mutation
+        start = 4 + _HEADER.size + _HEADER.unpack_from(data, 4)[-1]  # after source_id
+        at = start + 4 * (k % ((len(data) - start) // 4))
+        return data[:at] + bits + data[at + 4:]
+    _, at, cut, insert = mutation
+    at %= len(data) + 1
+    return data[:at] + insert + data[at + cut:]
+
+
+@pytest.mark.parametrize("command", ["match", "eval"])
+@settings(max_examples=40, deadline=None)
+@given(file_index=st.integers(0, 63), mutation=mutations,
+       bad=st.dictionaries(st.integers(0, 5), st.sampled_from(["empty", "missing", "directory",
+                                                                  "malformed"]), max_size=2),
+       jobs=st.sampled_from(["1", "2", "0"]))
+def test_match_and_eval_exit_0_or_2_with_one_error_line(tiny_corpus, command, file_index,
+                                                        mutation, bad, jobs):
+    """Over a corpus with one mutated file and up to two options given a bad
+    value (a good value of None leaves the option out)."""
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        corpus = tmp / "corpus"
+        shutil.copytree(tiny_corpus, corpus)
+        files = sorted(corpus.rglob("*.fpt"))  # the impressions and their references
+        target = files[file_index % len(files)]
+        target.write_bytes(_mutated(target.read_bytes(), mutation))
+        config = tmp / "config.json"
+        config.write_text(json.dumps({"theta_t": 0.9, "theta_f": 0.1}))
+        (tmp / "malformed").write_bytes(b'{"theta_t": \xff')
+        if command == "match":
+            options = [("--a", target), ("--b", files[0]), ("--config", config)]
+        else:
+            options = [("--corpus", corpus), ("--config", config), ("--refs", None),
+                       ("--out", tmp / "report.json"), ("--roc-csv", None),
+                       ("--scores-csv", tmp / "scores.csv")]
+        values = {"empty": "", "missing": tmp / "missing" / "x", "directory": tmp,
+                  "malformed": tmp / "malformed"}
+        argv = [command] + (["--jobs", jobs] if command == "eval" else [])
+        for k, (option, good) in enumerate(options):
+            value = values[bad[k]] if k in bad else good
+            if value is not None:
+                argv += [option, str(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2, argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+            err.getvalue()

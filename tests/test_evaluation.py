@@ -4,8 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from fpfuse import (Corpus, Protocol, aggregate_minutiae_quality, enumerate_pairs,
-                    evaluate_scores, frr_at_far, minutiae_quality)
+from fpfuse import (Corpus, Protocol, SynthSpec, aggregate_minutiae_quality, enumerate_pairs,
+                    evaluate_scores, frr_at_far, generate_corpus, minutiae_quality, score_pairs)
+from fpfuse import evaluation
+from fpfuse.evaluation import POOL_MIN_PAIRS_PER_JOB
 
 from conftest import as_arrays, random_minutia, stub_corpus
 
@@ -234,3 +236,23 @@ def test_minutiae_quality_rejects_mismatched_references(small_bundle):
     for bad in (fewer, other):
         with pytest.raises(ValueError, match="references"):
             aggregate_minutiae_quality(corpus, bad)
+
+
+# ---------------------------------------------------------------------------
+# scoring pool
+
+class _UnpicklableCorpus(Corpus):
+    def __reduce_ex__(self, protocol):
+        raise TypeError("a corpus is inherited by forked workers, never pickled")
+
+
+def test_score_pairs_pool_workers_inherit_the_corpus_unpickled():
+    corpus = _UnpicklableCorpus(generate_corpus(SynthSpec(seed=5, subjects=20, impressions=4,
+                                                          minutiae_per_identity=12)).corpus.subjects)
+    genuine, impostor = enumerate_pairs(Protocol(20, 4), corpus)
+    pairs = genuine + impostor
+    assert len(pairs) == 310 >= POOL_MIN_PAIRS_PER_JOB * 2
+    serial, pooled = score_pairs(corpus, pairs, jobs=1), score_pairs(corpus, pairs, jobs=2)
+    for name in ("s_g_raw", "s_l_raw", "work_units"):
+        assert getattr(serial, name).tobytes() == getattr(pooled, name).tobytes()
+    assert evaluation._SCORING_CONTEXT == {}  # the parent never holds the workers' context

@@ -6,6 +6,8 @@ quality."""
 
 import json
 import math
+import struct
+import warnings
 from dataclasses import asdict, fields, replace
 from unittest import mock
 
@@ -26,7 +28,7 @@ from fpfuse import (CorrespondenceWeights, DecodeError, GroundTruthRecord,
 from fpfuse.assignment import _augmenting_path_solve, squared_distances
 from fpfuse.pipeline import (FUSION_RULES, GATE_LOCAL_EVALUATED, GATES, SKIP_LOCAL, UNGATED,
                              gated_fuse)
-from fpfuse.templates import MAX_IMAGE_SIDE
+from fpfuse.templates import _HEADER, MAX_IMAGE_SIDE
 
 import cost_oracle
 import ingest_oracle
@@ -190,7 +192,7 @@ def _outcome(read, data):
         t = read(data)
     except DecodeError as exc:
         return str(exc)
-    assert ingest_oracle.full_report(t) == []
+    assert _loop_violations(t) == []
     return t.records.dtype, t.records.tobytes(), t.global_embedding.tobytes(), t.image_size, \
         t.source_id
 
@@ -214,6 +216,9 @@ _E = np.eye(3)
 @example((_E[0], [(5.0, math.inf, 1.0, _E[1])]), "json")
 @example((_E[0], [(-math.inf, 5.0, 1.0, _E[1])]), "binary")
 @example((_E[0], [(5.0, SIZE[0] + 0.5, 1.0, _E[1])]), "binary")              # out of frame
+@example((_E[0], [(5.0, 5.0, 1.0, _E[1] * (1 - 9e-4)),                         # drift, fixed,
+                  (6.0, 6.0, 1.0, _E[2] * (1 + 1.5e-3))]), "binary")          # next to rejected
+@example((_E[0] * (1 + 5e-4), [(5.0, 5.0, math.inf, _E[1])]), "binary")      # global fixed, theta
 def test_reader_gives_what_the_reference_ingest_gives(raw, fmt):
     g, rows = raw
     data = write_template(Template(g, *as_arrays(rows), SIZE, "s"), format=fmt)
@@ -223,6 +228,56 @@ def test_reader_gives_what_the_reference_ingest_gives(raw, fmt):
             rec.update(x=x, y=y, theta=theta)
         data = json.dumps(doc).encode()
     assert _outcome(read_template, data) == _outcome(ingest_oracle.read, data)
+
+
+def _honours_reader_contract(data):
+    """``read_template(data)`` returns a template that passes ``validate`` or
+    raises ``DecodeError``: nothing else, and no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            t = read_template(data)
+        except DecodeError:
+            return
+    assert validate(t) == []
+
+
+# Float32 bit patterns a reader takes or refuses without a warning: signaling
+# and quiet NaNs of either sign, the infinities, subnormals, -0.0 and the
+# float32 just below 2*pi.
+FLOAT32_PATTERNS = [0x7F800001, 0xFF800001, 0x7FBFFFFF, 0xFFBFFFFF, 0x7FC00000, 0xFFC00000,
+                    0x7F800000, 0xFF800000, 0x00000001, 0x807FFFFF, 0x80000000,
+                    int(np.nextafter(np.float32(TWO_PI), np.float32(0.0)).view(np.uint32))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(templates(), st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                       st.sampled_from(FLOAT32_PATTERNS)
+                                       | st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=3))
+def test_binary_reader_contract_holds_for_every_float32_bit_pattern(t, slots):
+    data = bytearray(write_template(t))
+    start = 4 + _HEADER.size + len(t.source_id.encode("utf-8"))  # the first float32 slot
+    for slot, bits in slots:
+        at = start + 4 * (slot % ((len(data) - start) // 4))
+        data[at:at + 4] = struct.pack("<I", bits)
+    _honours_reader_contract(bytes(data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(templates(), st.sampled_from(["global", "x", "y", "theta", "emb"]), st.integers(0, 10 ** 6),
+       st.sampled_from([1e300, -1e300, 3.5e38, -3.5e38, 10 ** 40, -10 ** 40, 10 ** 400,
+                        math.inf, -math.inf, math.nan]))
+def test_json_reader_contract_holds_beyond_the_float32_range(t, key, index, value):
+    doc = json.loads(write_template(t, format="json"))
+    if key == "global":
+        doc["global"][index % len(doc["global"])] = value
+    elif doc["minutiae"]:
+        rec = doc["minutiae"][index % len(doc["minutiae"])]
+        if key == "emb":
+            rec["emb"][index % len(rec["emb"])] = value
+        else:
+            rec[key] = value
+    _honours_reader_contract(json.dumps(doc).encode())
 
 
 # ---------------------------------------------------------------------------

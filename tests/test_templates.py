@@ -311,6 +311,22 @@ def test_decode_error_names_first_violations_and_counts_the_rest():
     assert message.endswith("and 35 more (40 in all)")
 
 
+@pytest.mark.parametrize("fmt", ["binary", "json"])
+@pytest.mark.parametrize("global_scale, rows, left", [
+    (1.0, [(5.0, 5.0, 1.0, [0.0, 1 - 9e-4, 0.0]), (6.0, 6.0, 1.0, [0.0, 0.0, 1 + 1.5e-3])],
+     "minutiae[1].embedding: norm (norm 1.0015 not within 1e-06 of 1)"),
+    (1 + 5e-4, [(5.0, 5.0, math.inf, [0.0, 1.0, 0.0])],
+     "minutiae[0].theta: range [0, 2pi) (theta inf)"),
+])
+def test_decode_error_lists_only_what_the_repair_left(fmt, global_scale, rows, left):
+    """A drifted row or global is renormalized before the second check, so
+    only the fault next to it is named."""
+    t = Template([global_scale, 0.0, 0.0], *as_arrays(rows), (64, 48))
+    with pytest.raises(DecodeError) as info:
+        read_template(write_template(t, format=fmt))
+    assert str(info.value) == "invalid template: " + left
+
+
 def test_readers_reject_mixed_minutia_dimensions():
     doc = json.loads(write_template(basis_template(), format="json"))
     doc["minutiae"] = [{"x": 1.0, "y": 1.0, "theta": 0.5, "emb": [1.0, 0.0]},
