@@ -1,14 +1,17 @@
+import copy
+import inspect
 import json
 import math
+import pickle
 import re
 import warnings
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from fpfuse import (UNGATED, CorrespondenceWeights, DoubleSigmoidParams, LocalMatchConfig,
-                    LossWeights, Normalizer, PipelineConfig, SynthSpec,
+                    LossWeights, MatchResult, Normalizer, PipelineConfig, SynthSpec,
                     double_sigmoid, fit_double_sigmoid,
                     from_json, infer_pair, infer_pair_with_config)
 from fpfuse.pipeline import (GATE_CONFIDENT_GENUINE, GATE_CONFIDENT_IMPOSTOR,
@@ -366,3 +369,88 @@ def test_double_sigmoid_width_error_names_its_field_and_value(side, width, shown
 def test_pipeline_config_checks_band():
     with pytest.raises(ValueError):
         PipelineConfig(theta_t=0.2, theta_f=0.5)
+
+
+# ---------------------------------------------------------------------------
+# the match record: slotted, with its own __init__, and still a frozen dataclass
+
+RECORD_FIELDS = ("s_g_raw", "s_l_raw", "s_g_norm", "s_l_effective", "s_final", "gate",
+                 "work_units")
+SETTLED = (0.875, None, 0.875, 1.0, 0.9375, GATE_CONFIDENT_GENUINE, 0)
+EVALUATED = (0.5, 3.25, 0.5, 1.0, 0.75, GATE_LOCAL_EVALUATED, 42)
+
+
+@pytest.mark.parametrize("values", [SETTLED, EVALUATED])
+def test_match_record_positional_and_keyword_construction_agree(values):
+    by_name = dict(zip(RECORD_FIELDS, values))
+    records = [MatchResult(*values), MatchResult(**by_name),
+               MatchResult(*values[:3], **dict(list(by_name.items())[3:]))]
+    assert all(r == records[0] for r in records)
+    assert tuple(getattr(records[0], name) for name in RECORD_FIELDS) == values
+    assert tuple(f.name for f in fields(MatchResult)) == RECORD_FIELDS
+    params = inspect.signature(MatchResult).parameters
+    assert tuple(params) == RECORD_FIELDS
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+               for p in params.values())
+    with pytest.raises(TypeError):
+        MatchResult(*values[:-1])
+    with pytest.raises(TypeError):
+        MatchResult(*values, 0)
+    with pytest.raises(TypeError):
+        MatchResult(*values[:-1], work_units=0, extra=1)
+
+
+def test_match_record_is_frozen():
+    r = MatchResult(*SETTLED)
+    for name in RECORD_FIELDS:
+        with pytest.raises(FrozenInstanceError):
+            setattr(r, name, 0.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(r, name)
+    # A slotted record has no room for another attribute.  The exception
+    # differs by Python version: the 3.11 dataclass raises TypeError here.
+    with pytest.raises((AttributeError, TypeError)):
+        r.other = 0.0
+    assert r == MatchResult(*SETTLED)
+
+
+def test_match_record_compares_and_hashes_by_value():
+    a = MatchResult(*SETTLED)
+    b = MatchResult(float("0.875"), None, 0.875, 1.0, 0.9375, "confident_" + "genuine", 0)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert hash(a) == hash(SETTLED)
+    for k, other in enumerate([0.5, 1.0, 0.5, 0.0, 0.5, GATE_CONFIDENT_IMPOSTOR, 1]):
+        changed = MatchResult(*SETTLED[:k], other, *SETTLED[k + 1:])
+        assert changed != a and not changed == a
+    assert a != SETTLED and not a == SETTLED
+
+
+def test_match_record_repr_and_asdict_keep_their_text():
+    r = MatchResult(*EVALUATED)
+    assert repr(r) == ("MatchResult(s_g_raw=0.5, s_l_raw=3.25, s_g_norm=0.5, "
+                       "s_l_effective=1.0, s_final=0.75, gate='local_evaluated', "
+                       "work_units=42)")
+    assert tuple(asdict(r)) == RECORD_FIELDS
+    # cmd_match prints asdict of the record.
+    assert json.dumps(asdict(MatchResult(*SETTLED))) == (
+        '{"s_g_raw": 0.875, "s_l_raw": null, "s_g_norm": 0.875, "s_l_effective": 1.0, '
+        '"s_final": 0.9375, "gate": "confident_genuine", "work_units": 0}')
+
+
+def test_match_record_survives_replace_copy_and_pickle():
+    r = MatchResult(*EVALUATED)
+    assert replace(r) == r
+    assert replace(r, gate=GATE_CONFIDENT_IMPOSTOR, work_units=0) == MatchResult(
+        *EVALUATED[:5], GATE_CONFIDENT_IMPOSTOR, 0)
+    assert copy.copy(r) == r and copy.deepcopy(r) == r
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(r, protocol))
+        assert type(back) is MatchResult and back == r
+
+
+def test_match_record_has_no_instance_dict():
+    r = MatchResult(*SETTLED)
+    assert not hasattr(r, "__dict__")
+    assert MatchResult.__slots__ == RECORD_FIELDS
+    with pytest.raises(TypeError):
+        vars(r)
