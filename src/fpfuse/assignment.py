@@ -31,6 +31,23 @@ difference of two angles by ``np.fmod``, at about half the cost of
 ``np.mod``'s floor remainder and with its bits: on operands of one sign the
 two differ only in a sign fix that never fires, and both give +0.0 for a
 zero remainder.
+
+Three kernels skip work whose result their input already fixes, so every
+output keeps its bits:
+
+* :func:`angular_distance` takes the remainder only when some difference
+  is 2 pi or more, or NaN: below 2 pi, ``fmod`` returns its operand.
+* :func:`correspondence_cost_matrix` skips its three ``ldexp`` calls when
+  the embeddings' binary exponent is 0 (their largest magnitude lies in
+  [0.5, 1)) and both embedding arrays are contiguous: ``ldexp(x, 0)`` is
+  ``x``, in ``x``'s layout, and the product's bits follow the layout.
+* :func:`solve_assignment` takes one ``argmin`` per row and gathers the row
+  minima at it for its NaN and -inf checks, its tie tolerance and the warm
+  start, which pairs every row with its argmin at once when no two rows
+  share one.  A gathered minimum may be -0.0 where ``min`` gives +0.0;
+  potentials enter only comparisons and sums, so no pair or total moves.
+  With +inf present, the tie tolerance reads the largest finite entry by a
+  masked max, not from a copy of the finite entries.
 """
 
 from __future__ import annotations
@@ -74,7 +91,8 @@ class CorrespondenceWeights:
 def angular_distance(a, b):
     """Circular distance between angles in radians, in [0, pi].  Vectorized."""
     diff = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
-    diff = np.fmod(diff, TWO_PI)
+    if not diff.max(initial=0.0) < TWO_PI:  # a NaN fails the test and takes fmod too
+        diff = np.fmod(diff, TWO_PI)
     out = np.minimum(diff, TWO_PI - diff)
     return float(out) if out.ndim == 0 else out
 
@@ -85,7 +103,7 @@ def angular_distance(a, b):
 _TIE_TOL_SCALE = 1e-9
 
 
-def _augmenting_path_solve(cost: np.ndarray):
+def _augmenting_path_solve(cost: np.ndarray, first=None, u=None):
     """Match every row of ``cost`` (n <= m required) to a distinct column.
 
     Returns ``(col_of_row, row_of_col, u, v)`` where the potentials satisfy
@@ -96,22 +114,36 @@ def _augmenting_path_solve(cost: np.ndarray):
     shortest augmenting path algorithm for dense and sparse linear
     assignment problems" (Computing 38, 1987): ``u`` is each row's minimum
     and ``v = 0``, and in row order each row takes its first argmin column
-    unless an earlier row holds it.  Shortest augmenting paths (Dijkstra on
-    reduced costs, O(m^2) each) then match only the rows left over.  Each
-    takes ``cost - v`` once and sets a column of it to +inf once the column
-    is scanned, so one vector add relaxes a row and never lowers the
-    distance of a scanned column.
+    unless an earlier row holds it.  One ``argmin`` per row gives both:
+    ``first``, each row's first argmin column, and ``u``, the minima
+    gathered at it.  A caller that has both passes both, and ``u`` is then
+    updated in place.  A gathered minimum may be -0.0 where ``min`` gives
+    +0.0; potentials enter only comparisons and sums, so no pair or total
+    can move.  When no two rows share their argmin, every row takes it at
+    once, with no loop.  Shortest augmenting paths (Dijkstra on reduced
+    costs, O(m^2) each) then match only the rows left over.  Each takes
+    ``cost - v`` once and sets a column of it to +inf once the column is
+    scanned, so one vector add relaxes a row and never lowers the distance
+    of a scanned column.
     """
     n, m = cost.shape
-    u = cost.min(axis=1)
+    if first is None:
+        first = cost.argmin(axis=1)
+        u = cost[np.arange(n), first]
     blocked = np.flatnonzero(np.isinf(u))
     if blocked.size:  # an all-+inf row would turn its reduced costs into NaN
         raise InfeasibleAssignmentError(
             f"row {blocked[0]} cannot be matched: every entry is forbidden")
     v = np.zeros(m)
+    cols = first.tolist()
+    if len(set(cols)) == n:  # no two rows share their argmin
+        row_of_col = np.empty(m, dtype=np.int64)
+        row_of_col.fill(-1)
+        row_of_col[first] = np.arange(n)
+        return first.astype(np.int64, copy=False), row_of_col, u, v
     col_of_row = [-1] * n
     row_of_col = [-1] * m
-    for i, j in enumerate(cost.argmin(axis=1).tolist()):
+    for i, j in enumerate(cols):
         if row_of_col[j] < 0:
             row_of_col[j] = i
             col_of_row[i] = j
@@ -270,6 +302,20 @@ def _canonical_pairs(tight: np.ndarray, u: np.ndarray, v: np.ndarray, tol: float
     return np.where(col_of_row[:n] < m, col_of_row[:n], -1)
 
 
+def _tie_tolerance(cost: np.ndarray, lo: float) -> float:
+    """How far above zero a reduced cost still counts as tight: 1e-9 of one
+    plus the largest finite magnitude in ``cost``, a matrix free of NaN and
+    -inf whose smallest entry is ``lo``.  With +inf present that magnitude
+    is the largest of ``-lo``, the largest finite entry and 0, which a
+    masked max reads without copying the finite entries out."""
+    hi = float(cost.max())
+    if hi == math.inf:
+        peak = max(-lo, float(cost.max(where=np.isfinite(cost), initial=-math.inf)), 0.0)
+    else:
+        peak = max(-lo, hi)
+    return _TIE_TOL_SCALE * (1.0 + peak)
+
+
 def solve_assignment(c: np.ndarray | Sequence[Sequence[float]]) -> Assignment:
     """Minimum-cost maximal one-to-one pairing of rows to columns of a dense
     n x m cost matrix, where ``+inf`` marks a forbidden pair.
@@ -286,23 +332,21 @@ def solve_assignment(c: np.ndarray | Sequence[Sequence[float]]) -> Assignment:
     n, m = cost.shape
     if n == 0 or m == 0:
         return Assignment((), 0.0)
-    lo = float(cost.min())  # NaN when any entry is NaN
+    # One argmin per row of the n <= m orientation gives the row minima the
+    # warm start needs.  argmin returns a row's first NaN, else its first
+    # -inf, so the minima hold one exactly when the matrix does.
+    oriented = cost if n <= m else cost.T
+    first = oriented.argmin(axis=1)
+    minima = oriented[np.arange(len(first)), first]
+    lo = float(minima.min())  # NaN when any entry is NaN
     if math.isnan(lo):
         raise ValueError("cost matrix contains NaN")
     if lo == -math.inf:
         raise ValueError("cost matrix contains -inf")
-    hi = float(cost.max())
-    if hi == math.inf:  # the largest finite magnitude needs a masked pass
-        finite = cost[np.isfinite(cost)]
-        peak = float(np.abs(finite).max()) if finite.size else 0.0
-    else:
-        peak = max(-lo, hi)
-    tol = _TIE_TOL_SCALE * (1.0 + peak)
-    if n <= m:
-        col_of_row, row_of_col, u, v = _augmenting_path_solve(cost)
-    else:
-        # Solve the transpose; its row potentials belong to our columns.
-        row_of_col, col_of_row, v, u = _augmenting_path_solve(cost.T)
+    tol = _tie_tolerance(cost, lo)
+    col_of_row, row_of_col, u, v = _augmenting_path_solve(oriented, first, minima)
+    if n > m:  # the transpose was solved: its row potentials belong to our columns
+        col_of_row, row_of_col, u, v = row_of_col, col_of_row, v, u
     # Finite potentials leave every reduced cost finite or +inf, never NaN.
     # Without a Dijkstra pass every column potential is +0.0, and x - 0.0 is x.
     reduced = cost - u[:, None]
@@ -373,14 +417,20 @@ def correspondence_cost_matrix(pred_pos, pred_ori, pred_emb, gt_pos, gt_ori, gt_
     ori = angular_distance(np.asarray(pred_ori)[:, None], np.asarray(gt_ori)[None, :])
     peak = max(np.abs(pred_emb).max(initial=0.0), np.abs(gt_emb).max(initial=0.0))
     _, e = np.frexp(peak)  # ldexp scales without forming 2**-e, which can overflow
-    a, b = np.ldexp(pred_emb, -e), np.ldexp(gt_emb, -e)
+    # ldexp(x, 0) is x, in x's layout when x is contiguous.  A strided view
+    # still takes the copy: the bits of the product follow the layout.
+    if e or not (pred_emb.flags.forc and gt_emb.flags.forc):
+        a, b = np.ldexp(pred_emb, -e), np.ldexp(gt_emb, -e)
+    else:
+        a, b = pred_emb, gt_emb
     emb = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)
     ab = a @ b.T
     ab *= 2.0
     emb -= ab
     np.maximum(emb, 0.0, out=emb)
     np.sqrt(emb, out=emb)
-    np.ldexp(emb, e, out=emb)
+    if e:
+        np.ldexp(emb, e, out=emb)
     loc *= w.w_loc
     ori *= w.w_ori
     loc += ori

@@ -168,7 +168,7 @@ def _reordered(pred_po, pred_e, gt_po, gt_e, w: CorrespondenceWeights
     cost = correspondence_cost_matrix(pred_po[:, :2], pred_po[:, 2], pred_e,
                                       gt_po[:, :2], gt_po[:, 2], gt_e, w)
     # A square solve pairs every row, and its pairs come sorted by row.
-    perm = [col for _, col in solve_assignment(cost).pairs]
+    perm = np.array([col for _, col in solve_assignment(cost).pairs], dtype=np.intp)
     return gt_po[perm], gt_e[perm]
 
 

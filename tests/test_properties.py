@@ -25,11 +25,12 @@ from fpfuse import (CorrespondenceWeights, DecodeError, GroundTruthRecord,
                     global_match, infer_pair_with_config, minutiae_quality, read_template,
                     reorder_ground_truth, score_pairs, solve_assignment, total_loss, validate,
                     write_template)
-from fpfuse.assignment import _augmenting_path_solve, squared_distances
+from fpfuse.assignment import _augmenting_path_solve, _tie_tolerance, squared_distances
 from fpfuse.pipeline import (FUSION_RULES, GATE_LOCAL_EVALUATED, GATES, SKIP_LOCAL, UNGATED,
                              gated_fuse)
 from fpfuse.templates import _HEADER, MAX_IMAGE_SIDE
 
+import assignment_oracle
 import cost_oracle
 import ingest_oracle
 import loss_oracle
@@ -632,6 +633,123 @@ def test_uniqueness_certificate_changes_no_solve(cost):
 
 
 # ---------------------------------------------------------------------------
+# the assignment kernels' fast paths against the steps they skip
+
+@st.composite
+def warm_start_problems(draw):
+    """Tie-rich problems; dense 30-60 problems, half of them square, in
+    which each row is cheapest at its own column of a permutation, as the
+    loss's are, unless the noise makes two rows share their argmin; and
+    problems with all-+inf rows."""
+    kind = draw(st.sampled_from(["tie-rich", "dense", "inf rows"]))
+    if kind == "tie-rich":
+        return draw(tie_rich_problems())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "dense":
+        n = draw(st.integers(30, 60))
+        m = n if draw(st.booleans()) else draw(st.integers(30, 60))
+        cost = rng.uniform(0.0, 100.0, (n, m))
+        k = min(n, m)
+        rows, cols = rng.permutation(n)[:k], rng.permutation(m)[:k]
+        cost[rows, cols] = rng.uniform(0.0, draw(st.sampled_from([0.01, 1.0, 100.0])), k)
+        return cost
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    cost = rng.integers(-2, 3, (n, m)).astype(np.float64)
+    cost[rng.random((n, m)) < 0.3] = math.inf
+    cost[rng.random(n) < 0.4] = math.inf
+    return cost
+
+
+@settings(max_examples=200, deadline=None)
+@given(warm_start_problems())
+def test_warm_start_equals_the_loop_form(cost):
+    """The gathered minima and the vectorized warm start give the pairs of
+    the loop form, potentials equal by ``==`` (a minimum may be -0.0 for
+    +0.0), and the same ``Assignment`` or the same error."""
+    oriented = cost if cost.shape[0] <= cost.shape[1] else cost.T
+    got = _outcome_of(_augmenting_path_solve, oriented)
+    want = _outcome_of(assignment_oracle._augmenting_path_solve, oriented)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and (g == w).all()
+    assert (_outcome_of(solve_assignment, cost)
+            == _outcome_of(assignment_oracle.solve_assignment, cost))
+
+
+@st.composite
+def tolerance_problems(draw):
+    """Matcher-like problems, scaled: negated cosines on surviving cells and
+    +inf elsewhere, with zero-cost dummy columns unless left out, optionally
+    with all-+inf rows; and problems that are +inf everywhere."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.integers(0, 9)) == 0:
+        return np.full((n, m), math.inf)
+    cos = rng.uniform(-1.0, 1.0, (n, m)) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    cost = np.where(rng.random((n, m)) < draw(st.sampled_from([0.0, 0.5, 0.9])), math.inf, -cos)
+    if draw(st.booleans()):
+        cost = np.hstack([cost, np.zeros((n, n))])
+    cost[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = math.inf
+    return cost.T if draw(st.booleans()) else cost
+
+
+@settings(max_examples=300, deadline=None)
+@given(tolerance_problems())
+@example(np.full((3, 4), math.inf))
+@example(np.array([[math.inf, math.inf], [-0.5, -0.0]]))
+@example(np.array([[math.inf, 2.0], [math.inf, math.inf]]))
+def test_tie_tolerance_equals_the_copying_form(cost):
+    """The masked max gives the tolerance the copy of the finite entries gives."""
+    assert _tie_tolerance(cost, float(cost.min())) == assignment_oracle.tie_tolerance(cost)
+
+
+# Embedding peaks: with exponent 0, below and above it, and near both ends of the range.
+embedding_peaks = (st.floats(0.5, 1.0, exclude_max=True) | st.floats(1e-3, 0.5)
+                   | st.floats(1.0, 1e3) | st.floats(5e-324, 2.2250738585072014e-308)
+                   | st.floats(1e299, 1e300))
+
+
+def _laid_out(a, layout):
+    """``a``'s values in C or Fortran order, or in a view with strided columns."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        return np.repeat(a, 2, axis=1)[:, ::2]
+    return a
+
+
+def _cost_inputs(seed, n, m, d, peak, layouts):
+    """Two minutia sets whose embeddings' largest magnitude is about ``peak``,
+    laid out as ``layouts`` names."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    top = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) or 1.0
+    a, b = (_laid_out(x / top * peak, layout) for x, layout in zip((a, b), layouts))
+    return (rng.uniform(0, 384, (n, 2)), rng.uniform(0, TWO_PI, n), a,
+            rng.uniform(0, 384, (m, 2)), rng.uniform(0, TWO_PI, m), b)
+
+
+layouts = st.sampled_from(["C", "F", "strided"])
+cost_inputs = st.builds(_cost_inputs, st.integers(0, 2 ** 32 - 1), st.integers(0, 8),
+                        st.integers(0, 8), st.integers(1, 8), embedding_peaks,
+                        st.tuples(layouts, layouts))
+
+
+@PROPERTY
+@given(cost_inputs)
+@example(_cost_inputs(0, 3, 2, 4, 0.75, ("C", "C")))
+@example(_cost_inputs(0, 19, 1, 32, 0.9, ("strided", "C")))  # matmul's bits follow the layout
+def test_cost_matrix_equals_the_always_scaled_form(inputs):
+    """Skipping ``ldexp`` at exponent 0 keeps every bit, in every layout."""
+    got = correspondence_cost_matrix(*inputs)
+    want = assignment_oracle.correspondence_cost_matrix(*inputs)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the loss reference's correspondence costs against the broadcast form
 
 @st.composite
@@ -821,6 +939,9 @@ def angle_operands(draw):
 @example((TWO_PI, 0.0))
 @example((np.array([-0.0, 5e-324, 3 * TWO_PI]), np.array([0.0, -5e-324, -TWO_PI])))
 @example((1e300, -1e300))
+@example((np.array([np.nan, 10.0]), np.array([0.0, 0.0])))  # a NaN must not skip the remainder
+@example((np.array([0.0, 1.0, 6.0, float(np.nextafter(TWO_PI, 0))]),  # every |a - b| below 2*pi
+          np.array([6.28, 0.5, 0.0, 0.0])))
 def test_angular_distance_equals_the_floor_remainder_form(operands):
     got, want = angular_distance(*operands), _angular_distance_by_mod(*operands)
     assert type(got) is type(want)
