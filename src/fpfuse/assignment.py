@@ -58,7 +58,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .templates import TWO_PI, number
+from .templates import TWO_PI, checked
 
 
 class InfeasibleAssignmentError(ValueError):
@@ -82,8 +82,7 @@ class CorrespondenceWeights:
     w_emb: float = 20.0
 
     def __post_init__(self):
-        for name in ("w_loc", "w_ori", "w_emb"):
-            number(getattr(self, name), name, lo=0.0)
+        checked(self, "w_loc", "w_ori", "w_emb", lo=0.0)
         if self.w_loc == 0 and self.w_ori == 0 and self.w_emb == 0:
             raise ValueError("correspondence weights must not all be zero")
 

@@ -2,10 +2,10 @@
 
 All outputs are machine-readable JSON (CSV for raw scores); ``--pretty``
 renders human tables instead.  Exit code 0 on success, 2 on usage or data
-errors, with one ``error:`` line and no traceback.  Every file the CLI
-reads (corpus, references, config, spec, templates, loss records and
-weights) goes through one boundary, :func:`_read`, whose error names the
-input.  ``FPFUSE_SEED`` overrides the generator seed from the spec file.
+errors, with one ``error:`` line and no traceback.  Every input is a file
+(corpus, references, config, spec, templates, loss records and weights),
+read through one boundary, :func:`_read`, whose error names the file; the
+spec file's ``seed`` is the one seed of a synthetic corpus.
 ``eval`` and ``bench`` run the protocol of the corpus's own shape.
 ``bench`` takes either ``--grid`` or ``--sweep-minutiae``, never both.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -29,7 +28,7 @@ from .evaluation import (Protocol, apply_pipeline, enumerate_pairs,
 from .losses import GroundTruthRecord, LossWeights, PredictionRecord, total_loss
 from .pipeline import UNGATED, PipelineConfig, infer_pair
 from .synth import SynthSpec, check_out_dir, generate_corpus, write_bundle
-from .templates import described, from_json, number, read_corpus, read_template
+from .templates import described, from_json, json_object, number, read_corpus, read_template
 
 
 def corpus_checksum(root: Path) -> str:
@@ -51,22 +50,19 @@ def _read(what: str, read, *args):
         raise ValueError(f"{what}: {described(exc)}") from exc
 
 
-def _json_object(text: str, what: str) -> dict:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must hold a JSON object, got {type(doc).__name__}")
-    return doc
+def _json(path: str):
+    """The JSON document held in the file ``path``."""
+    return json.loads(Path(path).read_text())
 
 
-def _config(cls, text: str, what: str):
-    return from_json(cls, json.loads(text), what)
+def _config(cls, path: str, what: str):
+    return from_json(cls, _json(path), what)
 
 
 def _load_config(path: Optional[str]) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    return _read(f"bad pipeline config {path}",
-                 lambda: _config(PipelineConfig, Path(path).read_text(), "config"))
+    return _read(f"bad pipeline config {path}", _config, PipelineConfig, path, "config")
 
 
 def _emit(doc, pretty: bool, rows_key: Optional[str] = None):
@@ -94,16 +90,8 @@ def _cell(value) -> str:
 # Subcommands
 
 def cmd_synth(args) -> int:
-    spec = (_read(f"bad synth spec {args.spec}",
-                  lambda: _config(SynthSpec, Path(args.spec).read_text(), "synth spec"))
+    spec = (_read(f"bad synth spec {args.spec}", _config, SynthSpec, args.spec, "synth spec")
             if args.spec is not None else SynthSpec())
-    env_seed = os.environ.get("FPFUSE_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise ValueError(f"FPFUSE_SEED must be an integer, got {env_seed!r}") from exc
-        spec = replace(spec, seed=seed)
     try:
         out = check_out_dir(args.out)  # before generating, which can take long
     except ValueError as exc:
@@ -253,14 +241,12 @@ def cmd_bench(args) -> int:
 
 def cmd_losses(args) -> int:
     pred = _read(f"cannot read loss records {args.pred}", lambda: PredictionRecord.from_dict(
-        _json_object(Path(args.pred).read_text(), "--pred")))
+        json_object(_json(args.pred), "--pred")))
     gt = _read(f"cannot read loss records {args.gt}", lambda: GroundTruthRecord.from_dict(
-        _json_object(Path(args.gt).read_text(), "--gt")))
-    weights = LossWeights()
-    if args.weights is not None:  # inline JSON, or the path of a file that holds it
-        path = args.weights if os.path.isfile(args.weights) else None
-        weights = _read(f"bad loss weights {path or '--weights'}", lambda: _config(
-            LossWeights, Path(path).read_text() if path else args.weights, "--weights"))
+        json_object(_json(args.gt), "--gt")))
+    weights = (_read(f"bad loss weights {args.weights}", _config, LossWeights, args.weights,
+                     "--weights")
+               if args.weights is not None else LossWeights())
     _emit(asdict(total_loss(pred, gt, weights)), args.pretty)
     return 0
 
@@ -313,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("losses", help="training-loss breakdown for one record pair")
     p.add_argument("--pred", required=True, help="prediction record JSON")
     p.add_argument("--gt", required=True, help="ground-truth record JSON")
-    p.add_argument("--weights", help="loss weights JSON (inline or file)")
+    p.add_argument("--weights", help="loss weights JSON file")
     p.set_defaults(func=cmd_losses)
     return parser
 

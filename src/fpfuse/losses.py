@@ -18,14 +18,14 @@ records, their shapes.  Both reorder through one helper.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .assignment import (CorrespondenceWeights, correspondence_cost_matrix,
                          angular_distance, solve_assignment)
-from .templates import json_numbers, number
+from .templates import checked, json_numbers
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +117,7 @@ class LossWeights:
     intermediate_embedding_weight: float = 1.0
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            number(value, name, lo=0.0)
+        checked(self, *(f.name for f in fields(self)), lo=0.0)
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def mse(a, b) -> float:
         raise ValueError(f"shape mismatch: {a.shape} != {b.shape}")
     if a.size == 0:
         raise ValueError("mse requires non-empty inputs")
-    return float(np.mean((a - b) ** 2))
+    return _mean_square(a - b)
 
 
 def reorder_ground_truth(pred_po, pred_e, gt_po, gt_e,

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .assignment import angular_distance, solve_assignment, squared_distances
-from .templates import Template, number
+from .templates import Template, checked
 
 # Cosines within one part in 1e12 of 1 are snapped to exactly 1 so that a
 # self match scores exactly the minutiae count.
@@ -39,12 +39,10 @@ class LocalMatchConfig:
     max_minutiae: Optional[int] = None
 
     def __post_init__(self):
-        for name, lo, hi in (("emb_sim_floor", -1.0, 1.0), ("geo_tolerance_px", 0.0, math.inf),
-                             ("ori_tolerance_rad", 0.0, math.inf)):
-            object.__setattr__(self, name, number(getattr(self, name), name, lo, hi))
+        checked(self, "emb_sim_floor", lo=-1.0, hi=1.0)
+        checked(self, "geo_tolerance_px", "ori_tolerance_rad", lo=0.0)
         if self.max_minutiae is not None:
-            object.__setattr__(self, "max_minutiae",
-                               number(self.max_minutiae, "max_minutiae", 1, integer=True))
+            checked(self, "max_minutiae", lo=1, integer=True)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .matching import LocalMatchConfig, clamp01, global_match, local_match
-from .templates import Template, number
+from .templates import Template, checked, number
 
 GATE_CONFIDENT_GENUINE = "confident_genuine"
 GATE_CONFIDENT_IMPOSTOR = "confident_impostor"
@@ -59,8 +59,7 @@ class DoubleSigmoidParams:
     right_width: float
 
     def __post_init__(self):
-        for name in ("center", "left_width", "right_width"):
-            object.__setattr__(self, name, number(getattr(self, name), name))
+        checked(self, "center", "left_width", "right_width")
         for name in ("left_width", "right_width"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"double sigmoid {name} must be positive, "
@@ -204,10 +203,11 @@ class Normalizer:
         if not isinstance(self.params, dict) or set(self.params) != set(names):
             raise ValueError(f"{self.kind} normalizer params must be a JSON object with keys "
                              f"{', '.join(names) or 'none'}, got {self.params!r}")
-        args = [number(self.params[name], f"{self.kind} normalizer param {name}")
-                for name in names]
+        params = {name: number(self.params[name], f"{self.kind} normalizer param {name}")
+                  for name in names}
+        object.__setattr__(self, "params", params)
         # Built once: params is read at construction only.
-        object.__setattr__(self, "_map", partial(double_sigmoid, p=DoubleSigmoidParams(*args))
+        object.__setattr__(self, "_map", partial(double_sigmoid, p=DoubleSigmoidParams(**params))
                            if self.kind == "double_sigmoid" else None)
 
     def __call__(self, scores):
@@ -225,8 +225,7 @@ class PipelineConfig:
     local: LocalMatchConfig = field(default_factory=LocalMatchConfig)
 
     def __post_init__(self):
-        for name in ("theta_t", "theta_f"):
-            object.__setattr__(self, name, number(getattr(self, name), name))
+        checked(self, "theta_t", "theta_f")
         if self.fusion not in FUSION_RULES:
             raise ValueError(f"unknown fusion rule {self.fusion!r}")
         for name, kind in (("norm", Normalizer), ("local", LocalMatchConfig)):

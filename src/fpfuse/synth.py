@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .templates import (MAX_IMAGE_SIDE, Corpus, Template, canonicalize_angle, number,
-                        write_corpus)
+from .templates import (MAX_IMAGE_SIDE, Corpus, Template, canonicalize_angle, checked,
+                        number, write_corpus)
 
 # Field tags for RNG stream keys.
 _F_GLOBAL = 0
@@ -86,16 +86,15 @@ class SynthSpec:
         # Integer knobs and their least value.
         for name, least in (("seed", 0), ("subjects", 1), ("impressions", 1),
                             ("minutiae_per_identity", 0)):
-            number(getattr(self, name), name, lo=least, integer=True)
+            checked(self, name, lo=least, integer=True)
         size = self.image_size
         if not (isinstance(size, (list, tuple)) and len(size) == 2):
             raise ValueError(f"image_size must be a pair of integers, got {size!r}")
-        for side in size:
-            number(side, "image_size", 1, MAX_IMAGE_SIDE, integer=True)
-        object.__setattr__(self, "image_size", tuple(size))
+        object.__setattr__(self, "image_size", tuple(
+            number(side, "image_size", 1, MAX_IMAGE_SIDE, integer=True) for side in size))
         # Float knobs: probabilities in [0, 1], the rest nonnegative.
         for name in (f.name for f in fields(self) if isinstance(f.default, float)):
-            number(getattr(self, name), name, 0.0, 1.0 if name in _PROBABILITIES else math.inf)
+            checked(self, name, lo=0.0, hi=1.0 if name in _PROBABILITIES else math.inf)
 
 
 def _rng(spec_seed: int, subject: int, impression: int, field_tag: int) -> np.random.Generator:

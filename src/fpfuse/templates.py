@@ -31,7 +31,9 @@ own :func:`read_template` call, requires each subject's impressions to be
 numbered 0 to k-1, and names the failing file.
 
 The JSON checks every config shares live here too: :func:`number` is the
-one number rule and :func:`from_json` the one config reader.
+one number rule, :func:`json_object` the one object check and
+:func:`from_json` the one config reader.  Every config and template holds
+what the number rule returns, a Python float or int (:func:`checked`).
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ class Template:
 
     All arrays are stored as read-only float32; ``positions``, ``theta`` and
     ``embeddings`` become views of ``records``.  Construction checks shapes
-    (``ValueError`` on a mismatch) but not values: :func:`validate` does.
+    and that ``image_size`` is two integers, not bools (``ValueError``
+    otherwise); :func:`validate` checks values, each side's range included.
     A template without minutiae has ``embeddings`` of shape (0, 0).
 
     ``global64`` is a read-only float64 copy of ``global_embedding``, made
@@ -119,6 +122,9 @@ class Template:
     global64: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if len(self.image_size) != 2 or any(isinstance(side, bool) or not isinstance(
+                side, numbers.Integral) for side in self.image_size):
+            raise ValueError(f"image_size must be a pair of integers, got {self.image_size!r}")
         g = np.array(self.global_embedding, dtype=np.float32)
         pos = np.asarray(self.positions, dtype=np.float32)
         theta = np.asarray(self.theta, dtype=np.float32)
@@ -374,16 +380,29 @@ def number(value, what: str, lo: float = -math.inf, hi: float = math.inf,
     return int(value) if integer else float(value)
 
 
+def checked(config, *names: str, lo: float = -math.inf, hi: float = math.inf,
+            integer: bool = False) -> None:
+    """Store :func:`number` of each field ``names`` of the frozen dataclass
+    ``config``, in order, each named by its field name."""
+    for name in names:
+        object.__setattr__(config, name, number(getattr(config, name), name, lo, hi, integer))
+
+
+def json_object(doc, what: str) -> dict:
+    """``doc`` if it is a JSON object, else ``ValueError`` naming ``what``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def from_json(cls, doc, what: str):
     """The dataclass config ``cls`` built from ``doc``, a JSON object whose
     keys are its field names.  A key left out keeps its default, and a field
     whose default is a dataclass takes a nested object.  A non-object or an
     unknown key raises ``ValueError`` naming ``what``; ``cls`` checks the
     values."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must hold a JSON object, got {type(doc).__name__}")
     names = [f.name for f in fields(cls)]
-    unknown = sorted(set(doc) - set(names))
+    unknown = sorted(set(json_object(doc, what)) - set(names))
     if unknown:
         raise ValueError(f"unknown {what} key(s) {', '.join(unknown)}; "
                          f"expected {', '.join(names)}")

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from fpfuse import (CorrespondenceWeights, DecodeError, GroundTruthRecord,
+from fpfuse import (CorrespondenceWeights, DecodeError, DoubleSigmoidParams, GroundTruthRecord,
                     InfeasibleAssignmentError, LocalMatchConfig, LossWeights, Normalizer,
                     PipelineConfig, PredictionRecord, Protocol, SynthSpec, Template,
                     angular_distance, apply_pipeline, canonicalize_angle,
@@ -367,6 +367,86 @@ def test_every_synth_spec_that_constructs_survives_json(edits):
                        max_size=3))
 def test_every_loss_weights_that_constructs_survives_json(edits):
     _round_trip(lambda: LossWeights(**edits))
+
+
+def _np_floats(lo, hi):
+    """Floats in ``[lo, hi]`` as float32 or float64 numpy scalars."""
+    return st.builds(lambda value, cast: cast(value), st.floats(lo, hi),
+                     st.sampled_from([np.float32, np.float64]))
+
+
+def _np_ints(lo, hi):
+    return st.integers(lo, hi).map(np.int64)
+
+
+def _banded(doc):
+    """``doc`` with its ``band`` pair as ``theta_f <= theta_t``."""
+    theta_f, theta_t = sorted(doc.pop("band"))
+    return {"theta_f": theta_f, "theta_t": theta_t, **doc}
+
+
+_np_double_sigmoid = st.fixed_dictionaries({"center": _np_floats(-1e3, 1e3),
+                                            "left_width": _np_floats(1e-3, 1e3),
+                                            "right_width": _np_floats(1e-3, 1e3)})
+_np_local = st.fixed_dictionaries({"emb_sim_floor": _np_floats(-1.0, 1.0),
+                                   "geo_tolerance_px": _np_floats(0.0, 1e3),
+                                   "ori_tolerance_rad": _np_floats(0.0, 4.0),
+                                   "max_minutiae": st.none() | _np_ints(1, 10 ** 6)})
+_np_norm = st.fixed_dictionaries({"kind": st.just("double_sigmoid"),
+                                  "params": _np_double_sigmoid})
+# Every config kind, with its fields as a JSON-shaped tree of numpy scalars:
+# float32 or float64 for a float field, int64 for an integer one.
+NUMPY_CONFIGS = {
+    CorrespondenceWeights: st.fixed_dictionaries({"w_loc": _np_floats(1e-3, 1e3),
+                                                  "w_ori": _np_floats(0.0, 1e3),
+                                                  "w_emb": _np_floats(0.0, 1e3)}),
+    LocalMatchConfig: _np_local,
+    DoubleSigmoidParams: _np_double_sigmoid,
+    Normalizer: _np_norm,
+    PipelineConfig: st.fixed_dictionaries({
+        "band": st.tuples(_np_floats(-2.0, 2.0), _np_floats(-2.0, 2.0)),
+        "fusion": st.sampled_from(FUSION_RULES), "norm": _np_norm, "local": _np_local,
+    }).map(_banded),
+    LossWeights: st.fixed_dictionaries({f.name: _np_floats(0.0, 10.0)
+                                        for f in fields(LossWeights)}),
+    SynthSpec: st.fixed_dictionaries({
+        "seed": _np_ints(0, 2 ** 63 - 1), "subjects": _np_ints(1, 100),
+        "impressions": _np_ints(1, 10), "minutiae_per_identity": _np_ints(0, 100),
+        "image_size": st.tuples(_np_ints(1, MAX_IMAGE_SIDE), _np_ints(1, MAX_IMAGE_SIDE)),
+        **{f.name: _np_floats(0.0, 1.0) for f in fields(SynthSpec)
+           if isinstance(f.default, float)}}),
+}
+
+
+def _python(tree):
+    """``tree`` with each numpy scalar replaced by the Python number it holds."""
+    if isinstance(tree, dict):
+        return {key: _python(value) for key, value in tree.items()}
+    if isinstance(tree, tuple):
+        return tuple(_python(value) for value in tree)
+    return tree.item() if isinstance(tree, np.generic) else tree
+
+
+def _leaves(tree):
+    if isinstance(tree, dict):
+        return [leaf for value in tree.values() for leaf in _leaves(value)]
+    if isinstance(tree, (tuple, list)):
+        return [leaf for value in tree for leaf in _leaves(value)]
+    return [tree]
+
+
+@PROPERTY
+@given(st.sampled_from(list(NUMPY_CONFIGS)).flatmap(
+    lambda cls: st.tuples(st.just(cls), NUMPY_CONFIGS[cls])))
+def test_a_config_of_numpy_scalars_holds_python_numbers(case):
+    """Each of the seven configs, built from numpy scalars, holds the Python
+    float or int the number rule returns, so its JSON round trip gives the
+    config built from the Python numbers those scalars hold.  A nested config
+    is built from its nested object, as ``from_json`` builds it."""
+    cls, tree = case
+    config = from_json(cls, tree, "config")
+    assert {type(leaf) for leaf in _leaves(asdict(config))} <= {float, int, str, type(None)}
+    assert _from_its_json(config) == from_json(cls, _python(tree), "config")
 
 
 # ---------------------------------------------------------------------------

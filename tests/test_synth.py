@@ -171,6 +171,23 @@ def test_spec_round_trip(tmp_path):
     assert from_json(SynthSpec, json.loads(path.read_text()), "synth spec") == spec
 
 
+def test_a_spec_of_numpy_scalars_writes_the_bundle_of_its_python_twin(tmp_path):
+    """The spec holds Python numbers, so its manifest is written, refs/ too."""
+    twin = SynthSpec(seed=3, subjects=2, impressions=2, image_size=(200, 300),
+                     drop_probability=0.5)
+    spec = SynthSpec(seed=np.int64(3), subjects=np.int64(2), impressions=np.int64(2),
+                     image_size=(np.int64(200), np.int64(300)),
+                     drop_probability=np.float32(0.5))
+    assert spec == twin
+    for name, s in (("numpy", spec), ("python", twin)):
+        write_bundle(generate_corpus(s), tmp_path / name, spec=s)
+    files = {name: {p.relative_to(tmp_path / name): p.read_bytes()
+                    for p in (tmp_path / name).rglob("*") if p.is_file()}
+             for name in ("numpy", "python")}
+    assert files["numpy"] == files["python"]
+    assert {"manifest.json", "refs"} <= {p.parts[0] for p in files["numpy"]}
+
+
 def test_write_bundle_refuses_a_directory_with_entries(tmp_path):
     write_bundle(generate_corpus(SynthSpec(seed=3, subjects=4, impressions=2)), tmp_path)
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}

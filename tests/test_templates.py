@@ -369,6 +369,19 @@ def test_json_reader_rejects_non_numbers(path, value):
         read_template(json.dumps(doc).encode())
 
 
+@pytest.mark.parametrize("image_size", [(384.7, 384), (384.0, 384), ("384", "384"), (True, 5),
+                                        (5, False), (math.inf, 5), (math.nan, 5), (384,)])
+def test_image_sides_that_are_not_integers_are_refused(image_size):
+    with pytest.raises(ValueError, match="image_size must be a pair of integers"):
+        make_template(np.eye(8)[0], image_size=image_size)
+
+
+def test_image_sides_of_numpy_integers_are_stored_as_ints():
+    t = make_template(np.eye(8)[0], image_size=(np.int64(384), np.uint32(200)))
+    assert t.image_size == (384, 200) and {type(side) for side in t.image_size} == {int}
+    assert validate(t) == []
+
+
 def test_image_side_beyond_uint32_is_invalid():
     wide = make_template(np.eye(8)[0], image_size=(MAX_IMAGE_SIDE + 1, 384))
     assert [v.field for v in validate(wide)] == ["image_size"]
